@@ -18,7 +18,7 @@ use tfsn_skills::assignment::SkillAssignment;
 use tfsn_skills::task::Task;
 use tfsn_skills::SkillId;
 
-use crate::compat::{bitset_words, CompatRow, Compatibility};
+use crate::compat::{bitset_words, CompatRow, Compatibility, RowHandle};
 use signed_graph::NodeId;
 
 /// A boolean matrix over skill pairs: which pairs have at least one
@@ -161,88 +161,52 @@ impl TaskSkillDegrees {
                 &h[..h.len().min(cap)]
             })
             .collect();
-        // Word-parallel fast path: with an exact packed row, the inner loop
-        // over `holders[j]` collapses to a popcount of `row(u) ∧ holders[j]`
-        // — identical counts (the row's self bit covers the reflexive
-        // `u == v` pair, exactly as `compatible(u, u)` does). Holder lists
-        // are sparse, so each holder set is kept as its non-empty bitset
-        // words only, the intersection touches at most
-        // `min(|holders|, words)` words, and `row(u)` is fetched once per
-        // holder and reused across every paired skill.
-        let words = bitset_words(comp.node_count());
-        let sparse: Vec<Vec<(u32, u64)>> = holders
-            .iter()
-            .map(|hs| {
-                let mut nz: Vec<(u32, u64)> = Vec::with_capacity(hs.len());
-                for &h in hs.iter() {
-                    let h = h as usize;
-                    if h / 64 >= words {
-                        continue;
-                    }
-                    let (wi, bit) = ((h / 64) as u32, 1u64 << (h % 64));
-                    match nz.last_mut() {
-                        Some((last, bits)) if *last == wi => *bits |= bit,
-                        _ => nz.push((wi, bit)),
-                    }
-                }
-                // `users_with_skill` is sorted, but merge defensively in
-                // case it ever is not.
-                nz.sort_unstable_by_key(|&(wi, _)| wi);
-                nz.dedup_by(|(wi, bits), (kept_wi, kept_bits)| {
-                    *wi == *kept_wi && {
-                        *kept_bits |= *bits;
-                        true
-                    }
-                });
-                nz
-            })
-            .collect();
         let k = task_skills.len();
-        // pair[i * k + j] (i < j) accumulates the i-side sum
-        // `Σ_{u ∈ holders[i]} |row(u) ∧ holders[j]|`, which equals the
-        // j-side sum because the relation is symmetric.
-        let mut pair = vec![0u64; k * k];
-        // The last skill has no j > i partner: skip it outright, or every
-        // one of its holders would fetch (and, in row-serving mode, build)
-        // a packed row that no pair loop ever reads.
-        for i in 0..k.saturating_sub(1) {
-            for &u in holders[i] {
-                let u = NodeId::new(u as usize);
-                match comp.packed_row(u).filter(|h| h.exact()) {
-                    Some(h) => {
-                        let row_words = h.row().words();
-                        for j in (i + 1)..k {
-                            let mut count = 0u64;
-                            for &(wi, bits) in &sparse[j] {
-                                let word = row_words.get(wi as usize).copied().unwrap_or(0);
-                                count += (word & bits).count_ones() as u64;
-                            }
-                            pair[i * k + j] += count;
-                        }
-                    }
-                    None => {
-                        for j in (i + 1)..k {
-                            let mut count = 0u64;
-                            for &v in holders[j] {
-                                if comp.compatible(u, NodeId::new(v as usize)) {
-                                    count += 1;
-                                }
-                            }
-                            pair[i * k + j] += count;
-                        }
-                    }
+        let words = bitset_words(comp.node_count());
+        let mut degrees = vec![0u64; k];
+        if k >= 2 {
+            let sparse: Vec<Vec<(u32, u64)>> =
+                holders.iter().map(|hs| sparse_words(hs, words)).collect();
+            // Rows are fetched for the holders of skills 0..k-2 only: both
+            // kernels read the last skill's degree off the other skills'
+            // rows, so fetching (and, in row-serving mode, building) its
+            // holders' rows would be wasted. The first of those fetches
+            // doubles as the exactness probe that picks the kernel, so an
+            // inexact relation never fetches a row twice.
+            let mut first = holders[..k - 1]
+                .iter()
+                .find_map(|hs| hs.first())
+                .and_then(|&u| comp.packed_row(NodeId::new(u as usize)));
+            let exact = first.as_ref().is_some_and(RowHandle::exact);
+            let mut fetch = |u: u32| {
+                first
+                    .take()
+                    .or_else(|| comp.packed_row(NodeId::new(u as usize)))
+                    .filter(RowHandle::exact)
+            };
+            // Word operations per kernel. The pairwise pass intersects each
+            // row with the non-empty words of every later skill's holder
+            // set. The bit-plane pass intersects it with whole bitsets: the
+            // non-empty planes and the last skill's holders
+            // (`SkillCounts::row_cost`), so at least two, a floor that
+            // spares small tasks building the planes.
+            let rows: usize = holders[..k - 1].iter().map(|hs| hs.len()).sum();
+            let pairwise_cost: usize = (0..k - 1)
+                .map(|i| holders[i].len() * sparse[i + 1..].iter().map(Vec::len).sum::<usize>())
+                .sum();
+            let counts = (exact && 2 * rows * words < pairwise_cost)
+                .then(|| SkillCounts::new(&sparse, words))
+                .filter(|counts| rows * counts.row_cost() < pairwise_cost);
+            match counts {
+                Some(counts) => {
+                    bit_plane_degrees(comp, &holders, &sparse, &counts, &mut fetch, &mut degrees)
                 }
+                None => pairwise_degrees(comp, &holders, &sparse, &mut fetch, &mut degrees),
             }
         }
-        let mut degrees: Vec<(SkillId, u64)> = task_skills.iter().map(|&s| (s, 0u64)).collect();
-        for i in 0..k {
-            for j in (i + 1)..k {
-                let pair_degree = pair[i * k + j];
-                degrees[i].1 = degrees[i].1.saturating_add(pair_degree);
-                degrees[j].1 = degrees[j].1.saturating_add(pair_degree);
-            }
+        TaskSkillDegrees {
+            degrees: task_skills.iter().copied().zip(degrees).collect(),
         }
-        TaskSkillDegrees { degrees }
     }
 
     /// The degree of one skill (0 when the skill is not part of the task).
@@ -261,6 +225,200 @@ impl TaskSkillDegrees {
             .iter()
             .copied()
             .min_by_key(|&s| (self.degree(s), s.index()))
+    }
+}
+
+/// A holder list as its non-empty bitset words `(word index, bits)`, in
+/// word order. Holders past `words` (outside the relation) are dropped.
+fn sparse_words(holders: &[u32], words: usize) -> Vec<(u32, u64)> {
+    let mut nz: Vec<(u32, u64)> = Vec::with_capacity(holders.len());
+    for &h in holders {
+        let h = h as usize;
+        if h / 64 >= words {
+            continue;
+        }
+        let (wi, bit) = ((h / 64) as u32, 1u64 << (h % 64));
+        match nz.last_mut() {
+            Some((last, bits)) if *last == wi => *bits |= bit,
+            _ => nz.push((wi, bit)),
+        }
+    }
+    // `users_with_skill` is sorted, but merge defensively in case it ever
+    // is not.
+    nz.sort_unstable_by_key(|&(wi, _)| wi);
+    nz.dedup_by(|(wi, bits), (kept_wi, kept_bits)| {
+        *wi == *kept_wi && {
+            *kept_bits |= *bits;
+            true
+        }
+    });
+    nz
+}
+
+/// A [`sparse_words`] set back as a full bitset of `words` words.
+fn dense_words(set: &[(u32, u64)], words: usize) -> Vec<u64> {
+    let mut dense = vec![0u64; words];
+    for &(w, bits) in set {
+        dense[w as usize] = bits;
+    }
+    dense
+}
+
+/// `|row ∧ set|` for a set in [`sparse_words`] form.
+fn sparse_count(row: &[u64], set: &[(u32, u64)]) -> u64 {
+    set.iter()
+        .map(|&(wi, bits)| {
+            u64::from((row.get(wi as usize).copied().unwrap_or(0) & bits).count_ones())
+        })
+        .sum()
+}
+
+/// The number of holders of `set` compatible with `u`, by pair probes.
+fn probe_count<C: Compatibility + ?Sized>(comp: &C, u: u32, set: &[u32]) -> u64 {
+    let u = NodeId::new(u as usize);
+    set.iter()
+        .filter(|&&v| comp.compatible(u, NodeId::new(v as usize)))
+        .count() as u64
+}
+
+/// The pairwise kernel: for every holder `u` of skill `i < k-1` and every
+/// later skill `j`, `cd(i, j) += |row(u) ∧ H_j|` — a popcount over `H_j`'s
+/// non-empty words. The count is credited to both skills, since the
+/// relation is symmetric. A row's self bit counts the reflexive pair of a
+/// user holding both skills, exactly as `compatible(u, u)` does. Inexact
+/// or missing rows are probed pair by pair.
+fn pairwise_degrees<'c, C: Compatibility + ?Sized>(
+    comp: &C,
+    holders: &[&[u32]],
+    sparse: &[Vec<(u32, u64)>],
+    fetch: &mut impl FnMut(u32) -> Option<RowHandle<'c>>,
+    degrees: &mut [u64],
+) {
+    let k = holders.len();
+    for i in 0..k - 1 {
+        for &u in holders[i] {
+            let row = fetch(u);
+            for j in (i + 1)..k {
+                let count = match &row {
+                    Some(h) => sparse_count(h.row().words(), &sparse[j]),
+                    None => probe_count(comp, u, holders[j]),
+                };
+                degrees[i] += count;
+                degrees[j] += count;
+            }
+        }
+    }
+}
+
+/// The bit-plane kernel. With `c(v)` the number of task skills `v` holds,
+/// symmetry gives
+///
+/// ```text
+/// deg(i) = Σ_{u ∈ H_i} Σ_{j ≠ i} |row(u) ∧ H_j|
+///        = Σ_{u ∈ H_i} (Σ_b 2^b · |row(u) ∧ P_b| − |row(u) ∧ H_i|)
+///        = Σ_{u ∈ H_i} Σ_b 2^b · |row(u) ∧ P_b^i|
+/// ```
+///
+/// where `P_b` is bit plane `b` of `c` and `P_b^i` bit plane `b` of
+/// `c − [v ∈ H_i]`, the count of the *other* task skills. Each holder's row
+/// is intersected once per non-empty plane, whatever `k`. The last
+/// skill's holders fetch no rows; `deg(k-1) = Σ_{i < k-1} Σ_{u ∈ H_i}
+/// |row(u) ∧ H_{k-1}|` accumulates from the same rows instead. Needs exact
+/// rows; an inexact or missing one is probed pair by pair.
+fn bit_plane_degrees<'c, C: Compatibility + ?Sized>(
+    comp: &C,
+    holders: &[&[u32]],
+    sparse: &[Vec<(u32, u64)>],
+    counts: &SkillCounts,
+    fetch: &mut impl FnMut(u32) -> Option<RowHandle<'c>>,
+    degrees: &mut [u64],
+) {
+    let k = holders.len();
+    let last = dense_words(&sparse[k - 1], counts.words);
+    let mut others = Vec::new();
+    for i in 0..k - 1 {
+        counts.without(&sparse[i], &mut others);
+        let planes: Vec<(usize, &[u64])> = others
+            .chunks_exact(counts.words)
+            .enumerate()
+            .filter(|(_, plane)| plane.iter().any(|&w| w != 0))
+            .collect();
+        for &u in holders[i] {
+            match fetch(u) {
+                Some(h) => {
+                    let row = h.row();
+                    degrees[i] += planes
+                        .iter()
+                        .map(|&(b, plane)| (row.intersection_count(plane) as u64) << b)
+                        .sum::<u64>();
+                    degrees[k - 1] += row.intersection_count(&last) as u64;
+                }
+                None => {
+                    for (j, set) in holders.iter().enumerate() {
+                        if j != i {
+                            let count = probe_count(comp, u, set);
+                            degrees[i] += count;
+                            if j == k - 1 {
+                                degrees[j] += count;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// `c`, the number of task skills each node holds, bit-sliced: plane `b`
+/// is `plane[b * words..(b + 1) * words]`.
+struct SkillCounts {
+    plane: Vec<u64>,
+    words: usize,
+}
+
+impl SkillCounts {
+    /// Sums the holder sets: one ripple-carry add per non-empty word.
+    fn new(sparse: &[Vec<(u32, u64)>], words: usize) -> Self {
+        let planes = (usize::BITS - sparse.len().leading_zeros()) as usize;
+        let mut plane = vec![0u64; planes * words];
+        for set in sparse {
+            for &(w, bits) in set {
+                let mut carry = bits;
+                for slot in plane[w as usize..].iter_mut().step_by(words) {
+                    let next = *slot & carry;
+                    *slot ^= carry;
+                    carry = next;
+                }
+            }
+        }
+        SkillCounts { plane, words }
+    }
+
+    /// Writes the planes of `c − [v ∈ own]` (`own` a subset of the summed
+    /// sets) into `out`: one ripple-borrow subtract per non-empty word.
+    fn without(&self, own: &[(u32, u64)], out: &mut Vec<u64>) {
+        out.clone_from(&self.plane);
+        for &(w, bits) in own {
+            let mut borrow = bits;
+            for slot in out[w as usize..].iter_mut().step_by(self.words) {
+                let next = !*slot & borrow;
+                *slot ^= borrow;
+                borrow = next;
+            }
+        }
+    }
+
+    /// Words one row's pass of [`bit_plane_degrees`] touches: a whole
+    /// bitset per non-empty plane, plus one for the last skill's holders.
+    /// Priced from these task-wide planes; a skill's own planes differ
+    /// from them only on its holders' words.
+    fn row_cost(&self) -> usize {
+        let planes = self
+            .plane
+            .chunks_exact(self.words)
+            .filter(|plane| plane.iter().any(|&w| w != 0))
+            .count();
+        (planes + 1) * self.words
     }
 }
 
@@ -335,6 +493,88 @@ mod tests {
             for b in 0..4 {
                 if sampled.pair_compatible(s(a), s(b)) {
                     assert!(full.pair_compatible(s(a), s(b)));
+                }
+            }
+        }
+    }
+
+    /// Runs one degree kernel directly, fetching rows from `comp`.
+    fn kernel_degrees<C: Compatibility + ?Sized>(
+        comp: &C,
+        skills: &SkillAssignment,
+        task: &Task,
+        bit_plane: bool,
+    ) -> Vec<u64> {
+        let holders: Vec<&[u32]> = task
+            .skills()
+            .iter()
+            .map(|&s| skills.users_with_skill(s))
+            .collect();
+        let k = holders.len();
+        let words = bitset_words(comp.node_count());
+        let sparse: Vec<_> = holders.iter().map(|hs| sparse_words(hs, words)).collect();
+        let mut fetch = |u: u32| {
+            comp.packed_row(NodeId::new(u as usize))
+                .filter(RowHandle::exact)
+        };
+        let mut degrees = vec![0u64; k];
+        if bit_plane {
+            let counts = SkillCounts::new(&sparse, words);
+            bit_plane_degrees(comp, &holders, &sparse, &counts, &mut fetch, &mut degrees);
+        } else {
+            pairwise_degrees(comp, &holders, &sparse, &mut fetch, &mut degrees);
+        }
+        degrees
+    }
+
+    #[test]
+    fn both_degree_kernels_count_the_same_pairs() {
+        use crate::compat::ScalarOnly;
+        use signed_graph::generators::{social_network, SocialNetworkConfig};
+        // 150 nodes span three bitset words; skill s is held by every
+        // (s + 2)-th user plus a few extras, so holders overlap and some
+        // users hold several task skills.
+        let g = social_network(&SocialNetworkConfig {
+            nodes: 150,
+            edges: 450,
+            negative_fraction: 0.3,
+            seed: 4,
+            ..Default::default()
+        });
+        let mut skills = SkillAssignment::new(9, 150);
+        for u in 0..150 {
+            for sk in 0..9 {
+                if u % (sk + 2) == 0 || (u * 7 + sk) % 23 == 0 {
+                    skills.grant(u, s(sk));
+                }
+            }
+        }
+        for kind in [
+            CompatibilityKind::Spa,
+            CompatibilityKind::Nne,
+            CompatibilityKind::Sbph,
+        ] {
+            let comp = CompatibilityMatrix::build(&g, kind);
+            for task in [
+                Task::new([s(0), s(1)]),
+                Task::new([s(0), s(3), s(5), s(8)]),
+                Task::new((0..9).map(s)),
+            ] {
+                let expected = TaskSkillDegrees::compute(&ScalarOnly(&comp), &skills, &task);
+                let expected: Vec<u64> =
+                    task.skills().iter().map(|&t| expected.degree(t)).collect();
+                for bit_plane in [false, true] {
+                    assert_eq!(
+                        kernel_degrees(&comp, &skills, &task, bit_plane),
+                        expected,
+                        "{kind} {:?} bit_plane={bit_plane}",
+                        task.skills()
+                    );
+                    // Without packed rows both kernels fall back to probes.
+                    assert_eq!(
+                        kernel_degrees(&ScalarOnly(&comp), &skills, &task, bit_plane),
+                        expected
+                    );
                 }
             }
         }

@@ -16,11 +16,11 @@ use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use signed_graph::NodeId;
 use tfsn_skills::task::Task;
-use tfsn_skills::{SkillId, SkillSet};
+use tfsn_skills::SkillId;
 
 use super::policies::{SkillPolicy, TeamAlgorithm, UserPolicy};
-use super::{CandidateMask, NodeSet, SolveScratch, Team, TfsnInstance};
-use crate::compat::Compatibility;
+use super::{skills_covered_by, CandidateMask, NodeSet, SolveScratch, Team, TfsnInstance};
+use crate::compat::{Compatibility, RowHandle, UNREACHABLE_DISTANCE};
 use crate::error::TfsnError;
 use crate::skill_compat::TaskSkillDegrees;
 
@@ -54,10 +54,16 @@ impl Default for GreedyConfig {
 /// Diagnostic counters of one [`solve_greedy_with_stats`] run.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct GreedyStats {
-    /// Seed users tried.
+    /// Seed users tried, abandoned ones included.
     pub seeds_tried: usize,
-    /// Seeds that produced a full covering compatible team.
+    /// Seeds grown to completion: a full covering compatible team whose
+    /// cost was compared against the best so far. A seed abandoned by the
+    /// bound is not counted here, even if it would have covered the task.
     pub seeds_succeeded: usize,
+    /// Seeds abandoned because their partial diameter reached the cost of
+    /// the best team already found, so they could no longer win. Always 0
+    /// under the RANDOM user policy, which is never bounded.
+    pub seeds_abandoned: usize,
     /// Total user-candidate evaluations across all seeds.
     pub candidates_examined: usize,
 }
@@ -95,6 +101,15 @@ pub fn solve_greedy_with_stats<C: Compatibility + ?Sized>(
 /// the entry point for serving layers answering many queries per thread.
 /// The scratch carries capacity only, never query state, so results are
 /// identical to the allocating path.
+///
+/// The seeds are searched branch-and-bound: under the MinDistance and
+/// MostCompatible user policies a seed is abandoned as soon as its partial
+/// diameter reaches the cost of the best team found so far. The partial
+/// diameter (the running max of each joining member's distance to the
+/// team) only grows, and a finished seed replaces the best team only when
+/// its cost is strictly smaller, so an abandoned seed could never have won
+/// and the answer is the one the exhaustive seed loop returns. RANDOM is
+/// never bounded: its single RNG stream must see every draw.
 pub fn solve_greedy_with_scratch<C: Compatibility + ?Sized>(
     instance: &TfsnInstance<'_>,
     comp: &C,
@@ -137,40 +152,47 @@ pub fn solve_greedy_with_scratch<C: Compatibility + ?Sized>(
     };
 
     let mut rng = StdRng::seed_from_u64(config.random_seed);
+    let bounded = algorithm.user != UserPolicy::Random;
 
     // Seed the candidate teams from every holder of the first selected skill.
     let first_skill = select_skill(task.skills());
-    let seed_users: Vec<u32> = skills.users_with_skill(first_skill).to_vec();
     let seed_limit = config.max_seeds.unwrap_or(usize::MAX);
 
     // One mask buffer shared by every seed (re-seeded in place) — and, via
     // the caller's scratch, across solves: the word-parallel fast path
-    // allocates once per worker thread, not once per query.
-    let mask_buf = &mut scratch.mask;
+    // allocates once per worker thread, not once per query. The member row
+    // handles are likewise kept in one vector for the whole solve.
+    let mut rows = Vec::new();
     let mut best: Option<(Team, u64)> = None;
-    for &seed in seed_users.iter().take(seed_limit) {
+    for &seed in skills.users_with_skill(first_skill).iter().take(seed_limit) {
         stats.seeds_tried += 1;
-        let seed = NodeId::new(seed as usize);
-        if let Some(team) = grow_team(
+        let bound = match &best {
+            Some((_, cost)) if bounded => *cost,
+            _ => u64::MAX,
+        };
+        let seed = [NodeId::new(seed as usize)];
+        let growth = grow_team(
             instance,
             comp,
             task,
             algorithm,
-            seed,
             &select_skill,
             &mut rng,
             &mut stats,
-            mask_buf,
-        ) {
-            stats.seeds_succeeded += 1;
-            let cost = team.diameter(comp).map(u64::from).unwrap_or(u64::MAX);
-            let better = match &best {
-                None => true,
-                Some((_, best_cost)) => cost < *best_cost,
-            };
-            if better {
-                best = Some((team, cost));
+            GrowingTeam::new(comp, &seed, &mut scratch.mask, &mut rows),
+            bound,
+        );
+        match growth {
+            Growth::Covered(team, diameter) => {
+                stats.seeds_succeeded += 1;
+                let cost = diameter
+                    .unwrap_or_else(|| team.diameter(comp).map(u64::from).unwrap_or(u64::MAX));
+                if best.as_ref().is_none_or(|(_, best_cost)| cost < *best_cost) {
+                    best = Some((team, cost));
+                }
             }
+            Growth::Stuck => {}
+            Growth::Abandoned => stats.seeds_abandoned += 1,
         }
     }
 
@@ -180,41 +202,45 @@ pub fn solve_greedy_with_scratch<C: Compatibility + ?Sized>(
     }
 }
 
-/// Grows one candidate team from `seed`, returning `None` if it gets stuck.
+/// How one seed's growth ended.
+enum Growth {
+    /// The team covers the task. A bounded growth also returns the team's
+    /// diameter: its partial diameter, which ended below the bound, so
+    /// every pair distance was defined.
+    Covered(Team, Option<u64>),
+    /// Some skill had no compatible candidate left.
+    Stuck,
+    /// The partial diameter reached the bound: the seed cannot win.
+    Abandoned,
+}
+
+/// Grows one candidate team from its seed. With `bound < u64::MAX` the
+/// growth stops as soon as the team's partial diameter reaches `bound`.
 #[allow(clippy::too_many_arguments)]
 fn grow_team<C: Compatibility + ?Sized>(
     instance: &TfsnInstance<'_>,
     comp: &C,
     task: &Task,
     algorithm: TeamAlgorithm,
-    seed: NodeId,
     select_skill: &dyn Fn(&[SkillId]) -> SkillId,
     rng: &mut StdRng,
     stats: &mut GreedyStats,
-    mask_buf: &mut Option<CandidateMask>,
-) -> Option<Team> {
+    mut team: GrowingTeam<'_, '_, C>,
+    bound: u64,
+) -> Growth {
+    // A lone seed's diameter is 0, which already reaches a zero bound.
+    if bound == 0 {
+        return Growth::Abandoned;
+    }
     let skills = instance.skills();
-    let universe = skills.skill_count();
-    let mut members = vec![seed];
-    let mut covered = SkillSet::new(universe);
-    covered.union_with(skills.skills_of(seed.index()));
-    // The word-parallel fast path: the AND of the members' row bitsets
-    // answers "compatible with every member?" with one bit probe instead of
-    // one pair probe per member. `None` (relation without packed rows)
-    // falls back to the scalar path; a non-exact mask (forward-only rows)
-    // accepts set bits and re-checks cleared ones scalar-wise.
-    let mut mask = match mask_buf {
-        Some(m) => m.reseed(comp, seed).then_some(&mut *m),
-        None => {
-            *mask_buf = CandidateMask::seeded(comp, seed);
-            mask_buf.as_mut()
-        }
-    };
+    let mut covered = skills_covered_by(skills, team.members());
+    let mut diameter = 0u64;
 
     loop {
         let remaining = task.uncovered(&covered);
         if remaining.is_empty() {
-            return Some(Team::new(members));
+            let diameter = (bound != u64::MAX).then_some(diameter);
+            return Growth::Covered(team.into_team(), diameter);
         }
         let next_skill = select_skill(&remaining);
         // Candidates: holders of the skill, outside the team, compatible with
@@ -222,29 +248,30 @@ fn grow_team<C: Compatibility + ?Sized>(
         let mut candidates: Vec<NodeId> = Vec::new();
         for &u in skills.users_with_skill(next_skill) {
             let u = NodeId::new(u as usize);
-            if members.contains(&u) {
+            if team.contains(u) {
                 // Already in the team but does not hold the uncovered skill —
                 // cannot happen because covered includes the member's skills.
                 continue;
             }
             stats.candidates_examined += 1;
-            let compatible = match &mask {
-                Some(m) if m.allows(u) => true,
-                Some(m) if m.is_exact() => false,
-                _ => comp.compatible_with_all(u, &members),
-            };
-            if compatible {
+            if team.admits(u) {
                 candidates.push(u);
             }
         }
         if candidates.is_empty() {
-            return None;
+            return Growth::Stuck;
         }
-        let chosen = match algorithm.user {
-            UserPolicy::MinDistance => *candidates
-                .iter()
-                .min_by_key(|&&c| (distance_to_team(comp, c, &members), c.index()))
-                .expect("candidates non-empty"),
+        // The chosen candidate, plus its distance to the team when the
+        // policy already computed it.
+        let (chosen, distance) = match algorithm.user {
+            UserPolicy::MinDistance => {
+                let (distance, chosen) = candidates
+                    .iter()
+                    .map(|&c| (team.distance_to(c), c))
+                    .min_by_key(|&(d, c)| (d, c.index()))
+                    .expect("candidates non-empty");
+                (chosen, Some(distance))
+            }
             UserPolicy::MostCompatible => {
                 // Relevance pool: holders of any still-uncovered skill.
                 let pool = relevant_users(skills, &remaining);
@@ -263,7 +290,7 @@ fn grow_team<C: Compatibility + ?Sized>(
                         }
                         bits
                     });
-                *candidates
+                let chosen = *candidates
                     .iter()
                     .max_by_key(|&&c| {
                         let fast = pool_bits.as_ref().and_then(|bits| {
@@ -282,17 +309,123 @@ fn grow_team<C: Compatibility + ?Sized>(
                         });
                         (compat_count, std::cmp::Reverse(c.index()))
                     })
-                    .expect("candidates non-empty")
+                    .expect("candidates non-empty");
+                (chosen, None)
             }
-            UserPolicy::Random => candidates[rng.gen_range(0..candidates.len())],
+            UserPolicy::Random => (candidates[rng.gen_range(0..candidates.len())], None),
         };
-        covered.union_with(skills.skills_of(chosen.index()));
-        members.push(chosen);
-        if let Some(m) = &mut mask {
-            if !m.intersect_member(comp, chosen) {
-                mask = None;
+        if bound != u64::MAX {
+            diameter = diameter.max(distance.unwrap_or_else(|| team.distance_to(chosen)));
+            if diameter >= bound {
+                return Growth::Abandoned;
             }
         }
+        covered.union_with(skills.skills_of(chosen.index()));
+        team.push(chosen);
+    }
+}
+
+/// A candidate team under construction, shared by the default greedy
+/// growth and the objective-driven one in [`super::objective`].
+///
+/// With packed rows it keeps the [`CandidateMask`] (the AND of the member
+/// rows) together with the member row handles themselves. The two
+/// questions growth asks about a candidate then cost one mask bit ("is it
+/// compatible with every member?") and one distance-lane load per member
+/// row ("how far is it from the team?"). A relation probe would instead
+/// fetch the *candidate's* row, which in the row tier may build it.
+pub(crate) struct GrowingTeam<'s, 'c, C: ?Sized> {
+    comp: &'c C,
+    members: Vec<NodeId>,
+    /// The mask and the member rows, in member order; `None` once some
+    /// member has no packed row (scalar probes from then on).
+    packed: Option<(&'s mut CandidateMask, &'s mut Vec<RowHandle<'c>>)>,
+}
+
+impl<'s, 'c, C: Compatibility + ?Sized> GrowingTeam<'s, 'c, C> {
+    /// A team of the (non-empty) `seed` members. `mask_buf` and `rows` are
+    /// the solve's reusable buffers; their previous contents are discarded.
+    pub(crate) fn new(
+        comp: &'c C,
+        seed: &[NodeId],
+        mask_buf: &'s mut Option<CandidateMask>,
+        rows: &'s mut Vec<RowHandle<'c>>,
+    ) -> Self {
+        let (&first, rest) = seed.split_first().expect("a seed has members");
+        rows.clear();
+        let packed = comp.packed_row(first).map(|handle| {
+            let mask = mask_buf.get_or_insert_with(CandidateMask::default);
+            mask.reseed(&handle);
+            rows.push(handle);
+            (mask, rows)
+        });
+        let mut team = GrowingTeam {
+            comp,
+            members: vec![first],
+            packed,
+        };
+        for &m in rest {
+            team.push(m);
+        }
+        team
+    }
+
+    /// The relation the team is grown under.
+    pub(crate) fn comp(&self) -> &'c C {
+        self.comp
+    }
+
+    /// The current members, in joining order.
+    pub(crate) fn members(&self) -> &[NodeId] {
+        &self.members
+    }
+
+    /// `true` if `u` is already a member.
+    pub(crate) fn contains(&self, u: NodeId) -> bool {
+        self.members.contains(&u)
+    }
+
+    /// `true` iff `u` is compatible with every member. A set mask bit is
+    /// sound; a clear one is only authoritative when every member row was
+    /// exact, otherwise the pair probes decide.
+    pub(crate) fn admits(&self, u: NodeId) -> bool {
+        match &self.packed {
+            Some((mask, _)) if mask.allows(u) => true,
+            Some((mask, _)) if mask.is_exact() => false,
+            _ => self.comp.compatible_with_all(u, &self.members),
+        }
+    }
+
+    /// `u`'s distance to the team (see [`distance_to_team`]), read from the
+    /// member rows when they are all exact.
+    pub(crate) fn distance_to(&self, u: NodeId) -> u64 {
+        let exact_rows = match &self.packed {
+            Some((mask, rows)) if mask.is_exact() => Some(rows.as_slice()),
+            _ => None,
+        };
+        distance_to_team(self.comp, u, &self.members, exact_rows)
+    }
+
+    /// Adds `u` as a member, intersecting its row into the mask.
+    pub(crate) fn push(&mut self, u: NodeId) {
+        self.members.push(u);
+        if self.packed.is_none() {
+            return;
+        }
+        match self.comp.packed_row(u) {
+            Some(handle) => {
+                if let Some((mask, rows)) = &mut self.packed {
+                    mask.intersect_member(&handle);
+                    rows.push(handle);
+                }
+            }
+            None => self.packed = None,
+        }
+    }
+
+    /// The finished team.
+    pub(crate) fn into_team(self) -> Team {
+        Team::new(self.members)
     }
 }
 
@@ -300,19 +433,32 @@ fn grow_team<C: Compatibility + ?Sized>(
 /// its largest distance to any member (matching the diameter cost).
 /// Missing distances are treated as effectively infinite. Shared with the
 /// objective-driven growth in [`super::objective`].
+///
+/// `exact_rows`, when given, holds one exact packed row per member: the
+/// distances are then read from the members' distance lanes, which for a
+/// symmetric relation equal the pair probes `comp.distance(candidate, m)`.
 pub(crate) fn distance_to_team<C: Compatibility + ?Sized>(
     comp: &C,
     candidate: NodeId,
     team: &[NodeId],
+    exact_rows: Option<&[RowHandle<'_>]>,
 ) -> u64 {
-    team.iter()
-        .map(|&m| {
-            comp.distance(candidate, m)
-                .map(u64::from)
-                .unwrap_or(u64::MAX / 2)
-        })
-        .max()
-        .unwrap_or(0)
+    const MISSING: u64 = u64::MAX / 2;
+    match exact_rows {
+        Some(rows) => rows
+            .iter()
+            .map(|r| match r.row().raw_distance(candidate.index()) {
+                UNREACHABLE_DISTANCE => MISSING,
+                d => u64::from(d),
+            })
+            .max()
+            .unwrap_or(0),
+        None => team
+            .iter()
+            .map(|&m| comp.distance(candidate, m).map_or(MISSING, u64::from))
+            .max()
+            .unwrap_or(0),
+    }
 }
 
 /// All users holding at least one of `skills_wanted`, deduplicated.
@@ -514,6 +660,46 @@ mod tests {
         )
         .unwrap();
         assert_eq!(capped.seeds_tried, 1);
+    }
+
+    #[test]
+    fn seeds_that_cannot_win_are_abandoned() {
+        // A positive path 0 - 1 - 2 - 3. Skill 0: users 0 and 3; skill 1:
+        // users 1 and 2. Seed 0 finishes {0, 1} at cost 1. Seed 3's best
+        // joiner (user 2) is already at distance 1, which reaches that cost,
+        // so seed 3 is abandoned under both deterministic user policies.
+        let g = from_edge_triples(vec![
+            (0, 1, Sign::Positive),
+            (1, 2, Sign::Positive),
+            (2, 3, Sign::Positive),
+        ]);
+        let mut skills = SkillAssignment::new(2, 4);
+        skills.grant(0, s(0));
+        skills.grant(3, s(0));
+        skills.grant(1, s(1));
+        skills.grant(2, s(1));
+        let inst = TfsnInstance::new(&g, &skills);
+        let comp = CompatibilityMatrix::build(&g, CompatibilityKind::Spa);
+        let task = Task::new([s(0), s(1)]);
+        for alg in [TeamAlgorithm::RFMD, TeamAlgorithm::RFMC] {
+            let (team, stats) =
+                solve_greedy_with_stats(&inst, &comp, &task, alg, &GreedyConfig::default())
+                    .unwrap();
+            assert_eq!(team.members(), &[n(0), n(1)], "{alg}");
+            assert_eq!(stats.seeds_tried, 2, "{alg}");
+            assert_eq!(stats.seeds_succeeded, 1, "{alg}");
+            assert_eq!(stats.seeds_abandoned, 1, "{alg}");
+        }
+        // RANDOM grows every seed to completion.
+        let (_, stats) = solve_greedy_with_stats(
+            &inst,
+            &comp,
+            &task,
+            TeamAlgorithm::RANDOM,
+            &GreedyConfig::default(),
+        )
+        .unwrap();
+        assert_eq!((stats.seeds_succeeded, stats.seeds_abandoned), (2, 0));
     }
 
     #[test]

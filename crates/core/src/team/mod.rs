@@ -38,7 +38,7 @@ use tfsn_skills::SkillSet;
 
 pub use crate::compat::NodeSet;
 
-use crate::compat::Compatibility;
+use crate::compat::{Compatibility, RowHandle};
 use crate::error::TfsnError;
 
 /// The word-parallel candidate filter of the greedy solver: the AND of the
@@ -57,7 +57,11 @@ use crate::error::TfsnError;
 /// ([`CandidateMask::is_exact`]); otherwise the caller must fall back to a
 /// scalar [`Compatibility::compatible_with_all`] probe for cleared
 /// candidates.
-#[derive(Debug, Clone)]
+///
+/// The mask takes row *handles* rather than fetching rows itself: the
+/// solvers keep the member handles they fetched and read candidate
+/// distances straight from them.
+#[derive(Debug, Clone, Default)]
 pub struct CandidateMask {
     words: Vec<u64>,
     nodes: usize,
@@ -65,27 +69,11 @@ pub struct CandidateMask {
 }
 
 impl CandidateMask {
-    /// Starts a mask from the seed member's row. `None` when the relation
-    /// exposes no packed rows — the caller stays on the scalar path.
-    pub fn seeded<C: Compatibility + ?Sized>(comp: &C, seed: NodeId) -> Option<Self> {
-        let handle = comp.packed_row(seed)?;
-        let row = handle.row();
-        Some(CandidateMask {
-            words: row.words().to_vec(),
-            nodes: row.len(),
-            exact: handle.exact(),
-        })
-    }
-
-    /// Re-seeds an existing mask in place (no reallocation) — the greedy
-    /// solver tries many seeds per query and reuses one mask buffer across
-    /// them. Returns `false` when the relation exposes no packed row for
-    /// `seed` (the mask contents are then unspecified and must not be used).
-    pub fn reseed<C: Compatibility + ?Sized>(&mut self, comp: &C, seed: NodeId) -> bool {
-        let Some(handle) = comp.packed_row(seed) else {
-            return false;
-        };
-        let row = handle.row();
+    /// (Re-)seeds the mask from the seed member's row, in place (no
+    /// reallocation) — the greedy solver tries many seeds per query and
+    /// reuses one mask buffer across them.
+    pub fn reseed(&mut self, seed: &RowHandle<'_>) {
+        let row = seed.row();
         if self.words.len() == row.words().len() {
             self.words.copy_from_slice(row.words());
         } else {
@@ -93,26 +81,15 @@ impl CandidateMask {
             self.words.extend_from_slice(row.words());
         }
         self.nodes = row.len();
-        self.exact = handle.exact();
-        true
+        self.exact = seed.exact();
     }
 
     /// Intersects a new member's row into the mask (one word-wise AND).
-    /// Returns `false` when the member has no packed row — the mask is no
-    /// longer maintainable and the caller should drop it.
-    pub fn intersect_member<C: Compatibility + ?Sized>(
-        &mut self,
-        comp: &C,
-        member: NodeId,
-    ) -> bool {
-        let Some(handle) = comp.packed_row(member) else {
-            return false;
-        };
-        for (w, m) in self.words.iter_mut().zip(handle.row().words()) {
+    pub fn intersect_member(&mut self, member: &RowHandle<'_>) {
+        for (w, m) in self.words.iter_mut().zip(member.row().words()) {
             *w &= m;
         }
-        self.exact &= handle.exact();
-        true
+        self.exact &= member.exact();
     }
 
     /// `true` iff every intersected row marked `v` compatible.
@@ -255,13 +232,7 @@ impl Team {
 
     /// The union of the members' skills.
     pub fn covered_skills(&self, skills: &SkillAssignment) -> SkillSet {
-        let mut covered = SkillSet::new(skills.skill_count());
-        for &m in &self.members {
-            if m.index() < skills.user_count() {
-                covered.union_with(skills.skills_of(m.index()));
-            }
-        }
-        covered
+        skills_covered_by(skills, &self.members)
     }
 
     /// `true` if the team covers every skill of `task`.
@@ -366,6 +337,18 @@ impl FromIterator<NodeId> for Team {
     fn from_iter<I: IntoIterator<Item = NodeId>>(iter: I) -> Self {
         Team::new(iter)
     }
+}
+
+/// The union of the skills of `members` (users outside the assignment hold
+/// none): [`Team::covered_skills`] for a member list in any order.
+pub(crate) fn skills_covered_by(skills: &SkillAssignment, members: &[NodeId]) -> SkillSet {
+    let mut covered = SkillSet::new(skills.skill_count());
+    for &m in members {
+        if m.index() < skills.user_count() {
+            covered.union_with(skills.skills_of(m.index()));
+        }
+    }
+    covered
 }
 
 #[cfg(test)]

@@ -28,17 +28,18 @@
 //! greedy growth and exhaustive enumeration below.
 //!
 //! [`CompatibilityKind`]: crate::compat::CompatibilityKind
+//! [`CandidateMask`]: crate::team::CandidateMask
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 use signed_graph::NodeId;
 use tfsn_skills::task::Task;
-use tfsn_skills::{SkillId, SkillSet};
+use tfsn_skills::SkillId;
 
 use super::exhaustive::MAX_RELEVANT_USERS;
-use super::greedy::{distance_to_team, GreedyConfig};
-use super::{CandidateMask, SolveScratch, Team, TfsnInstance};
+use super::greedy::{distance_to_team, GreedyConfig, GrowingTeam};
+use super::{skills_covered_by, SolveScratch, Team, TfsnInstance};
 use crate::compat::Compatibility;
 use crate::error::TfsnError;
 
@@ -112,6 +113,15 @@ impl Objective {
         candidate: NodeId,
         members: &[NodeId],
     ) -> bool {
+        self.admits_joiner(members.len(), || {
+            distance_to_team(comp, candidate, members, None)
+        })
+    }
+
+    /// [`Objective::admits_candidate`] for a team of `team_size` members,
+    /// with the candidate's distance to the team computed only if a
+    /// distance bound asks for it.
+    fn admits_joiner(&self, team_size: usize, distance: impl FnOnce() -> u64) -> bool {
         match self {
             Objective::MinTeam | Objective::Synergy => true,
             Objective::Constrained {
@@ -119,15 +129,10 @@ impl Objective {
                 max_distance,
                 ..
             } => {
-                if let Some(k) = max_size {
-                    if members.len() >= *k {
-                        return false;
-                    }
+                if max_size.is_some_and(|k| team_size >= k) {
+                    return false;
                 }
-                match max_distance {
-                    None => true,
-                    Some(bound) => distance_to_team(comp, candidate, members) <= u64::from(*bound),
-                }
+                max_distance.is_none_or(|bound| distance() <= u64::from(bound))
             }
         }
     }
@@ -246,8 +251,9 @@ fn incremental_synergy<C: Compatibility + ?Sized>(
 ///   by minimum distance-to-team, and keeps the smallest-diameter team.
 ///
 /// `config.max_seeds` bounds the seeds tried, exactly as in the default
-/// greedy. The [`CandidateMask`] word-parallel filter and the caller's
-/// [`SolveScratch`] are reused the same way.
+/// greedy. The [`CandidateMask`](super::CandidateMask) word-parallel
+/// filter, the member-row distances and the caller's [`SolveScratch`] are
+/// reused the same way.
 pub fn solve_objective_greedy<C: Compatibility + ?Sized>(
     instance: &TfsnInstance<'_>,
     comp: &C,
@@ -295,17 +301,15 @@ pub fn solve_objective_greedy<C: Compatibility + ?Sized>(
         vec![base]
     };
 
-    let mask_buf = &mut scratch.mask;
+    let mut rows = Vec::new();
     let mut best: Option<(Team, u64)> = None;
     for seed in seeds {
         let Some(team) = grow_objective_team(
             instance,
-            comp,
             task,
             objective,
-            &seed,
             &rarest_skill,
-            mask_buf,
+            GrowingTeam::new(comp, &seed, &mut scratch.mask, &mut rows),
         ) else {
             continue;
         };
@@ -371,61 +375,36 @@ fn constrained_base<C: Compatibility + ?Sized>(
     Ok(base)
 }
 
-/// Grows one candidate team from `seed` members under `objective`,
-/// returning `None` if it gets stuck. Mirrors the default greedy growth:
-/// the candidate mask answers "compatible with every member?" with one bit
-/// probe; [`Objective::admits_candidate`] then prunes constraint
+/// Grows one seeded candidate team under `objective`, returning `None` if
+/// it gets stuck. Mirrors the default greedy growth through the same
+/// [`GrowingTeam`]: the candidate mask answers "compatible with every
+/// member?" with one bit probe; the objective's constraints then prune
 /// violations; the objective's selection rule picks among survivors.
 fn grow_objective_team<C: Compatibility + ?Sized>(
     instance: &TfsnInstance<'_>,
-    comp: &C,
     task: &Task,
     objective: &Objective,
-    seed: &[NodeId],
     rarest_skill: &dyn Fn(&[SkillId]) -> SkillId,
-    mask_buf: &mut Option<CandidateMask>,
+    mut team: GrowingTeam<'_, '_, C>,
 ) -> Option<Team> {
     let skills = instance.skills();
-    let universe = skills.skill_count();
-    let mut members: Vec<NodeId> = seed.to_vec();
-    let mut covered = SkillSet::new(universe);
-    for &m in &members {
-        covered.union_with(skills.skills_of(m.index()));
-    }
-    let (&first, rest) = members.split_first()?;
-    let mut mask = match mask_buf {
-        Some(m) => m.reseed(comp, first).then_some(&mut *m),
-        None => {
-            *mask_buf = CandidateMask::seeded(comp, first);
-            mask_buf.as_mut()
-        }
-    };
-    for &m in rest {
-        if let Some(mk) = &mut mask {
-            if !mk.intersect_member(comp, m) {
-                mask = None;
-            }
-        }
-    }
+    let mut covered = skills_covered_by(skills, team.members());
 
     loop {
         let remaining = task.uncovered(&covered);
         if remaining.is_empty() {
-            return Some(Team::new(members));
+            return Some(team.into_team());
         }
         let next_skill = rarest_skill(&remaining);
         let mut candidates: Vec<NodeId> = Vec::new();
         for &u in skills.users_with_skill(next_skill) {
             let u = NodeId::new(u as usize);
-            if members.contains(&u) {
+            if team.contains(u) {
                 continue;
             }
-            let compatible = match &mask {
-                Some(m) if m.allows(u) => true,
-                Some(m) if m.is_exact() => false,
-                _ => comp.compatible_with_all(u, &members),
-            };
-            if compatible && objective.admits_candidate(comp, u, &members) {
+            if team.admits(u)
+                && objective.admits_joiner(team.members().len(), || team.distance_to(u))
+            {
                 candidates.push(u);
             }
         }
@@ -437,23 +416,18 @@ fn grow_objective_team<C: Compatibility + ?Sized>(
                 .iter()
                 .max_by_key(|&&c| {
                     (
-                        incremental_synergy(comp, c, &members),
+                        incremental_synergy(team.comp(), c, team.members()),
                         std::cmp::Reverse(c.index()),
                     )
                 })
                 .expect("candidates non-empty"),
             _ => *candidates
                 .iter()
-                .min_by_key(|&&c| (distance_to_team(comp, c, &members), c.index()))
+                .min_by_key(|&&c| (team.distance_to(c), c.index()))
                 .expect("candidates non-empty"),
         };
         covered.union_with(skills.skills_of(chosen.index()));
-        members.push(chosen);
-        if let Some(m) = &mut mask {
-            if !m.intersect_member(comp, chosen) {
-                mask = None;
-            }
-        }
+        team.push(chosen);
     }
 }
 

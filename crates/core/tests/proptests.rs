@@ -11,7 +11,7 @@ use tfsn_core::team::baseline::rarest_first;
 use tfsn_core::team::exhaustive::solve_exhaustive;
 use tfsn_core::team::greedy::{solve_greedy, GreedyConfig};
 use tfsn_core::team::policies::TeamAlgorithm;
-use tfsn_core::team::TfsnInstance;
+use tfsn_core::team::{Team, TfsnInstance};
 use tfsn_core::TfsnError;
 use tfsn_skills::assignment::SkillAssignment;
 use tfsn_skills::task::Task;
@@ -674,6 +674,279 @@ proptest! {
                         Err(TfsnError::NoCompatibleTeam) => {}
                         Err(TfsnError::SearchBudgetExceeded) => {}
                         Err(e) => prop_assert!(false, "{kind}: unexpected error {e}"),
+                    }
+                }
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Definition oracle: Algorithm 2 and the task-restricted skill degrees,
+// transcribed from their definitions with nothing but pair probes.
+// ---------------------------------------------------------------------------
+
+/// Case count of the oracle suite: 24 by default, overridable through the
+/// `TFSN_PROPTEST_CASES` environment variable for deep runs.
+fn oracle_cases() -> u32 {
+    std::env::var("TFSN_PROPTEST_CASES")
+        .ok()
+        .and_then(|s| s.parse().ok())
+        .unwrap_or(24)
+}
+
+/// The first `cap` holders of each task skill, as the solvers see them.
+fn capped_holders<'a>(
+    skills: &'a SkillAssignment,
+    task: &Task,
+    cap: Option<usize>,
+) -> Vec<&'a [u32]> {
+    let cap = cap.unwrap_or(usize::MAX).max(1);
+    task.skills()
+        .iter()
+        .map(|&s| {
+            let h = skills.users_with_skill(s);
+            &h[..h.len().min(cap)]
+        })
+        .collect()
+}
+
+/// `cd_T(s) = Σ_{s' ∈ T, s' ≠ s} cd(s, s')`, where `cd(s, s')` counts the
+/// ordered compatible pairs `(u, v)` with `u` holding `s` and `v` holding
+/// `s'` (a user holding both counts through the reflexive pair).
+fn reference_degrees(
+    comp: &dyn Compatibility,
+    skills: &SkillAssignment,
+    task: &Task,
+    cap: Option<usize>,
+) -> Vec<u64> {
+    let holders = capped_holders(skills, task, cap);
+    (0..holders.len())
+        .map(|i| {
+            let mut degree = 0u64;
+            for (j, others) in holders.iter().enumerate() {
+                if j == i {
+                    continue;
+                }
+                for &u in holders[i] {
+                    for &v in *others {
+                        if comp.compatible(NodeId::new(u as usize), NodeId::new(v as usize)) {
+                            degree += 1;
+                        }
+                    }
+                }
+            }
+            degree
+        })
+        .collect()
+}
+
+/// Algorithm 2 as the paper states it: seed one team from every holder of
+/// the first selected skill, grow each until it covers the task or gets
+/// stuck, and keep the covering team of smallest diameter (the first one
+/// on ties). Pair probes only, no candidate mask and no bound.
+fn reference_greedy(
+    instance: &TfsnInstance<'_>,
+    comp: &dyn Compatibility,
+    task: &Task,
+    algorithm: TeamAlgorithm,
+    config: &GreedyConfig,
+) -> Result<Team, TfsnError> {
+    use rand::{Rng, SeedableRng};
+    use tfsn_core::team::policies::{SkillPolicy, UserPolicy};
+    let skills = instance.skills();
+    if task.is_empty() {
+        return Ok(Team::new([]));
+    }
+    if let Some(&s) = task
+        .skills()
+        .iter()
+        .find(|&&s| skills.skill_frequency(s) == 0)
+    {
+        return Err(TfsnError::UncoverableSkill(s));
+    }
+    let degrees = reference_degrees(comp, skills, task, config.skill_degree_cap);
+    let degree = |s: SkillId| degrees[task.skills().iter().position(|&t| t == s).unwrap()];
+    let select = |remaining: &[SkillId]| -> SkillId {
+        let key = |s: SkillId| match algorithm.skill {
+            SkillPolicy::RarestFirst => (skills.skill_frequency(s) as u64, s.index()),
+            SkillPolicy::LeastCompatibleFirst => (degree(s), s.index()),
+        };
+        *remaining.iter().min_by_key(|&&s| key(s)).unwrap()
+    };
+    let distance_to_team = |c: NodeId, members: &[NodeId]| -> u64 {
+        members
+            .iter()
+            .map(|&m| comp.distance(c, m).map_or(u64::MAX / 2, u64::from))
+            .max()
+            .unwrap_or(0)
+    };
+    let mut rng = rand::rngs::StdRng::seed_from_u64(config.random_seed);
+    let first = select(task.skills());
+    let seeds = skills.users_with_skill(first);
+    let mut best: Option<(Team, u64)> = None;
+    for &seed in seeds.iter().take(config.max_seeds.unwrap_or(usize::MAX)) {
+        let mut members = vec![NodeId::new(seed as usize)];
+        let covering = loop {
+            let covered = Team::new(members.clone()).covered_skills(skills);
+            let remaining = task.uncovered(&covered);
+            if remaining.is_empty() {
+                break Some(Team::new(members));
+            }
+            let skill = select(&remaining);
+            let candidates: Vec<NodeId> = skills
+                .users_with_skill(skill)
+                .iter()
+                .map(|&u| NodeId::new(u as usize))
+                .filter(|u| !members.contains(u) && comp.compatible_with_all(*u, &members))
+                .collect();
+            if candidates.is_empty() {
+                break None;
+            }
+            let chosen = match algorithm.user {
+                UserPolicy::MinDistance => *candidates
+                    .iter()
+                    .min_by_key(|&&c| (distance_to_team(c, &members), c.index()))
+                    .unwrap(),
+                UserPolicy::MostCompatible => {
+                    let mut pool: Vec<u32> = remaining
+                        .iter()
+                        .flat_map(|&s| skills.users_with_skill(s).iter().copied())
+                        .collect();
+                    pool.sort_unstable();
+                    pool.dedup();
+                    *candidates
+                        .iter()
+                        .max_by_key(|&&c| {
+                            let count = pool
+                                .iter()
+                                .map(|&p| NodeId::new(p as usize))
+                                .filter(|&p| p != c && comp.compatible(c, p))
+                                .count();
+                            (count, std::cmp::Reverse(c.index()))
+                        })
+                        .unwrap()
+                }
+                UserPolicy::Random => candidates[rng.gen_range(0..candidates.len())],
+            };
+            members.push(chosen);
+        };
+        if let Some(team) = covering {
+            let cost = team.diameter(comp).map_or(u64::MAX, u64::from);
+            if best.as_ref().is_none_or(|(_, b)| cost < *b) {
+                best = Some((team, cost));
+            }
+        }
+    }
+    best.map(|(team, _)| team)
+        .ok_or(TfsnError::NoCompatibleTeam)
+}
+
+/// Eight skills over the graph's users, and a task over them.
+///
+/// Uniform shape: bit `s` of `grants[u]` grants user `u` skill `s`, and the
+/// set bits of `task_bits` pick the task (1–8 skills).
+///
+/// Skewed shape: every user holds skill 0 and each other skill has a single
+/// holder; the task is all eight skills, less the one `task_bits` names
+/// (if any). On graphs of 16 or more users this steers the degree cost
+/// model to the bit-plane kernel.
+fn oracle_instance(
+    users: usize,
+    grants: &[u8],
+    skewed: bool,
+    task_bits: u32,
+) -> (SkillAssignment, Task) {
+    let mut skills = SkillAssignment::new(8, users);
+    if skewed {
+        for u in 0..users {
+            skills.grant(u, SkillId::new(0));
+        }
+        for s in 1..8 {
+            skills.grant(
+                usize::from(grants[s % grants.len()]) % users,
+                SkillId::new(s),
+            );
+        }
+        let dropped = task_bits as usize % 9;
+        return (
+            skills,
+            Task::new((0..8).filter(|&s| s != dropped).map(SkillId::new)),
+        );
+    }
+    for u in 0..users {
+        let g = grants[u % grants.len()];
+        for s in 0..8 {
+            if g >> s & 1 == 1 {
+                skills.grant(u, SkillId::new(s));
+            }
+        }
+    }
+    (
+        skills,
+        Task::new((0..8).filter(|s| task_bits >> s & 1 == 1).map(SkillId::new)),
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(oracle_cases()))]
+
+    /// `solve_greedy` (candidate mask, member-row distances, seed bound,
+    /// either degree kernel) returns exactly what the definition returns —
+    /// same team or same error — for every algorithm, every kind, the
+    /// materialised and the budgeted lazy tier, tasks of 1–8 skills, and
+    /// both the default config and a capped one. `TaskSkillDegrees` must
+    /// equal the brute-force `cd_T` on both tiers as well.
+    #[test]
+    fn greedy_matches_definition_oracle(
+        g in arb_graph(),
+        grants in prop::collection::vec(0u32..256, 1..26),
+        skewed in prop::bool::ANY,
+        task_bits in 1u32..256,
+        caps in (1usize..6, 1usize..6, 0u64..1000),
+    ) {
+        use std::sync::Arc;
+        use tfsn_core::compat::{estimated_row_bytes, LazyCompatibility, ScalarOnly};
+        use tfsn_core::skill_compat::TaskSkillDegrees;
+        let users = g.node_count();
+        let grants: Vec<u8> = grants.iter().map(|&b| b as u8).collect();
+        let (skills, task) = oracle_instance(users, &grants, skewed, task_bits);
+        let inst = TfsnInstance::new(&g, &skills);
+        let configs = [
+            GreedyConfig::default(),
+            GreedyConfig {
+                max_seeds: Some(caps.0),
+                skill_degree_cap: Some(caps.1),
+                random_seed: caps.2,
+            },
+        ];
+        for kind in CompatibilityKind::ALL {
+            let matrix = CompatibilityMatrix::build(&g, kind);
+            let lazy = LazyCompatibility::with_budget(
+                Arc::new(g.clone()),
+                kind,
+                EngineConfig::default(),
+                Some(2 * estimated_row_bytes(users) + 16),
+            );
+            let scalar = ScalarOnly(&matrix);
+            let tiers: [(&str, &dyn Compatibility); 2] = [("matrix", &matrix), ("lazy", &lazy)];
+            for config in &configs {
+                let expected_degrees =
+                    reference_degrees(&scalar, &skills, &task, config.skill_degree_cap);
+                for (tier, comp) in tiers {
+                    let degrees =
+                        TaskSkillDegrees::compute_capped(comp, &skills, &task, config.skill_degree_cap);
+                    let got: Vec<u64> = task.skills().iter().map(|&s| degrees.degree(s)).collect();
+                    prop_assert_eq!(&got, &expected_degrees, "{}/{}: cd_T", kind, tier);
+                }
+                for alg in TeamAlgorithm::ALL {
+                    let expected = reference_greedy(&inst, &scalar, &task, alg, config);
+                    for (tier, comp) in tiers {
+                        let got = solve_greedy(&inst, comp, &task, alg, config);
+                        prop_assert_eq!(
+                            &got, &expected,
+                            "{}/{}/{} {:?}: greedy diverged from the definition", kind, tier, alg, config
+                        );
                     }
                 }
             }

@@ -436,6 +436,52 @@ fn router_refuses_shutdown_and_answers_health_locally() {
     router.shutdown();
 }
 
+/// The router sniffs `/v1/rpc` bodies with the same JSON parser the
+/// backends use. A body nested far deeper than the parser's recursion limit
+/// must not take the front end down: the router forwards the unparseable
+/// body to a backend, which answers the typed 400, and the router keeps
+/// serving the next request on the same connection.
+#[test]
+fn router_answers_deeply_nested_rpc_with_400_and_keeps_serving() {
+    let backend = server(service(None));
+    let spec = format!("p={},role=primary", backend.addr());
+    let topology = Topology::parse(&[spec.as_str()]).unwrap();
+    let router = Router::bind(
+        &topology,
+        "127.0.0.1:0",
+        RouterOptions {
+            probe_interval: Duration::from_secs(60), // stay out of the way
+            ..Default::default()
+        },
+    )
+    .unwrap();
+    let mut client = connect(router.addr());
+    let deep = "[".repeat(20_000);
+    for target in ["/v1/rpc", "/v1/query"] {
+        let reply = client.request("POST", target, &deep).unwrap();
+        assert_eq!(reply.status, 400, "{target}: {}", reply.body);
+        assert!(
+            matches!(
+                Response::parse_json(&reply.body).unwrap().error(),
+                Some(tfsn_engine::ServiceError::BadRequest { .. })
+            ),
+            "{target}: {}",
+            reply.body
+        );
+    }
+    let reply = client
+        .request(
+            "POST",
+            "/v1/rpc",
+            r#"{"version": 1, "op": "query", "query": {"task": [0]}}"#,
+        )
+        .unwrap();
+    assert_eq!(reply.status, 200, "{}", reply.body);
+    drop(client);
+    router.shutdown();
+    backend.shutdown();
+}
+
 /// The replication storm: 500 mutations land on the primary, and a
 /// rows-mode follower replays them through batched pull windows
 /// (`max_per_pull` forces several `mutate_batch` groups). It must catch up

@@ -334,6 +334,48 @@ fn endpoints_errors_and_keep_alive() {
     server.shutdown();
 }
 
+/// Outside input must never abort the process: a body nested far deeper
+/// than the JSON parser's recursion limit (deep enough to overflow an
+/// uncapped recursive parser's stack) is a typed 400 on every JSON
+/// endpoint, and the server keeps serving on the same connection.
+#[test]
+fn deeply_nested_json_is_a_bad_request_not_a_crash() {
+    let server = HttpServer::bind(
+        two_deployment_service(),
+        "127.0.0.1:0",
+        ServerOptions {
+            keep_alive: std::time::Duration::from_secs(5),
+            ..Default::default()
+        },
+    )
+    .unwrap();
+    let mut client = Client::connect(server.addr());
+    let deep = "[".repeat(20_000);
+    for target in [
+        "/v1/query?deployment=tiny",
+        "/v1/batch?deployment=tiny",
+        "/v1/rpc",
+    ] {
+        let (status, body) = client.request("POST", target, Some(&deep));
+        assert_eq!(status, 400, "{target}: {body}");
+        assert!(
+            matches!(
+                Response::parse_json(&body).unwrap().error(),
+                Some(ServiceError::BadRequest { .. })
+            ),
+            "{target}: {body}"
+        );
+    }
+    let (status, body) = client.request(
+        "POST",
+        "/v1/query?deployment=tiny&timing=0",
+        Some(r#"{"task": [1, 2]}"#),
+    );
+    assert_eq!(status, 200, "{body}");
+    drop(client);
+    server.shutdown();
+}
+
 #[test]
 fn mutate_endpoint_applies_live_edge_changes() {
     let service = two_deployment_service();
