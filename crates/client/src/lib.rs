@@ -6,7 +6,7 @@
 //!
 //! * [`proto`] — the versioned envelope protocol: [`Request`] /
 //!   [`Response`] / [`ServiceError`] wire types, the mutation codec, and
-//!   the replication [`proto::WalRecords`] payload.
+//!   the replication [`proto::Response::WalRecords`] payload.
 //! * [`query`] / [`answer`] — the JSONL [`TeamQuery`] / [`TeamAnswer`]
 //!   line formats carried inside batches.
 //! * [`report`] — the observability payload schemas ([`MetricsSnapshot`],

@@ -479,8 +479,8 @@ pub fn sign_label(sign: Sign) -> &'static str {
 
 /// The bare wire object of one mutation — the exact shape
 /// [`parse_mutation_value`] accepts, and therefore one `tfsn mutate` JSONL
-/// line or a `POST /v1/mutate` body. The write-ahead log
-/// ([`crate::wal`]) frames these same objects, so a WAL export *is* a
+/// line or a `POST /v1/mutate` body. The engine's write-ahead log (its
+/// `wal` module) frames these same objects, so a WAL export *is* a
 /// replayable mutation stream.
 pub fn mutation_value(mutation: &EdgeMutation) -> Value {
     let mut m: Vec<(String, Value)> =
@@ -642,7 +642,7 @@ pub enum Response {
         total: MetricsSnapshot,
     },
     /// Latency telemetry per loaded deployment (see
-    /// [`crate::telemetry::TelemetryReport`]). Exact cross-deployment
+    /// [`TelemetryReport`]). Exact cross-deployment
     /// percentiles require merging histograms, so no `total` is summed
     /// here; the `metrics` op's total carries merged query percentiles.
     Telemetry {

@@ -14,10 +14,11 @@
 //!
 //! Resident rows — matrix rows and cached lazy rows alike — use the
 //! bit-packed [`CompatRow`] layout (1 bit per node for the compatible set,
-//! 2 bytes per node for the distance): ~4× smaller than the unpacked
-//! [`SourceCompatibility`] and word-parallel for the solver's
-//! [`crate::team::CandidateMask`] fast path, exposed through
-//! [`Compatibility::packed_row`].
+//! 1 byte per node for the distance and the SP mixed flag, ~1.1 bytes per
+//! node in all), built straight from each relation's scan by
+//! [`compute_row`]: ~8× smaller than the unpacked [`SourceCompatibility`]
+//! and word-parallel for the solver's [`crate::team::CandidateMask`] fast
+//! path, exposed through [`Compatibility::packed_row`].
 
 pub mod repair;
 pub mod row;
@@ -215,6 +216,32 @@ pub fn compute_source(
     }
 }
 
+/// Computes `source`'s bit-packed row of `kind` straight from the
+/// relation's scan: SP rows from Algorithm 1's counts (mixed flags
+/// included), DPE and NNE rows from the source's adjacency and one BFS.
+/// Only the SBPH/SBP searches, which produce per-node vectors anyway, pack
+/// through a [`SourceCompatibility`]. Equal to
+/// `CompatRow::from_source(&compute_source(..))` up to the SP mixed flags,
+/// which only this path sets.
+pub fn compute_row(
+    graph: &SignedGraph,
+    csr: &CsrGraph,
+    source: NodeId,
+    kind: CompatibilityKind,
+    cfg: &EngineConfig,
+) -> CompatRow {
+    match kind {
+        CompatibilityKind::Dpe => trivial::dpe_row(graph, source),
+        CompatibilityKind::Nne => trivial::nne_row(graph, csr, source),
+        CompatibilityKind::Spa | CompatibilityKind::Spm | CompatibilityKind::Spo => {
+            sp::row_from_counts(source, kind, &sp::signed_bfs(csr, source))
+        }
+        CompatibilityKind::Sbph | CompatibilityKind::Sbp => {
+            CompatRow::from_source(&compute_source(graph, csr, source, kind, cfg))
+        }
+    }
+}
+
 /// A materialised or on-demand compatibility relation: the interface the
 /// team-formation algorithms consume.
 ///
@@ -254,7 +281,7 @@ pub trait Compatibility: Sync {
 /// A fully materialised compatibility relation: one bit-packed
 /// [`CompatRow`] per node, with the symmetric closure already applied.
 ///
-/// Memory is `O(|V|²)` bits-plus-`u16`s (~2.1 bytes per cell); intended for
+/// Memory is `O(|V|²)` bits-plus-bytes (~1.1 bytes per cell); intended for
 /// the scaled dataset emulations and the experiment harness. Use
 /// [`LazyCompatibility`] when only a few sources will ever be queried.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -278,7 +305,7 @@ impl CompatibilityMatrix {
         let csr = CsrGraph::from_graph(graph);
         let mut rows: Vec<CompatRow> = graph
             .nodes()
-            .map(|v| CompatRow::from_source(&compute_source(graph, &csr, v, kind, cfg)))
+            .map(|v| compute_row(graph, &csr, v, kind, cfg))
             .collect();
         symmetrize_rows(kind, &mut rows);
         CompatibilityMatrix { kind, rows }
@@ -315,8 +342,7 @@ impl CompatibilityMatrix {
                             if i >= n {
                                 break;
                             }
-                            let sc = compute_source(graph, csr, NodeId::new(i), kind, cfg);
-                            mine.push((i, CompatRow::from_source(&sc)));
+                            mine.push((i, compute_row(graph, csr, NodeId::new(i), kind, cfg)));
                         }
                         mine
                     })
@@ -451,28 +477,30 @@ fn symmetrize_rows(kind: CompatibilityKind, rows: &mut [CompatRow]) {
 }
 
 /// Heap footprint of one cached [`CompatRow`], in bytes. This is what the
-/// row store's memory budget accounts in: 1 bit + 2 bytes per node, against
-/// the 9 bytes per node of the unpacked [`SourceCompatibility`] — ~4.2×
-/// more resident rows for the same budget.
+/// row store's memory budget accounts in: 1 bit + 1 byte per node plus
+/// 8 bytes per side-table entry (distances past 125), against the 9 bytes
+/// per node of the unpacked [`SourceCompatibility`] — ~8× more resident
+/// rows for the same budget.
 pub fn row_bytes(row: &CompatRow) -> usize {
     std::mem::size_of::<CompatRow>()
         + std::mem::size_of_val(row.words())
-        + row.len() * std::mem::size_of::<u16>()
+        + row.len()
+        + row.side_table_len() * std::mem::size_of::<row::SideEntry>()
 }
 
 /// Estimated footprint of one bit-packed row over a graph with `nodes`
 /// users, before computing it (used by budget policies to choose a serving
-/// tier). Matches [`row_bytes`] exactly: the row constructors allocate
-/// exact-capacity vectors.
+/// tier). Every kind has this one size: it equals [`row_bytes`] exactly for
+/// a row with no side-table entries (the row constructors allocate
+/// exact-capacity vectors), which is every row whose distances stay within
+/// 125.
 pub fn estimated_row_bytes(nodes: usize) -> usize {
-    std::mem::size_of::<CompatRow>()
-        + bitset_words(nodes) * std::mem::size_of::<u64>()
-        + nodes * std::mem::size_of::<u16>()
+    std::mem::size_of::<CompatRow>() + bitset_words(nodes) * std::mem::size_of::<u64>() + nodes
 }
 
 /// Estimated footprint of a fully materialised [`CompatibilityMatrix`] over
 /// a graph with `nodes` users: `O(|V|²)` and still quickly infeasible —
-/// ~5 GiB at 50k nodes, ~35 GiB for the full 132k-node Epinions network
+/// ~2.6 GiB at 50k nodes, ~18 GiB for the full 132k-node Epinions network
 /// (the pre-bit-packing layout needed ~21 GiB and ~146 GiB respectively).
 pub fn estimated_matrix_bytes(nodes: usize) -> usize {
     nodes.saturating_mul(estimated_row_bytes(nodes))
@@ -737,9 +765,7 @@ impl LazyCompatibility {
                     let view = self.view.read();
                     (view.graph.clone(), view.csr.clone())
                 };
-                let row = Arc::new(CompatRow::from_source(&compute_source(
-                    &graph, &csr, source, self.kind, &self.cfg,
-                )));
+                let row = Arc::new(compute_row(&graph, &csr, source, self.kind, &self.cfg));
                 build_micros = start.elapsed().as_micros() as u64;
                 built = true;
                 self.builds.fetch_add(1, Ordering::Relaxed);
@@ -856,11 +882,12 @@ impl LazyCompatibility {
     /// Applies a batch of edge mutations in one sweep: swaps the (graph,
     /// CSR) view once, bumps the mutation epoch once, and walks resident
     /// rows exactly once. Rows no effect can touch stay resident verbatim;
-    /// affected rows are handed to [`repair::repair_row`], which either
+    /// affected rows are handed to [`repair::repair_row`] (one
+    /// [`repair::RepairScratch`] serves the whole sweep), which either
     /// proves them unchanged, patches them in place (the repaired row is
-    /// republished under the same LRU tick — row size is fixed per node
-    /// count, so the byte accounting is unchanged), or demands a scratch
-    /// recompute, in which case the slot is dropped like
+    /// republished under the same LRU tick, re-accounted if its side table
+    /// changed size, and the budget re-enforced after the sweep), or
+    /// demands a scratch recompute, in which case the slot is dropped like
     /// [`Self::apply_mutation`] would.
     ///
     /// Returns `(invalidated, repaired)`: rows dropped vs rows the repair
@@ -886,6 +913,7 @@ impl LazyCompatibility {
         st.epoch += 1;
         let mut invalidated = 0;
         let mut repaired = 0;
+        let mut scratch = repair::RepairScratch::default();
         for idx in 0..st.slots.len() {
             match std::mem::replace(&mut st.slots[idx], Slot::Empty) {
                 Slot::Empty => {}
@@ -898,15 +926,17 @@ impl LazyCompatibility {
                         st.slots[idx] = Slot::Ready { row, bytes, tick };
                         continue;
                     }
-                    match repair::repair_row(&row, effects, &repair_csr) {
+                    match repair::repair_row(&row, effects, &repair_csr, &mut scratch) {
                         repair::RepairOutcome::Unchanged => {
                             st.slots[idx] = Slot::Ready { row, bytes, tick };
                             repaired += 1;
                         }
                         repair::RepairOutcome::Repaired(patched) => {
+                            let patched_bytes = row_bytes(&patched);
+                            st.resident_bytes = st.resident_bytes - bytes + patched_bytes;
                             st.slots[idx] = Slot::Ready {
                                 row: Arc::new(patched),
-                                bytes,
+                                bytes: patched_bytes,
                                 tick,
                             };
                             repaired += 1;
@@ -920,6 +950,9 @@ impl LazyCompatibility {
                 }
             }
         }
+        // A repaired row whose side table grew can push the store past its
+        // budget.
+        self.enforce_budget(&mut st);
         (invalidated, repaired)
     }
 
@@ -1631,6 +1664,133 @@ mod tests {
         let estimated = estimated_row_bytes(g.node_count());
         assert_eq!(actual, estimated);
         assert_eq!(estimated_matrix_bytes(g.node_count()), 50 * estimated);
+    }
+
+    /// Ring sources whose distances run well past the inline lane range
+    /// (up to 150 on a 300-ring).
+    const LONG_RING: usize = 300;
+
+    #[test]
+    fn distances_past_the_inline_range_round_trip_exactly() {
+        let g = ring_graph(LONG_RING);
+        let csr = CsrGraph::from_graph(&g);
+        let cfg = EngineConfig::default();
+        for kind in CompatibilityKind::ALL {
+            if kind == CompatibilityKind::Sbp {
+                continue; // exponential search; its cap is 12 anyway
+            }
+            let source = NodeId::new(7);
+            let row = compute_row(&g, &csr, source, kind, &cfg);
+            let legacy = compute_source(&g, &csr, source, kind, &cfg);
+            assert_eq!(row.to_source(), legacy, "{kind}");
+            let long = legacy
+                .distance
+                .iter()
+                .filter(|d| d.is_some_and(|d| d > u32::from(row::MAX_INLINE_DISTANCE)))
+                .count();
+            assert_eq!(row.side_table_len(), long, "{kind}");
+            assert_eq!(
+                row_bytes(&row),
+                estimated_row_bytes(LONG_RING) + long * std::mem::size_of::<row::SideEntry>(),
+                "{kind}: row_bytes counts side-table entries"
+            );
+            if matches!(
+                kind,
+                CompatibilityKind::Spa | CompatibilityKind::Spo | CompatibilityKind::Nne
+            ) {
+                assert!(long > 0, "{kind}: the ring must reach past 125");
+            }
+        }
+    }
+
+    #[test]
+    fn repairs_across_the_inline_boundary_equal_scratch_rows() {
+        use repair::{repair_row, RepairOutcome, RepairScratch};
+        use signed_graph::EdgeMutation;
+        let g = ring_graph(LONG_RING);
+        let cfg = EngineConfig::default();
+        let row_of = |g: &SignedGraph, source: usize, kind| {
+            compute_row(g, &CsrGraph::from_graph(g), NodeId::new(source), kind, &cfg)
+        };
+        // A chord pulls distances from past 125 back inline (NNE
+        // relaxation); a flip next to the sources changes sign classes on
+        // both sides of the boundary (SP propagation).
+        for (mutation, kinds) in [
+            (
+                EdgeMutation::Insert {
+                    u: NodeId::new(10),
+                    v: NodeId::new(160),
+                    sign: Sign::Positive,
+                },
+                vec![CompatibilityKind::Nne],
+            ),
+            (
+                EdgeMutation::SetSign {
+                    u: NodeId::new(1),
+                    v: NodeId::new(2),
+                    sign: Sign::Negative,
+                },
+                vec![CompatibilityKind::Spa, CompatibilityKind::Spo],
+            ),
+        ] {
+            let mut mutated = g.clone();
+            let effects = vec![mutated.apply_mutation(&mutation).unwrap()];
+            let csr = CsrGraph::from_graph(&mutated);
+            let mut scratch = RepairScratch::default();
+            for kind in kinds {
+                for source in [0usize, 1, 3, 150] {
+                    let before = row_of(&g, source, kind);
+                    let after = row_of(&mutated, source, kind);
+                    match repair_row(&before, &effects, &csr, &mut scratch) {
+                        RepairOutcome::Repaired(row) => {
+                            assert_eq!(row, after, "{kind} row {source} after {mutation:?}")
+                        }
+                        other => panic!("{kind} row {source}: expected a repair, got {other:?}"),
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn apply_mutations_reaccounts_rows_whose_side_table_shrinks() {
+        use signed_graph::EdgeMutation;
+        let g = ring_graph(LONG_RING);
+        let lazy = LazyCompatibility::with_budget(
+            Arc::new(g.clone()),
+            CompatibilityKind::Nne,
+            EngineConfig::default(),
+            Some(4 * estimated_row_bytes(LONG_RING) + 1024),
+        );
+        for u in [0usize, 40, 80] {
+            lazy.source(NodeId::new(u));
+        }
+        let resident = |lazy: &LazyCompatibility| -> usize {
+            [0usize, 40, 80]
+                .iter()
+                .map(|&u| row_bytes(&lazy.source(NodeId::new(u))))
+                .sum()
+        };
+        let before = lazy.resident_bytes();
+        assert_eq!(before, resident(&lazy));
+        let mut mutated = g.clone();
+        let effect = mutated
+            .apply_mutation(&EdgeMutation::Insert {
+                u: NodeId::new(0),
+                v: NodeId::new(150),
+                sign: Sign::Positive,
+            })
+            .unwrap();
+        let mutated = Arc::new(mutated);
+        let csr = Arc::new(CsrGraph::from_graph(&mutated));
+        let (invalidated, repaired) = lazy.apply_mutations(mutated, csr, &[effect]);
+        assert_eq!((invalidated, repaired), (0, 3));
+        assert_eq!(lazy.build_count(), 3, "repaired rows are not rebuilt");
+        assert!(
+            lazy.resident_bytes() < before,
+            "the chord shrinks side tables"
+        );
+        assert_eq!(lazy.resident_bytes(), resident(&lazy));
     }
 
     #[test]

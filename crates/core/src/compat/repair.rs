@@ -9,18 +9,31 @@
 //! * **`DPE`** rows depend only on the source's direct neighbourhood, so an
 //!   endpoint mutation is an O(1) patch of the other endpoint's entry —
 //!   always repairable.
-//! * **`SPA`/`SPM`/`SPO`** rows pack distances but not the positive/negative
-//!   path counts the bits were derived from, so they cannot be *patched* —
-//!   but the resident distance lane can *prove* many mutations are no-ops
-//!   (an edge between equal BFS levels is on no shortest-path DAG; a sign
-//!   flip or removal across a level gap ≠ 1 changes neither distances nor
-//!   counts). Provable no-ops return [`RepairOutcome::Unchanged`]; anything
-//!   else falls back to [`RepairOutcome::MustRecompute`].
+//! * **`SPA`/`SPO`** rows only ask which of a node's positive/negative
+//!   shortest-path counts are non-zero: its *sign class* (positive only,
+//!   negative only, or both), which the row keeps as the compatibility bit
+//!   plus the lane's mixed flag. A sign flip changes no BFS level. Off the
+//!   shortest-path DAG (levels not adjacent) it is a provable no-op; on it
+//!   (levels ℓ and ℓ+1) it can change only the class of the deeper
+//!   endpoint, which is the OR of its level-ℓ neighbours' classes with
+//!   positive and negative swapped across a negative edge. Repair
+//!   re-derives that class over the final CSR and, where it changed, queues
+//!   the node's level-(ℓ+2) neighbours — level by level, each node once,
+//!   stopping wherever a class is unchanged. Inserts and removals must
+//!   prove themselves no-ops (an edge between equal BFS levels is on no
+//!   shortest-path DAG), or the row recomputes.
+//! * **`SPM`** rows need the counts themselves (a majority), so they only
+//!   keep the provable no-ops: same-level inserts, and removals or flips of
+//!   off-DAG edges. Anything else falls back to
+//!   [`RepairOutcome::MustRecompute`].
 //! * **`NNE`** lanes are plain unsigned BFS distances, which inserts can
 //!   only decrease: a bounded multi-seed relaxation from the inserted
 //!   endpoints over the *final* adjacency restores the exact lane, and the
 //!   bitset (compatible = not a direct foe of the source) is an O(1) patch
-//!   per endpoint mutation. Removals reuse the SP no-op proof.
+//!   per endpoint mutation. Removals reuse the SP no-op proof; one that
+//!   follows an insert in the batch is proved against the lane of the
+//!   graph it applies to (the final adjacency rewound past the later
+//!   effects), so a batch keeps every row a one-by-one fold would keep.
 //! * **`SBPH`/`SBP`** rows are balanced-path products with no usable
 //!   residual structure; they always report [`RepairOutcome::MustRecompute`]
 //!   (their whole-kind invalidation scope drops them before repair is even
@@ -30,27 +43,29 @@
 //! row across a mutation is a [`RepairOutcome`] that proves it exact.
 //! Repaired rows are bit-for-bit equal to a scratch recompute — the
 //! differential harness in `crates/engine/tests/repair.rs` pins exactly
-//! that, for every kind, across arbitrary mutation sequences.
+//! that, for every kind, across arbitrary mutation sequences. A row is
+//! copied on its first change only; unchanged rows are kept as they are.
 //!
-//! Distances live in a saturating u16 lane ([`MAX_PACKED_DISTANCE`] caps,
-//! [`UNREACHABLE_DISTANCE`] is the sentinel). Capping is a min-plus
-//! homomorphism (`cap(min(a,b)) = min(cap a, cap b)` and
-//! `cap(a+1) = cap(cap(a)+1)`), so the NNE relaxation computed in capped
-//! space equals the capped exact distances. The SP *difference* proofs are
-//! not exact at the cap — two saturated endpoints may hide a real level gap
-//! — so any proof that sees a saturated endpoint conservatively reports
+//! Distances saturate at [`MAX_PACKED_DISTANCE`] ([`UNREACHABLE_DISTANCE`]
+//! is the sentinel). Capping is a min-plus homomorphism
+//! (`cap(min(a,b)) = min(cap a, cap b)` and `cap(a+1) = cap(cap(a)+1)`), so
+//! the NNE relaxation computed in capped space equals the capped exact
+//! distances. The SP level proofs are not exact at the cap — two saturated
+//! endpoints may hide a real level gap — so any proof or propagation step
+//! that needs a saturated level conservatively reports
 //! [`RepairOutcome::MustRecompute`].
 
-use std::collections::VecDeque;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, VecDeque};
 
 use signed_graph::csr::CsrGraph;
 use signed_graph::delta::{EdgeChange, MutationEffect};
-use signed_graph::NodeId;
+use signed_graph::{NodeId, Sign};
 
 use super::row::{CompatRow, MAX_PACKED_DISTANCE, UNREACHABLE_DISTANCE};
 use super::CompatibilityKind;
 
-/// The packed value at which the u16 distance lane saturates.
+/// The raw distance at which a row's distances saturate.
 const SATURATED: u16 = MAX_PACKED_DISTANCE as u16;
 
 /// The verdict of [`repair_row`] for one resident row against a batch of
@@ -67,21 +82,66 @@ pub enum RepairOutcome {
     MustRecompute,
 }
 
-/// Repairs one resident row against an in-order batch of mutation
-/// `effects`, given the **final** CSR view (after every effect is applied).
+/// Working memory for the SPA/SPO sign-class propagation, reused across
+/// every row of one sweep: a level-ordered queue and per-node queued marks
+/// that are cleared in O(1) per row.
+#[derive(Debug, Default)]
+pub struct RepairScratch {
+    queue: BinaryHeap<Reverse<(u16, u32)>>,
+    queued: Vec<u32>,
+    stamp: u32,
+}
+
+impl RepairScratch {
+    /// Starts one row: empties the queue and forgets every queued mark.
+    fn begin(&mut self, nodes: usize) {
+        self.queue.clear();
+        if self.queued.len() != nodes {
+            self.queued = vec![0; nodes];
+            self.stamp = 0;
+        }
+        self.stamp = self.stamp.wrapping_add(1);
+        if self.stamp == 0 {
+            self.queued.fill(0);
+            self.stamp = 1;
+        }
+    }
+
+    /// Queues `v` (at BFS level `level`) unless this row already queued it.
+    fn push(&mut self, v: NodeId, level: u16) {
+        let mark = &mut self.queued[v.index()];
+        if *mark != self.stamp {
+            *mark = self.stamp;
+            self.queue.push(Reverse((level, v.index() as u32)));
+        }
+    }
+}
+
+/// Repairs one resident row against a batch of mutation `effects`, given
+/// the **final** CSR view (after every effect is applied). `scratch` is
+/// reused across the rows of one sweep. The effects must be **net**: at
+/// most one per edge, each a valid mutation of the pre-batch graph (what
+/// [`signed_graph::delta::net_effects`] returns).
 ///
 /// Effects are composed sequentially: a proven no-op leaves the lane exact
 /// for the next proof, O(1) patches commute with everything, and inserts
-/// defer their lane relaxation to one multi-seed pass at the end (inserts
-/// only decrease BFS distances, so relaxing from every inserted endpoint
-/// over the final adjacency restores the exact fixpoint). Any effect that
-/// cannot be proven or patched aborts with
-/// [`RepairOutcome::MustRecompute`].
-pub fn repair_row(row: &CompatRow, effects: &[MutationEffect], csr: &CsrGraph) -> RepairOutcome {
+/// defer their lane relaxation to one multi-seed pass (inserts only
+/// decrease BFS distances, so relaxing from every inserted endpoint
+/// restores the exact fixpoint), run at the end or just before a removal
+/// whose proof needs the exact lane. SP sign flips defer to one class
+/// propagation at the end, which is sound because every other effect it
+/// accepts preserves every BFS level. Any effect that cannot be proven or
+/// patched aborts with [`RepairOutcome::MustRecompute`].
+pub fn repair_row(
+    row: &CompatRow,
+    effects: &[MutationEffect],
+    csr: &CsrGraph,
+    scratch: &mut RepairScratch,
+) -> RepairOutcome {
     match row.kind() {
         CompatibilityKind::Dpe => repair_dpe(row, effects),
         CompatibilityKind::Spa | CompatibilityKind::Spm | CompatibilityKind::Spo => {
-            prove_sp_unchanged(row, effects)
+            repair_sp(row, effects, csr, scratch)
         }
         CompatibilityKind::Nne => repair_nne(row, effects, csr),
         CompatibilityKind::Sbph | CompatibilityKind::Sbp => RepairOutcome::MustRecompute,
@@ -127,57 +187,167 @@ fn repair_dpe(row: &CompatRow, effects: &[MutationEffect]) -> RepairOutcome {
     }
 }
 
-/// `true` when the lane proves removing (or re-signing) edge `(u, v)`
-/// changes neither this row's distances nor its shortest-path counts: both
-/// endpoints unreachable, or a level gap ≠ 1 (an edge off every
-/// shortest-path DAG). Saturated endpoints make the gap test unsound, so
-/// they fail the proof.
-fn off_dag_is_noop(row: &CompatRow, u: NodeId, v: NodeId) -> bool {
-    let (du, dv) = (row.raw_distance(u.index()), row.raw_distance(v.index()));
-    if du == UNREACHABLE_DISTANCE && dv == UNREACHABLE_DISTANCE {
-        return true;
-    }
-    if du == UNREACHABLE_DISTANCE || dv == UNREACHABLE_DISTANCE {
-        // An existing edge with exactly one reachable endpoint contradicts
-        // an exact lane; trust nothing and recompute.
-        return false;
-    }
-    if du >= SATURATED || dv >= SATURATED {
-        return false;
-    }
-    du.abs_diff(dv) != 1
+/// Where an existing edge `(u, v)` sits relative to a row's BFS levels.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Span {
+    /// Both endpoints unreachable, or on the same level: the edge lies on
+    /// no shortest path.
+    OffDag,
+    /// Levels `level - 1` and `level`: the edge lies on the shortest-path
+    /// DAG, and `deeper` is its endpoint at `level`.
+    OnDag { deeper: NodeId, level: u16 },
+    /// The lane cannot tell: a saturated endpoint, or exactly one
+    /// reachable endpoint (which contradicts an exact lane).
+    Unknown,
 }
 
-/// SP kinds: the packed row lacks the path counts, so the only sound
-/// verdicts are "provably untouched" and "recompute".
-fn prove_sp_unchanged(row: &CompatRow, effects: &[MutationEffect]) -> RepairOutcome {
+fn edge_span(row: &CompatRow, u: NodeId, v: NodeId) -> Span {
+    let (du, dv) = (row.raw_distance(u.index()), row.raw_distance(v.index()));
+    match (du == UNREACHABLE_DISTANCE, dv == UNREACHABLE_DISTANCE) {
+        (true, true) => return Span::OffDag,
+        (true, false) | (false, true) => return Span::Unknown,
+        (false, false) => {}
+    }
+    if du >= SATURATED || dv >= SATURATED {
+        return Span::Unknown;
+    }
+    match du.abs_diff(dv) {
+        1 if du > dv => Span::OnDag {
+            deeper: u,
+            level: du,
+        },
+        1 => Span::OnDag {
+            deeper: v,
+            level: dv,
+        },
+        _ => Span::OffDag,
+    }
+}
+
+/// `true` when the lane proves removing (or re-signing) edge `(u, v)`
+/// changes neither this row's distances nor its shortest-path counts.
+fn off_dag_is_noop(row: &CompatRow, u: NodeId, v: NodeId) -> bool {
+    edge_span(row, u, v) == Span::OffDag
+}
+
+/// `true` when a new edge `(u, v)` leaves the row alone: it joins equal
+/// BFS levels (no shortcut, no new shortest path) or two unreachable nodes.
+fn insert_is_noop(row: &CompatRow, u: NodeId, v: NodeId) -> bool {
+    let (du, dv) = (row.raw_distance(u.index()), row.raw_distance(v.index()));
+    du == dv && (du == UNREACHABLE_DISTANCE || du < SATURATED)
+}
+
+/// Sign class bit: the node has a positive shortest path from the source.
+const POSITIVE: u8 = 0b01;
+/// Sign class bit: the node has a negative shortest path from the source.
+const NEGATIVE: u8 = 0b10;
+
+/// The sign class of reachable node `v`, as the row stores it: the mixed
+/// flag marks both signs, otherwise the compatibility bit tells positive
+/// (SPA and SPO alike) from negative.
+fn class_of(row: &CompatRow, v: usize) -> u8 {
+    if row.is_mixed(v) {
+        POSITIVE | NEGATIVE
+    } else if row.is_compatible(v) {
+        POSITIVE
+    } else {
+        NEGATIVE
+    }
+}
+
+/// The class a path gains by crossing an edge of `sign`: a negative edge
+/// swaps positive and negative.
+fn across(class: u8, sign: Sign) -> u8 {
+    match sign {
+        Sign::Positive => class,
+        Sign::Negative => (class << 1 | class >> 1) & (POSITIVE | NEGATIVE),
+    }
+}
+
+/// Stores `class` for `v`: the SPA bit is "positive only", the SPO bit is
+/// "includes positive", and the mixed flag is "both".
+fn set_class(row: &mut CompatRow, v: usize, class: u8) {
+    let compatible = match row.kind() {
+        CompatibilityKind::Spa => class == POSITIVE,
+        _ => class & POSITIVE != 0,
+    };
+    row.set_compatible(v, compatible);
+    row.set_mixed(v, class == POSITIVE | NEGATIVE);
+}
+
+/// SP kinds: inserts and removals keep the level-preserving no-op proofs;
+/// off-DAG sign flips are no-ops too, and on-DAG flips seed the SPA/SPO
+/// class propagation (SPM cannot re-derive a majority and recomputes).
+fn repair_sp(
+    row: &CompatRow,
+    effects: &[MutationEffect],
+    csr: &CsrGraph,
+    scratch: &mut RepairScratch,
+) -> RepairOutcome {
+    let flips_repairable = row.kind() != CompatibilityKind::Spm;
+    scratch.begin(row.len());
     for effect in effects {
         let (u, v) = (effect.u, effect.v);
-        let noop = match effect.change {
+        let proven = match effect.change {
             EdgeChange::Unchanged(_) => true,
-            // Signs steer the positive/negative path counts but not the
-            // BFS levels; an off-DAG edge carries no shortest path, so
-            // flipping or deleting it perturbs neither.
-            EdgeChange::SignChanged { .. } | EdgeChange::Removed(_) => off_dag_is_noop(row, u, v),
-            // A new edge leaves the row alone only between equal BFS
-            // levels (no shortcut, no new shortest path) or between two
-            // unreachable nodes.
-            EdgeChange::Inserted(_) => {
-                let (du, dv) = (row.raw_distance(u.index()), row.raw_distance(v.index()));
-                if du == UNREACHABLE_DISTANCE && dv == UNREACHABLE_DISTANCE {
+            EdgeChange::Removed(_) => off_dag_is_noop(row, u, v),
+            EdgeChange::Inserted(_) => insert_is_noop(row, u, v),
+            EdgeChange::SignChanged { .. } => match edge_span(row, u, v) {
+                Span::OffDag => true,
+                Span::OnDag { deeper, level } if flips_repairable => {
+                    scratch.push(deeper, level);
                     true
-                } else if du == UNREACHABLE_DISTANCE || dv == UNREACHABLE_DISTANCE {
-                    false
-                } else {
-                    du < SATURATED && dv < SATURATED && du == dv
                 }
-            }
+                _ => false,
+            },
         };
-        if !noop {
+        if !proven {
             return RepairOutcome::MustRecompute;
         }
     }
-    RepairOutcome::Unchanged
+    propagate_classes(row, csr, scratch)
+}
+
+/// Re-derives the sign class of every queued node, shallowest level first,
+/// from its parents (neighbours one level up) over the final CSR; a changed
+/// class queues the node's children. Every accepted effect preserved the
+/// BFS levels, so the row's lane still names each node's parents and
+/// children, and a node's parents are final before it is processed.
+fn propagate_classes(
+    row: &CompatRow,
+    csr: &CsrGraph,
+    scratch: &mut RepairScratch,
+) -> RepairOutcome {
+    let mut patched: Option<CompatRow> = None;
+    while let Some(Reverse((level, x))) = scratch.queue.pop() {
+        let x = NodeId::new(x as usize);
+        let current = patched.as_ref().unwrap_or(row);
+        let class = csr
+            .neighbors(x)
+            .filter(|(z, _)| current.raw_distance(z.index()) == level - 1)
+            .fold(0, |class, (z, sign)| {
+                class | across(class_of(current, z.index()), sign)
+            });
+        if class == class_of(current, x.index()) {
+            continue;
+        }
+        // A node with no parent, or children past the saturation cap,
+        // means the lane cannot be trusted here.
+        if class == 0 || level + 1 >= SATURATED {
+            return RepairOutcome::MustRecompute;
+        }
+        let current = patched.get_or_insert_with(|| row.clone());
+        set_class(current, x.index(), class);
+        for (y, _) in csr.neighbors(x) {
+            if current.raw_distance(y.index()) == level + 1 {
+                scratch.push(y, level + 1);
+            }
+        }
+    }
+    match patched {
+        None => RepairOutcome::Unchanged,
+        Some(row) => RepairOutcome::Repaired(row),
+    }
 }
 
 /// NNE: bits are "not a direct foe of the source" (endpoint-local), the
@@ -186,31 +356,36 @@ fn prove_sp_unchanged(row: &CompatRow, effects: &[MutationEffect]) -> RepairOutc
 fn repair_nne(row: &CompatRow, effects: &[MutationEffect], csr: &CsrGraph) -> RepairOutcome {
     let source = row.source();
     let mut patched: Option<CompatRow> = None;
-    // Endpoints of inserted edges, relaxed in one multi-seed pass at the
-    // end; while any insert is pending the resident lane is stale, so a
-    // removal proof after an insert cannot be trusted.
-    let mut inserted: Vec<(NodeId, NodeId)> = Vec::new();
-    for effect in effects {
+    // Endpoints of inserted edges whose relaxation is still pending: one
+    // multi-seed pass at the end, or earlier when a removal needs the lane
+    // exact for its proof.
+    let mut pending: Vec<(NodeId, NodeId)> = Vec::new();
+    for (i, effect) in effects.iter().enumerate() {
         match effect.change {
             EdgeChange::Unchanged(_) => {}
             EdgeChange::SignChanged { new, .. } => {
                 if let Some(other) = other_endpoint(source, effect.u, effect.v) {
-                    let row = patched.get_or_insert_with(|| row.clone());
-                    let d = row.raw_distance(other.index());
-                    row.set(other.index(), new.is_positive(), d);
+                    patched
+                        .get_or_insert_with(|| row.clone())
+                        .set_compatible(other.index(), new.is_positive());
                 }
             }
             EdgeChange::Inserted(sign) => {
                 if let Some(other) = other_endpoint(source, effect.u, effect.v) {
-                    let row = patched.get_or_insert_with(|| row.clone());
-                    let d = row.raw_distance(other.index());
-                    row.set(other.index(), sign.is_positive(), d);
+                    patched
+                        .get_or_insert_with(|| row.clone())
+                        .set_compatible(other.index(), sign.is_positive());
                 }
-                inserted.push((effect.u, effect.v));
+                pending.push((effect.u, effect.v));
             }
             EdgeChange::Removed(_) => {
-                if !inserted.is_empty() {
-                    return RepairOutcome::MustRecompute;
+                if !pending.is_empty() {
+                    // Relax over the graph this removal applies to: the
+                    // final adjacency without the edges inserted later, and
+                    // with the edges removed from here on.
+                    let row = patched.get_or_insert_with(|| row.clone());
+                    relax_inserts(row, &pending, csr, &effects[i..]);
+                    pending.clear();
                 }
                 let current = patched.as_ref().unwrap_or(row);
                 if !off_dag_is_noop(current, effect.u, effect.v) {
@@ -222,9 +397,9 @@ fn repair_nne(row: &CompatRow, effects: &[MutationEffect], csr: &CsrGraph) -> Re
             }
         }
     }
-    if !inserted.is_empty() {
+    if !pending.is_empty() {
         let row = patched.get_or_insert_with(|| row.clone());
-        relax_inserts(row, &inserted, csr);
+        relax_inserts(row, &pending, csr, &[]);
     }
     match patched {
         None => RepairOutcome::Unchanged,
@@ -232,12 +407,19 @@ fn repair_nne(row: &CompatRow, effects: &[MutationEffect], csr: &CsrGraph) -> Re
     }
 }
 
-/// Multi-seed bounded relaxation over the final adjacency: distances only
-/// decrease under insertion, so label-correcting BFS from the inserted
-/// endpoints converges on the exact post-insert lane. Arithmetic saturates
-/// at [`MAX_PACKED_DISTANCE`]; capping commutes with min-plus, so the
-/// capped fixpoint equals the capped exact distances.
-fn relax_inserts(row: &mut CompatRow, edges: &[(NodeId, NodeId)], csr: &CsrGraph) {
+/// Multi-seed bounded relaxation: distances only decrease under insertion,
+/// so label-correcting BFS from the inserted endpoints converges on the
+/// exact post-insert lane. It runs over the final adjacency rewound past
+/// the `later` net effects (their inserted edges skipped, their removed
+/// edges still present). Arithmetic saturates at [`MAX_PACKED_DISTANCE`];
+/// capping commutes with min-plus, so the capped fixpoint equals the capped
+/// exact distances.
+fn relax_inserts(
+    row: &mut CompatRow,
+    edges: &[(NodeId, NodeId)],
+    csr: &CsrGraph,
+    later: &[MutationEffect],
+) {
     let mut queue: VecDeque<NodeId> = VecDeque::new();
     let lower = |row: &mut CompatRow, queue: &mut VecDeque<NodeId>, from: NodeId, to: NodeId| {
         let df = row.raw_distance(from.index());
@@ -254,13 +436,25 @@ fn relax_inserts(row: &mut CompatRow, edges: &[(NodeId, NodeId)], csr: &CsrGraph
         lower(row, &mut queue, u, v);
         lower(row, &mut queue, v, u);
     }
+    let inserted_later = |x: NodeId, y: NodeId| {
+        later.iter().any(|e| {
+            matches!(e.change, EdgeChange::Inserted(_)) && other_endpoint(x, e.u, e.v) == Some(y)
+        })
+    };
+    let removed_later = |x: NodeId| {
+        later
+            .iter()
+            .filter(|e| matches!(e.change, EdgeChange::Removed(_)))
+            .filter_map(move |e| other_endpoint(x, e.u, e.v))
+    };
     while let Some(x) = queue.pop_front() {
-        let candidate = row.raw_distance(x.index()).saturating_add(1).min(SATURATED);
-        for (y, _) in csr.neighbors(x) {
-            if candidate < row.raw_distance(y.index()) {
-                row.set_distance(y.index(), candidate);
-                queue.push_back(y);
-            }
+        let neighbors = csr
+            .neighbors(x)
+            .map(|(y, _)| y)
+            .filter(|&y| !inserted_later(x, y))
+            .chain(removed_later(x));
+        for y in neighbors {
+            lower(row, &mut queue, x, y);
         }
     }
 }
@@ -268,7 +462,7 @@ fn relax_inserts(row: &mut CompatRow, edges: &[(NodeId, NodeId)], csr: &CsrGraph
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::compat::{compute_source, EngineConfig};
+    use crate::compat::{compute_row, EngineConfig};
     use signed_graph::builder::from_edge_triples;
     use signed_graph::{EdgeMutation, Sign, SignedGraph};
 
@@ -293,13 +487,7 @@ mod tests {
     fn scratch_row(graph: &SignedGraph, source: usize, kind: CompatibilityKind) -> CompatRow {
         let csr = CsrGraph::from_graph(graph);
         let cfg = EngineConfig::default();
-        CompatRow::from_source(&compute_source(
-            graph,
-            &csr,
-            NodeId::new(source),
-            kind,
-            &cfg,
-        ))
+        compute_row(graph, &csr, NodeId::new(source), kind, &cfg)
     }
 
     /// Applies `mutations` to a clone of `graph`, then checks `repair_row`
@@ -316,7 +504,7 @@ mod tests {
             for source in 0..graph.node_count() {
                 let before = scratch_row(graph, source, kind);
                 let after = scratch_row(&mutated, source, kind);
-                match repair_row(&before, &effects, &csr) {
+                match repair_row(&before, &effects, &csr, &mut RepairScratch::default()) {
                     RepairOutcome::Unchanged => {
                         assert_eq!(
                             before, after,
@@ -369,7 +557,7 @@ mod tests {
             for source in [0usize, 1, 7] {
                 let before = scratch_row(&graph, source, CompatibilityKind::Dpe);
                 let after = scratch_row(&mutated, source, CompatibilityKind::Dpe);
-                match repair_row(&before, &[effect], &csr) {
+                match repair_row(&before, &[effect], &csr, &mut RepairScratch::default()) {
                     RepairOutcome::Unchanged => assert_eq!(before, after, "source {source}"),
                     RepairOutcome::Repaired(row) => assert_eq!(row, after, "source {source}"),
                     RepairOutcome::MustRecompute => {
@@ -427,7 +615,7 @@ mod tests {
         for source in 0..graph.node_count() {
             let before = scratch_row(&graph, source, CompatibilityKind::Nne);
             let after = scratch_row(&mutated, source, CompatibilityKind::Nne);
-            match repair_row(&before, &effects, &csr) {
+            match repair_row(&before, &effects, &csr, &mut RepairScratch::default()) {
                 RepairOutcome::MustRecompute => {
                     panic!("NNE inserts and sign flips always repair (source {source})")
                 }
@@ -464,6 +652,85 @@ mod tests {
         );
     }
 
+    /// Every single-edge flip and a few multi-flip batches: SPA and SPO
+    /// rows never recompute, and each repaired row equals its scratch
+    /// rebuild. One scratch serves every row, as in a store sweep.
+    #[test]
+    fn spa_spo_sign_flips_always_repair_exactly() {
+        let graph = ring_with_chords();
+        let edges: Vec<_> = graph.edges().to_vec();
+        let mut batches: Vec<Vec<EdgeMutation>> = edges
+            .iter()
+            .map(|e| {
+                vec![EdgeMutation::SetSign {
+                    u: e.u,
+                    v: e.v,
+                    sign: e.sign.flip(),
+                }]
+            })
+            .collect();
+        for stride in [2usize, 3, 5] {
+            batches.push(
+                edges
+                    .iter()
+                    .step_by(stride)
+                    .map(|e| EdgeMutation::SetSign {
+                        u: e.u,
+                        v: e.v,
+                        sign: e.sign.flip(),
+                    })
+                    .collect(),
+            );
+        }
+        let mut scratch = RepairScratch::default();
+        let mut repaired = 0;
+        for batch in &batches {
+            let mut mutated = graph.clone();
+            let effects: Vec<_> = batch
+                .iter()
+                .map(|m| mutated.apply_mutation(m).unwrap())
+                .collect();
+            let csr = CsrGraph::from_graph(&mutated);
+            for kind in [CompatibilityKind::Spa, CompatibilityKind::Spo] {
+                for source in 0..graph.node_count() {
+                    let before = scratch_row(&graph, source, kind);
+                    let after = scratch_row(&mutated, source, kind);
+                    match repair_row(&before, &effects, &csr, &mut scratch) {
+                        RepairOutcome::Unchanged => assert_eq!(before, after),
+                        RepairOutcome::Repaired(row) => {
+                            repaired += 1;
+                            assert_eq!(row, after, "{kind:?} row {source} after {batch:?}");
+                        }
+                        RepairOutcome::MustRecompute => {
+                            panic!("{kind:?} row {source}: sign flips always repair")
+                        }
+                    }
+                }
+            }
+        }
+        assert!(repaired > 0, "some flips must change a sign class");
+    }
+
+    #[test]
+    fn spm_on_dag_flips_still_recompute() {
+        let graph = ring_with_chords();
+        let mut mutated = graph.clone();
+        // (0, 1) joins levels 0 and 1 of row 0.
+        let effects = vec![mutated
+            .apply_mutation(&EdgeMutation::SetSign {
+                u: NodeId::new(0),
+                v: NodeId::new(1),
+                sign: Sign::Positive,
+            })
+            .unwrap()];
+        let csr = CsrGraph::from_graph(&mutated);
+        let row = scratch_row(&graph, 0, CompatibilityKind::Spm);
+        assert_eq!(
+            repair_row(&row, &effects, &csr, &mut RepairScratch::default()),
+            RepairOutcome::MustRecompute
+        );
+    }
+
     #[test]
     fn detached_component_mutations_leave_ring_rows_unchanged() {
         let graph = ring_with_chords();
@@ -483,7 +750,7 @@ mod tests {
         ] {
             let row = scratch_row(&graph, 0, kind);
             assert_eq!(
-                repair_row(&row, &effects, &csr),
+                repair_row(&row, &effects, &csr, &mut RepairScratch::default()),
                 RepairOutcome::Unchanged,
                 "{kind:?}: a sign flip in an unreachable component is a provable no-op"
             );
@@ -505,7 +772,7 @@ mod tests {
         for kind in [CompatibilityKind::Sbph, CompatibilityKind::Sbp] {
             let row = scratch_row(&graph, 0, kind);
             assert_eq!(
-                repair_row(&row, &effects, &csr),
+                repair_row(&row, &effects, &csr, &mut RepairScratch::default()),
                 RepairOutcome::MustRecompute,
                 "{kind:?} has no repair path"
             );

@@ -3,30 +3,55 @@
 //!
 //! A [`super::SourceCompatibility`] (the unpacked output of the per-relation
 //! algorithms) stores one `bool` plus one `Option<u32>` per node — 9 bytes
-//! per node. [`CompatRow`] repacks that into
+//! per node. [`CompatRow`] packs the same facts into
 //!
-//! * a `u64`-word **bitset** for the compatible set (1 bit per node), and
-//! * a dense `u16` **distance array** with [`UNREACHABLE_DISTANCE`] as the
-//!   unreachable sentinel (2 bytes per node; relation distances are BFS
-//!   levels, far below the `u16` range on any graph that fits in memory),
+//! * a `u64`-word **bitset** for the compatible set (1 bit per node),
+//! * a one-byte **lane** per node: bits 0–6 hold the distance (0..=125
+//!   inline, 126 = "exact distance in the side table", 127 = unreachable)
+//!   and bit 7 is the SP **mixed** flag (the node has both positive and
+//!   negative shortest paths from the source), and
+//! * a sorted **side table** of `(node, u16 distance)` entries for the rare
+//!   distances past the inline range (relation distances are BFS levels:
+//!   5–6 at most on the benchmark deployments),
 //!
-//! for ~2.1 bytes per node — a 4–9× smaller resident row. The layout is not
+//! for ~1.1 bytes per node — an ~8× smaller resident row. The layout is not
 //! only smaller: the bitset makes set operations word-parallel, which is
 //! what the greedy solver's [`crate::team::CandidateMask`] fast path, the
 //! popcount-based pair statistics and the skill-degree computation exploit.
+//!
+//! The mixed flag is what lets a sign flip be repaired in place: together
+//! with the compatibility bit it recovers each node's shortest-path *sign
+//! class* (positive only, negative only, or both) for SPA and SPO rows (see
+//! [`super::repair`]). Rows of other kinds leave it clear.
 
 use serde::{Deserialize, Serialize};
 use signed_graph::NodeId;
 
 use super::{CompatibilityKind, SourceCompatibility};
 
-/// Sentinel value of the packed distance array: no defined distance.
+/// Sentinel value of [`CompatRow::raw_distance`]: no defined distance.
 pub const UNREACHABLE_DISTANCE: u16 = u16::MAX;
 
-/// Largest distance the packed array can represent exactly; anything above
-/// saturates here (relation distances are BFS levels, so this is
-/// unreachable in practice on graphs that fit in memory).
+/// Largest distance a row can represent exactly; anything above saturates
+/// here (relation distances are BFS levels, so this is unreachable in
+/// practice on graphs that fit in memory).
 pub const MAX_PACKED_DISTANCE: u32 = (u16::MAX - 1) as u32;
+
+/// Largest distance stored inline in a lane byte; longer distances live in
+/// the row's side table.
+pub(crate) const MAX_INLINE_DISTANCE: u16 = 125;
+
+/// Lane code: the exact distance is in the side table.
+const SIDE_TABLE_CODE: u8 = 126;
+/// Lane code: no defined distance.
+const UNREACHABLE_CODE: u8 = 127;
+/// Bits 0–6 of a lane byte: the distance code.
+const DISTANCE_MASK: u8 = 0x7f;
+/// Bit 7 of a lane byte: the SP mixed flag.
+const MIXED_FLAG: u8 = 0x80;
+
+/// One side-table entry: a node and its exact (saturated) distance.
+pub(crate) type SideEntry = (u32, u16);
 
 /// Number of `u64` words needed for a bitset over `nodes` bits.
 pub const fn bitset_words(nodes: usize) -> usize {
@@ -34,42 +59,67 @@ pub const fn bitset_words(nodes: usize) -> usize {
 }
 
 /// One source's compatibility row in the bit-packed resident layout: who is
-/// compatible with the source (1 bit per node) and at what distance
-/// (2 bytes per node). See the module docs for the byte math.
+/// compatible with the source (1 bit per node), at what distance and with
+/// which SP mixed flag (1 byte per node, plus side-table entries for
+/// distances past 125). See the module docs for the byte math.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CompatRow {
     source: NodeId,
     kind: CompatibilityKind,
     nodes: usize,
     bits: Vec<u64>,
-    dist: Vec<u16>,
+    lane: Vec<u8>,
+    /// Sorted by node: the exact distances of lanes coded
+    /// `SIDE_TABLE_CODE`.
+    side: Vec<SideEntry>,
 }
 
 impl CompatRow {
-    /// Packs an unpacked per-source computation into the resident layout.
-    pub fn from_source(sc: &SourceCompatibility) -> Self {
-        let nodes = sc.compatible.len();
+    /// Packs a row node by node: `entry(v)` gives `v`'s compatibility bit,
+    /// distance and mixed flag. Nodes arrive in ascending order, so
+    /// side-table entries are appended already sorted.
+    pub(crate) fn pack(
+        source: NodeId,
+        kind: CompatibilityKind,
+        nodes: usize,
+        mut entry: impl FnMut(usize) -> (bool, Option<u32>, bool),
+    ) -> Self {
         let mut bits = vec![0u64; bitset_words(nodes)];
-        for (v, &c) in sc.compatible.iter().enumerate() {
-            if c {
+        let mut lane = Vec::with_capacity(nodes);
+        let mut side = Vec::new();
+        for v in 0..nodes {
+            let (compatible, distance, mixed) = entry(v);
+            if compatible {
                 bits[v / 64] |= 1u64 << (v % 64);
             }
+            let code = match distance {
+                None => UNREACHABLE_CODE,
+                Some(d) if d <= u32::from(MAX_INLINE_DISTANCE) => d as u8,
+                Some(d) => {
+                    side.push((v as u32, d.min(MAX_PACKED_DISTANCE) as u16));
+                    SIDE_TABLE_CODE
+                }
+            };
+            lane.push(if mixed { code | MIXED_FLAG } else { code });
         }
-        let dist = sc
-            .distance
-            .iter()
-            .map(|d| match d {
-                None => UNREACHABLE_DISTANCE,
-                Some(d) => (*d).min(MAX_PACKED_DISTANCE) as u16,
-            })
-            .collect();
+        side.shrink_to_fit();
         CompatRow {
-            source: sc.source,
-            kind: sc.kind,
+            source,
+            kind,
             nodes,
             bits,
-            dist,
+            lane,
+            side,
         }
+    }
+
+    /// Packs an unpacked per-source computation into the resident layout.
+    /// A [`SourceCompatibility`] carries no path-sign classes, so the mixed
+    /// flags stay clear.
+    pub fn from_source(sc: &SourceCompatibility) -> Self {
+        Self::pack(sc.source, sc.kind, sc.compatible.len(), |v| {
+            (sc.compatible[v], sc.distance[v], false)
+        })
     }
 
     /// The query node this row was computed from.
@@ -98,6 +148,12 @@ impl CompatRow {
         &self.bits
     }
 
+    /// Number of side-table entries: nodes whose distance is past the
+    /// inline range (counted by [`super::row_bytes`]).
+    pub fn side_table_len(&self) -> usize {
+        self.side.len()
+    }
+
     /// `true` iff `(source, v)` is in the relation according to this row.
     /// Out-of-range `v` is incompatible.
     pub fn is_compatible(&self, v: usize) -> bool {
@@ -106,17 +162,41 @@ impl CompatRow {
 
     /// The relation distance from the source to `v`, if defined.
     pub fn distance(&self, v: usize) -> Option<u32> {
-        match self.dist.get(v) {
-            None | Some(&UNREACHABLE_DISTANCE) => None,
-            Some(&d) => Some(u32::from(d)),
+        match self.raw_distance(v) {
+            UNREACHABLE_DISTANCE => None,
+            d => Some(u32::from(d)),
         }
     }
 
-    /// The raw packed distance to `v` ([`UNREACHABLE_DISTANCE`] when
-    /// undefined or out of range). The sentinel is `u16::MAX`, so the
-    /// minimum of two raw distances is the symmetric-closure distance.
+    /// The raw distance to `v` ([`UNREACHABLE_DISTANCE`] when undefined or
+    /// out of range). The sentinel is `u16::MAX`, so the minimum of two raw
+    /// distances is the symmetric-closure distance.
+    #[inline]
     pub fn raw_distance(&self, v: usize) -> u16 {
-        self.dist.get(v).copied().unwrap_or(UNREACHABLE_DISTANCE)
+        let Some(&byte) = self.lane.get(v) else {
+            return UNREACHABLE_DISTANCE;
+        };
+        match byte & DISTANCE_MASK {
+            UNREACHABLE_CODE => UNREACHABLE_DISTANCE,
+            SIDE_TABLE_CODE => self.side_distance(v),
+            d => u16::from(d),
+        }
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn side_distance(&self, v: usize) -> u16 {
+        let i = self
+            .side
+            .binary_search_by_key(&(v as u32), |&(node, _)| node)
+            .expect("a side-table lane code has a side-table entry");
+        self.side[i].1
+    }
+
+    /// `true` when the SP row marks `v` as reached by both positive and
+    /// negative shortest paths (always `false` for other kinds).
+    pub(crate) fn is_mixed(&self, v: usize) -> bool {
+        self.lane[v] & MIXED_FLAG != 0
     }
 
     /// Number of nodes compatible with the source (including the source
@@ -164,16 +244,38 @@ impl CompatRow {
         (count > 0).then(|| total as f64 / count as f64)
     }
 
-    /// Overwrites the packed distance for `v` without touching its
-    /// compatibility bit (used by the repair relaxation, whose lane updates
-    /// are independent of the bitset patches).
+    /// Overwrites the raw distance for `v` without touching its
+    /// compatibility bit or mixed flag (used by the repair relaxation,
+    /// whose lane updates are independent of the bitset patches). Moves
+    /// the entry into or out of the side table as the distance crosses the
+    /// inline range.
     pub(crate) fn set_distance(&mut self, v: usize, raw_distance: u16) {
         debug_assert!(v < self.nodes);
-        self.dist[v] = raw_distance;
+        let code = match raw_distance {
+            UNREACHABLE_DISTANCE => UNREACHABLE_CODE,
+            d if d <= MAX_INLINE_DISTANCE => d as u8,
+            _ => SIDE_TABLE_CODE,
+        };
+        let in_side = self.lane[v] & DISTANCE_MASK == SIDE_TABLE_CODE;
+        if in_side || code == SIDE_TABLE_CODE {
+            let slot = self
+                .side
+                .binary_search_by_key(&(v as u32), |&(node, _)| node);
+            let exact = raw_distance.min(MAX_PACKED_DISTANCE as u16);
+            match (slot, code == SIDE_TABLE_CODE) {
+                (Ok(i), true) => self.side[i].1 = exact,
+                (Err(i), true) => self.side.insert(i, (v as u32, exact)),
+                (Ok(i), false) => {
+                    self.side.remove(i);
+                }
+                (Err(_), false) => {}
+            }
+        }
+        self.lane[v] = (self.lane[v] & MIXED_FLAG) | code;
     }
 
-    /// Overwrites the entry for `v` (used by the symmetric closure).
-    pub(crate) fn set(&mut self, v: usize, compatible: bool, raw_distance: u16) {
+    /// Sets or clears the compatibility bit of `v`.
+    pub(crate) fn set_compatible(&mut self, v: usize, compatible: bool) {
         debug_assert!(v < self.nodes);
         let (word, bit) = (v / 64, 1u64 << (v % 64));
         if compatible {
@@ -181,7 +283,22 @@ impl CompatRow {
         } else {
             self.bits[word] &= !bit;
         }
-        self.dist[v] = raw_distance;
+    }
+
+    /// Sets or clears the SP mixed flag of `v`.
+    pub(crate) fn set_mixed(&mut self, v: usize, mixed: bool) {
+        if mixed {
+            self.lane[v] |= MIXED_FLAG;
+        } else {
+            self.lane[v] &= !MIXED_FLAG;
+        }
+    }
+
+    /// Overwrites the bit and distance of `v` (used by the symmetric
+    /// closure and the DPE/NNE patches).
+    pub(crate) fn set(&mut self, v: usize, compatible: bool, raw_distance: u16) {
+        self.set_compatible(v, compatible);
+        self.set_distance(v, raw_distance);
     }
 
     /// Unpacks back into the legacy layout (tests and round-trip checks).
@@ -378,6 +495,41 @@ mod tests {
         assert_eq!(row.raw_distance(2), UNREACHABLE_DISTANCE);
         assert_eq!(row.raw_distance(99), UNREACHABLE_DISTANCE);
         assert!(!row.is_compatible(99));
+    }
+
+    #[test]
+    fn set_distance_moves_entries_through_the_side_table() {
+        let mut row = CompatRow::from_source(&sample(10));
+        row.set_mixed(4, true);
+        let past_inline = MAX_INLINE_DISTANCE + 1;
+        for d in [
+            past_inline,
+            300,
+            MAX_INLINE_DISTANCE,
+            7,
+            UNREACHABLE_DISTANCE,
+            past_inline,
+            MAX_PACKED_DISTANCE as u16,
+        ] {
+            row.set_distance(4, d);
+            assert_eq!(row.raw_distance(4), d);
+            assert!(row.is_mixed(4), "a move must keep the mixed flag");
+            assert!(!row.is_mixed(5));
+            let in_side = d > MAX_INLINE_DISTANCE && d != UNREACHABLE_DISTANCE;
+            assert_eq!(row.side_table_len(), usize::from(in_side), "distance {d}");
+        }
+        // Inserts on either side of an entry keep the table sorted: the
+        // patched row equals one packed with the same distances.
+        row.set_distance(9, 200);
+        row.set_distance(1, 500);
+        row.set_distance(4, 130);
+        assert_eq!(row.side_table_len(), 3);
+        let packed = CompatRow::pack(row.source(), row.kind(), 10, |v| {
+            (row.is_compatible(v), row.distance(v), row.is_mixed(v))
+        });
+        assert_eq!(packed, row);
+        assert_eq!(row.raw_distance(1), 500);
+        assert_eq!(row.raw_distance(9), 200);
     }
 
     #[test]

@@ -22,31 +22,41 @@ use signed_graph::{NodeId, Sign, SignedGraph};
 use super::row::NodeSet;
 use super::{CompatibilityKind, SourceCompatibility};
 
-/// One retained balanced prefix: the path's nodes with their two-colouring
-/// camp, relative to the source being in camp `false` (the last entry is the
-/// endpoint; its camp is `false` iff the path is positive). Storage is
-/// `O(path length)`; the `O(1)` membership/camp probes the innermost
-/// neighbour loop needs come from a scratch [`NodeSet`] pair that the search
-/// marks while a state is being expanded and unmarks afterwards — not from
-/// per-state bitsets, which would cost `O(|V|)` memory and clone work per
-/// retained prefix.
-#[derive(Debug, Clone)]
+/// One retained balanced prefix: a range of the search's prefix pool
+/// holding the path's nodes with their two-colouring camp, relative to the
+/// source being in camp `false` (the last entry is the endpoint; its camp is
+/// `false` iff the path is positive). Prefixes live back to back in one
+/// pool, so extending one appends a copy instead of allocating; the pool
+/// holds every prefix one source's search retains (at most `2 · width` per
+/// node) and is dropped with the search. Besides saving an allocation per
+/// prefix, this keeps the search's speed independent of how fragmented the
+/// allocator is (matrix builds run SBPH after other kinds). The `O(1)`
+/// membership/camp probes the innermost neighbour loop needs come from a
+/// scratch [`NodeSet`] pair that the search marks while a state is being
+/// expanded and unmarks afterwards — not from per-state bitsets, which
+/// would cost `O(|V|)` memory and clone work per retained prefix.
+#[derive(Debug, Clone, Copy)]
 struct PrefixState {
-    path: Vec<(NodeId, bool)>,
+    start: usize,
+    end: usize,
 }
 
 impl PrefixState {
-    fn endpoint(&self) -> NodeId {
-        self.path.last().expect("non-empty prefix").0
+    fn path<'p>(&self, pool: &'p [(NodeId, bool)]) -> &'p [(NodeId, bool)] {
+        &pool[self.start..self.end]
+    }
+
+    fn endpoint(&self, pool: &[(NodeId, bool)]) -> NodeId {
+        self.path(pool).last().expect("non-empty prefix").0
     }
 
     fn len(&self) -> u32 {
-        (self.path.len() - 1) as u32
+        (self.end - self.start - 1) as u32
     }
 
     /// Marks this prefix in the scratch sets (`O(path length)`).
-    fn mark(&self, on_path: &mut NodeSet, camps: &mut NodeSet) {
-        for &(p, camp) in &self.path {
+    fn mark(&self, pool: &[(NodeId, bool)], on_path: &mut NodeSet, camps: &mut NodeSet) {
+        for &(p, camp) in self.path(pool) {
             on_path.insert(p);
             if camp {
                 camps.insert(p);
@@ -55,8 +65,8 @@ impl PrefixState {
     }
 
     /// Clears this prefix's marks (`O(path length)`).
-    fn unmark(&self, on_path: &mut NodeSet, camps: &mut NodeSet) {
-        for &(p, _) in &self.path {
+    fn unmark(&self, pool: &[(NodeId, bool)], on_path: &mut NodeSet, camps: &mut NodeSet) {
+        for &(p, _) in self.path(pool) {
             on_path.remove(p);
             camps.remove(p);
         }
@@ -83,17 +93,16 @@ pub fn sbph_source(
 
     stored[source.index()][0] = 1;
     let mut queue: VecDeque<PrefixState> = VecDeque::new();
-    queue.push_back(PrefixState {
-        path: vec![(source, false)],
-    });
+    let mut pool: Vec<(NodeId, bool)> = vec![(source, false)];
+    queue.push_back(PrefixState { start: 0, end: 1 });
     // Scratch marks for the state currently being expanded: `O(1)` probes
     // in the neighbour loops, repopulated per popped state.
     let mut on_path = NodeSet::new(n);
     let mut camps = NodeSet::new(n);
 
     while let Some(state) = queue.pop_front() {
-        state.mark(&mut on_path, &mut camps);
-        for (w, _sign) in csr.neighbors(state.endpoint()) {
+        state.mark(&pool, &mut on_path, &mut camps);
+        for (w, _sign) in csr.neighbors(state.endpoint(&pool)) {
             if on_path.contains(w) {
                 continue;
             }
@@ -128,8 +137,13 @@ pub fn sbph_source(
             }
             stored[w.index()][sign_slot] += 1;
 
-            let mut next = state.clone();
-            next.path.push((w, w_camp));
+            let start = pool.len();
+            pool.extend_from_within(state.start..state.end);
+            pool.push((w, w_camp));
+            let next = PrefixState {
+                start,
+                end: pool.len(),
+            };
             if !w_camp {
                 // Positive balanced path found.
                 compatible[w.index()] = true;
@@ -141,7 +155,7 @@ pub fn sbph_source(
             }
             queue.push_back(next);
         }
-        state.unmark(&mut on_path, &mut camps);
+        state.unmark(&pool, &mut on_path, &mut camps);
     }
 
     SourceCompatibility {

@@ -17,7 +17,7 @@ use signed_graph::csr::CsrGraph;
 use signed_graph::{NodeId, Sign};
 use std::collections::VecDeque;
 
-use super::{CompatibilityKind, SourceCompatibility};
+use super::{CompatRow, CompatibilityKind, SourceCompatibility};
 
 /// Sentinel distance for unreachable nodes.
 pub const UNREACHABLE: u32 = u32::MAX;
@@ -120,19 +120,51 @@ pub fn source_from_counts(
             compatible[v] = true;
             continue;
         }
-        let (pos, neg) = (counts.positive[v], counts.negative[v]);
-        compatible[v] = match kind {
-            CompatibilityKind::Spa => neg == 0 && pos > 0,
-            CompatibilityKind::Spm => pos >= neg && pos > 0,
-            CompatibilityKind::Spo => pos > 0,
-            _ => unreachable!("non-SP kind"),
-        };
+        compatible[v] = sp_compatible(kind, counts.positive[v], counts.negative[v]);
     }
     SourceCompatibility {
         source,
         kind,
         compatible,
         distance,
+    }
+}
+
+/// Packs Algorithm 1 counts straight into an SP-family [`CompatRow`], with
+/// the same bits and distances as [`source_from_counts`] plus each node's
+/// mixed flag (both `N⁺ > 0` and `N⁻ > 0`). The flag and the compatibility
+/// bit together give the node's sign class, which SPA/SPO repair re-derives
+/// after a sign flip (see [`super::repair`]).
+pub(crate) fn row_from_counts(
+    source: NodeId,
+    kind: CompatibilityKind,
+    counts: &SignedBfsCounts,
+) -> CompatRow {
+    debug_assert!(matches!(
+        kind,
+        CompatibilityKind::Spa | CompatibilityKind::Spm | CompatibilityKind::Spo
+    ));
+    CompatRow::pack(source, kind, counts.dist.len(), |v| {
+        let d = counts.dist[v];
+        if d == UNREACHABLE {
+            return (false, None, false);
+        }
+        if v == source.index() {
+            return (true, Some(0), false);
+        }
+        let (pos, neg) = (counts.positive[v], counts.negative[v]);
+        (sp_compatible(kind, pos, neg), Some(d), pos > 0 && neg > 0)
+    })
+}
+
+/// The SP relations' verdict for a node reached by `pos` positive and
+/// `neg` negative shortest paths.
+fn sp_compatible(kind: CompatibilityKind, pos: u64, neg: u64) -> bool {
+    match kind {
+        CompatibilityKind::Spa => neg == 0 && pos > 0,
+        CompatibilityKind::Spm => pos >= neg && pos > 0,
+        CompatibilityKind::Spo => pos > 0,
+        _ => unreachable!("non-SP kind"),
     }
 }
 

@@ -8,9 +8,10 @@
 //! degree of the source (plus one BFS for NNE distances).
 
 use signed_graph::csr::CsrGraph;
+use signed_graph::traversal::{bfs_distances_csr, UNREACHABLE};
 use signed_graph::{NodeId, Sign, SignedGraph};
 
-use super::{CompatibilityKind, SourceCompatibility};
+use super::{CompatRow, CompatibilityKind, SourceCompatibility};
 use crate::distance;
 
 /// Direct Positive Edge compatibility from one source: compatible with the
@@ -53,6 +54,35 @@ pub fn nne_source(graph: &SignedGraph, csr: &CsrGraph, source: NodeId) -> Source
         compatible,
         distance: dist,
     }
+}
+
+/// The DPE row of `source`, packed straight from its adjacency.
+pub(crate) fn dpe_row(graph: &SignedGraph, source: NodeId) -> CompatRow {
+    let s = source.index();
+    let mut row = CompatRow::pack(source, CompatibilityKind::Dpe, graph.node_count(), |v| {
+        (v == s, (v == s).then_some(0), false)
+    });
+    for nb in graph.neighbors(source) {
+        if nb.sign == Sign::Positive {
+            row.set(nb.node.index(), true, 1);
+        }
+    }
+    row
+}
+
+/// The NNE row of `source`, packed straight from one unsigned BFS and the
+/// source's negative edges.
+pub(crate) fn nne_row(graph: &SignedGraph, csr: &CsrGraph, source: NodeId) -> CompatRow {
+    let dist = bfs_distances_csr(csr, source);
+    let mut row = CompatRow::pack(source, CompatibilityKind::Nne, dist.len(), |v| {
+        (true, (dist[v] != UNREACHABLE).then_some(dist[v]), false)
+    });
+    for nb in graph.neighbors(source) {
+        if nb.sign == Sign::Negative {
+            row.set_compatible(nb.node.index(), false);
+        }
+    }
+    row
 }
 
 #[cfg(test)]

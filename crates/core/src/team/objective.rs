@@ -189,7 +189,7 @@ pub fn pair_synergy(distance: Option<u32>) -> u64 {
 
 /// The team's total synergy: the sum of [`pair_synergy`] over all member
 /// pairs. With packed rows available each member's row is fetched once and
-/// the pair scan reads the `u16` distance lanes directly (taking the
+/// the pair scan reads the packed distance lanes directly (taking the
 /// symmetric-closure minimum over both directions); relations without
 /// packed rows fall back to per-pair distance probes.
 pub fn team_synergy<C: Compatibility + ?Sized>(comp: &C, team: &Team) -> u64 {

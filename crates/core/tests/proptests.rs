@@ -318,7 +318,7 @@ proptest! {
     #[test]
     fn packed_row_matches_legacy_row(g in arb_graph()) {
         use signed_graph::csr::CsrGraph;
-        use tfsn_core::compat::{compute_source, CompatRow};
+        use tfsn_core::compat::{compute_row, compute_source, CompatRow};
         let csr = CsrGraph::from_graph(&g);
         let cfg = EngineConfig::default();
         for kind in CompatibilityKind::EVALUATED {
@@ -351,7 +351,12 @@ proptest! {
                 // Out-of-range probes are incompatible/undefined, as before.
                 prop_assert!(!packed.is_compatible(g.node_count()));
                 prop_assert_eq!(packed.distance(g.node_count()), None);
-                prop_assert_eq!(packed.to_source(), legacy);
+                prop_assert_eq!(packed.to_source(), legacy.clone());
+                // The direct row builders pack the same relation.
+                prop_assert_eq!(
+                    compute_row(&g, &csr, source, kind, &cfg).to_source(),
+                    legacy
+                );
             }
         }
     }
@@ -432,8 +437,9 @@ proptest! {
 }
 
 /// `row_bytes` must account the packed row's real heap footprint (the
-/// constructors allocate exact-capacity vectors), and the pre-computation
-/// estimate must agree with it.
+/// constructors allocate exact-capacity vectors: one lane byte per node
+/// plus the side table), and the pre-computation estimate must agree with
+/// it for these rows, whose distances all stay inline.
 #[test]
 fn row_bytes_matches_real_heap_footprint() {
     use tfsn_core::compat::{estimated_row_bytes, row_bytes, CompatibilityMatrix};
@@ -447,7 +453,9 @@ fn row_bytes_matches_real_heap_footprint() {
         });
         let m = CompatibilityMatrix::build(&g, CompatibilityKind::Spo);
         for row in m.rows() {
-            let heap = std::mem::size_of_val(row.words()) + row.len() * std::mem::size_of::<u16>();
+            let heap = std::mem::size_of_val(row.words())
+                + row.len() * std::mem::size_of::<u8>()
+                + row.side_table_len() * std::mem::size_of::<(u32, u16)>();
             assert_eq!(
                 row_bytes(row),
                 std::mem::size_of_val(row) + heap,

@@ -4,9 +4,10 @@
 //! engine, serving reads the whole time — plus one background thread that
 //! polls the primary's `GET /v1/wal?deployment=&from_seq=&max=` every
 //! `--poll-ms` and replays the returned records through
-//! [`Engine::mutate`]. Because the primary's log order equals its apply
-//! order (append-before-apply under one lock), replaying the records in
-//! sequence converges the follower's live graph on the primary's.
+//! [`Engine::mutate_batch`](crate::Engine::mutate_batch). Because the
+//! primary's log order equals its apply order (append-before-apply under
+//! one lock), replaying the records in sequence converges the follower's
+//! live graph on the primary's.
 //!
 //! Sequence numbers are 0-based positions in the primary's log; the
 //! follower tracks `next_seq` per deployment and drains until

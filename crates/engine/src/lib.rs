@@ -362,7 +362,8 @@ impl Engine {
     /// windows replay through this one path.
     ///
     /// Answer-equivalent to folding [`Engine::mutate`] over the batch: a
-    /// mutation that fails graph validation reports its [`GraphError`] in
+    /// mutation that fails graph validation reports its
+    /// [`GraphError`](signed_graph::GraphError) in
     /// its [`BatchReport::outcomes`] slot and later mutations still apply.
     /// Only a write-ahead log failure aborts the call.
     pub fn mutate_batch(

@@ -26,9 +26,10 @@
 //! finest sound granularity per kind
 //! ([`tfsn_core::compat::InvalidationScope`]):
 //!
-//! * **row-tier shards** drop exactly the rows whose BFS frontier can cross
-//!   the touched edge (dirty-epoch per shard; cleared rows recompute on
-//!   next fetch);
+//! * **row-tier shards** hand the rows whose BFS frontier can cross the
+//!   touched edge to [`tfsn_core::compat::repair`], and drop only the rows
+//!   it can neither prove unchanged nor patch (dirty-epoch per shard;
+//!   cleared rows recompute on next fetch);
 //! * **matrix-tier shards downgrade to the row tier** — the matrix's
 //!   unaffected rows are migrated into a fresh row store and only the
 //!   affected ones recompute lazily, instead of eagerly rebuilding an
@@ -49,8 +50,9 @@ use std::sync::Arc;
 
 use parking_lot::{Mutex, RwLock};
 use signed_graph::csr::CsrGraph;
+use signed_graph::delta::net_effects;
 use signed_graph::{EdgeMutation, GraphError, MutationEffect, SignedGraph};
-use tfsn_core::compat::repair::{repair_row, RepairOutcome};
+use tfsn_core::compat::repair::{repair_row, RepairOutcome, RepairScratch};
 use tfsn_core::compat::{
     estimated_matrix_bytes, row_affected_by_edge, Compatibility, CompatibilityKind,
     CompatibilityMatrix, EngineConfig, InvalidationScope, LazyCompatibility, RowTracker,
@@ -331,6 +333,12 @@ impl RelationStore {
             })
     }
 
+    /// The shared CSR view of the served graph, once a row-tier shard (or
+    /// a mutation sweep) has built it.
+    pub fn csr(&self) -> Option<Arc<CsrGraph>> {
+        self.state.read().csr.clone()
+    }
+
     /// The current (graph, CSR) snapshot, building the shared CSR on first
     /// use.
     fn graph_and_csr(&self) -> (Arc<SignedGraph>, Arc<CsrGraph>) {
@@ -432,6 +440,14 @@ impl RelationStore {
     /// once per *batch* instead of once per mutation, and rows the combined
     /// delta proves patchable are repaired in place
     /// ([`tfsn_core::compat::repair`]) instead of dropped.
+    ///
+    /// Rows only ever see the batch as a whole, so the CSR refresh, the
+    /// sweep and the matrix downgrade run on its **net** effects
+    /// ([`signed_graph::delta::net_effects`]): one per touched edge, with a
+    /// remove plus same-sign re-insert cancelled out. A batch whose nets
+    /// are empty still publishes the new graph, but keeps the CSR and every
+    /// resident shard — SBPH/SBP rows and matrix tiers included. Outcomes
+    /// and counters stay per mutation.
     pub fn mutate_batch(&self, ms: &[EdgeMutation]) -> BatchReport {
         let _serial = self.mutation_lock.lock();
         let (old_graph, old_csr) = {
@@ -507,20 +523,37 @@ impl RelationStore {
                 kinds_downgraded: Vec::new(),
             };
         }
+        let nets = net_effects(&old_graph, &new_graph, &effects);
         let new_graph = Arc::new(new_graph);
+        if nets.is_empty() {
+            // Every change cancelled out: the new graph has the old one's
+            // adjacency (only its edge-list order can differ), so the CSR
+            // and every resident row stay exact. Row stores keep their
+            // content-identical view until the next sweep replaces it.
+            self.state.write().graph = new_graph;
+            self.mutations.fetch_add(applied, Ordering::Relaxed);
+            self.graph_version
+                .fetch_add(effects.len(), Ordering::Relaxed);
+            return BatchReport {
+                outcomes,
+                rows_invalidated: 0,
+                rows_repaired: 0,
+                kinds_downgraded: Vec::new(),
+            };
+        }
         // A CSR is needed by every shard that is — or is about to become —
         // row-served. The scan is only a hint: a shard can be initialised
         // concurrently between it and the invalidation loop below, so the
         // loop builds the CSR on demand if the hint was stale.
         let need_csr = self.shards.iter().any(|s| s.read().is_some());
-        let all_sign_only = effects.iter().all(|e| e.is_sign_only());
+        let all_sign_only = nets.iter().all(|e| e.is_sign_only());
         let mut new_csr: Option<Arc<CsrGraph>> = if need_csr {
             let patched = match (&old_csr, all_sign_only) {
                 // Sign flips keep the CSR structure: patch the sign lane of
                 // the existing view instead of re-walking the graph.
                 (Some(csr), true) => {
                     let mut patched = (**csr).clone();
-                    for effect in &effects {
+                    for effect in &nets {
                         patched
                             .set_sign(
                                 effect.u,
@@ -547,6 +580,7 @@ impl RelationStore {
         let mut invalidated = 0usize;
         let mut repaired = 0usize;
         let mut kinds_downgraded = Vec::new();
+        let mut scratch = RepairScratch::default();
         for (i, &kind) in CompatibilityKind::ALL.iter().enumerate() {
             let mut guard = self.shards[i].write();
             let Some(tier) = guard.clone() else {
@@ -558,7 +592,7 @@ impl RelationStore {
                 .clone();
             match tier {
                 Tier::Rows(rows) => {
-                    let (inv, rep) = rows.apply_mutations(new_graph.clone(), csr, &effects);
+                    let (inv, rep) = rows.apply_mutations(new_graph.clone(), csr, &nets);
                     invalidated += inv;
                     repaired += rep;
                 }
@@ -588,13 +622,12 @@ impl RelationStore {
                             }) {
                                 break;
                             }
-                            let affected =
-                                effects.iter().any(|e| row_affected_by_edge(row, e.u, e.v));
+                            let affected = nets.iter().any(|e| row_affected_by_edge(row, e.u, e.v));
                             if !affected {
                                 lazy.seed_row(Arc::new(row.clone()));
                                 continue;
                             }
-                            match repair_row(row, &effects, &csr) {
+                            match repair_row(row, &nets, &csr, &mut scratch) {
                                 RepairOutcome::Unchanged => {
                                     if lazy.seed_row(Arc::new(row.clone())) {
                                         repaired += 1;
@@ -689,7 +722,7 @@ impl RelationStore {
     }
 
     /// Rows currently resident across all row-tier shards — the gauge the
-    /// bit-packed row layout moves: the same `--memory-budget` holds ~4×
+    /// bit-packed row layout moves: the same `--memory-budget` holds ~8×
     /// more rows than the unpacked 9-bytes-per-node layout did.
     pub fn resident_row_count(&self) -> usize {
         self.fold_rows(0, |acc, rows| acc + rows.cached_rows())

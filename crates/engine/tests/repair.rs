@@ -14,6 +14,9 @@
 //!   final graph, byte-identical canonicalized answers — while never
 //!   invalidating *more* rows than the sequential fold.
 //!
+//! Batches mix random mutations with flips, removals and remove/re-insert
+//! round trips of edges the fixture really has.
+//!
 //! Case count is 24 by default; the nightly CI job raises it through the
 //! `TFSN_PROPTEST_CASES` environment variable.
 
@@ -129,11 +132,55 @@ fn mutation((sel, u, v, s): (usize, usize, usize, usize)) -> EdgeMutation {
     }
 }
 
+/// The fixture's edges, for the arm that mutates edges that exist.
+fn fixture_edges() -> Vec<(NodeId, NodeId, Sign)> {
+    base_deployment()
+        .graph()
+        .edges()
+        .iter()
+        .map(|e| (e.u, e.v, e.sign))
+        .collect()
+}
+
+/// One existing fixture edge (picked modulo the edge count) flipped,
+/// removed, or removed and re-inserted with its sign. Random endpoints name
+/// an existing edge about 1 draw in 9, so without this arm real sign flips
+/// would be rare.
+fn edge_mutations(
+    edges: &[(NodeId, NodeId, Sign)],
+    (pick, op): (usize, usize),
+) -> Vec<EdgeMutation> {
+    let (u, v, sign) = edges[pick % edges.len()];
+    match op % 3 {
+        0 => vec![EdgeMutation::SetSign {
+            u,
+            v,
+            sign: sign.flip(),
+        }],
+        1 => vec![EdgeMutation::Remove { u, v }],
+        _ => vec![
+            EdgeMutation::Remove { u, v },
+            EdgeMutation::Insert { u, v, sign },
+        ],
+    }
+}
+
+/// Batches mixing random mutations with mutations of existing edges.
 fn mutations_strategy() -> impl Strategy<Value = Vec<EdgeMutation>> {
+    let edges = fixture_edges();
     prop::collection::vec(
-        (0usize..3, 0usize..NODES + 2, 0usize..NODES, 0usize..2).prop_map(mutation),
+        (
+            0usize..2,
+            (0usize..3, 0usize..NODES + 2, 0usize..NODES, 0usize..2),
+            (0usize..64, 0usize..3),
+        )
+            .prop_map(move |(arm, random, existing)| match arm {
+                0 => vec![mutation(random)],
+                _ => edge_mutations(&edges, existing),
+            }),
         1..10,
     )
+    .prop_map(|groups| groups.concat())
 }
 
 /// Property one: every row the engine serves after a batch equals its
@@ -282,10 +329,7 @@ fn sign_flip_batches_repair_nne_rows_without_rebuilds() {
         "NNE sign flips always repair in place"
     );
     assert!(report.rows_repaired > 0, "endpoint rows must be patched");
-    assert_eq!(
-        engine.store().rows_repaired_count(),
-        report.rows_repaired
-    );
+    assert_eq!(engine.store().rows_repaired_count(), report.rows_repaired);
     resident_sweep(&engine, &[CompatibilityKind::Nne]);
     assert_eq!(
         engine.store().row_build_count(),
@@ -311,6 +355,121 @@ fn sign_flip_batches_repair_nne_rows_without_rebuilds() {
                 .packed_row(NodeId::new(u))
                 .map(|h| h.row().clone()),
             "row {u}"
+        );
+    }
+}
+
+/// Sign flips on SPA/SPO-resident rows re-derive the flipped nodes' sign
+/// classes in place, in both tiers: no invalidation, no rebuild on the next
+/// sweep, and every row equal to its scratch rebuild.
+#[test]
+fn sign_flip_batches_repair_sp_rows_without_rebuilds() {
+    let kinds = [CompatibilityKind::Spa, CompatibilityKind::Spo];
+    for policy in [StorePolicy::rows(None), StorePolicy::materialized()] {
+        let engine = Engine::with_options(base_deployment(), options(policy));
+        resident_sweep(&engine, &kinds);
+        let builds = engine.store().row_build_count();
+        let flips: Vec<EdgeMutation> = engine
+            .graph()
+            .edges()
+            .iter()
+            .step_by(5)
+            .map(|e| EdgeMutation::SetSign {
+                u: e.u,
+                v: e.v,
+                sign: e.sign.flip(),
+            })
+            .collect();
+        assert!(flips.len() >= 4);
+        let report = engine.mutate_batch(&flips).expect("no WAL is attached");
+        assert_eq!(report.applied(), flips.len());
+        assert_eq!(
+            report.rows_invalidated, 0,
+            "{policy:?}: SPA/SPO sign flips repair in place"
+        );
+        assert!(
+            report.rows_repaired > 0,
+            "{policy:?}: flips must be repaired"
+        );
+        resident_sweep(&engine, &kinds);
+        assert_eq!(
+            engine.store().row_build_count(),
+            builds,
+            "{policy:?}: repaired rows must not rebuild"
+        );
+        let reference = Engine::with_options(
+            rebuild_deployment(&engine),
+            options(StorePolicy::rows(None)),
+        );
+        for kind in kinds {
+            let live = engine.store().fetch(kind);
+            let fresh = reference.store().fetch(kind);
+            for u in 0..NODES {
+                assert_eq!(
+                    live.scope()
+                        .compat()
+                        .packed_row(NodeId::new(u))
+                        .map(|h| h.row().clone()),
+                    fresh
+                        .scope()
+                        .compat()
+                        .packed_row(NodeId::new(u))
+                        .map(|h| h.row().clone()),
+                    "{policy:?}: {kind} row {u}"
+                );
+            }
+        }
+    }
+}
+
+/// A batch that removes edges and re-inserts them with their signs nets out
+/// to nothing: no kind invalidates a row (SBPH/SBP included), a matrix tier
+/// stays resident, and the CSR still equals a rebuild of the new graph.
+#[test]
+fn remove_and_reinsert_batches_net_out_to_nothing() {
+    let round_trips: Vec<EdgeMutation> = fixture_edges()
+        .into_iter()
+        .step_by(4)
+        .flat_map(|(u, v, sign)| {
+            [
+                EdgeMutation::Remove { u, v },
+                EdgeMutation::Insert { u, v, sign },
+            ]
+        })
+        .collect();
+    let engine = Engine::with_options(base_deployment(), options(StorePolicy::rows(None)));
+    resident_sweep(&engine, &CompatibilityKind::ALL);
+    let builds = engine.store().row_build_count();
+    let report = engine
+        .mutate_batch(&round_trips)
+        .expect("no WAL is attached");
+    assert_eq!(report.changed(), round_trips.len());
+    assert_eq!(report.rows_invalidated, 0);
+    assert_eq!(report.rows_repaired, 0);
+    assert_eq!(engine.store().graph_version(), round_trips.len());
+    resident_sweep(&engine, &CompatibilityKind::ALL);
+    assert_eq!(
+        engine.store().row_build_count(),
+        builds,
+        "no resident row of any kind may rebuild"
+    );
+    assert_eq!(
+        engine.store().csr().as_deref(),
+        Some(&signed_graph::csr::CsrGraph::from_graph(&engine.graph()))
+    );
+
+    let engine = Engine::with_options(base_deployment(), options(StorePolicy::materialized()));
+    engine.warm(&CompatibilityKind::ALL);
+    let report = engine
+        .mutate_batch(&round_trips)
+        .expect("no WAL is attached");
+    assert_eq!(report.rows_invalidated, 0);
+    assert_eq!(report.kinds_downgraded, vec![]);
+    for kind in CompatibilityKind::ALL {
+        assert_eq!(
+            engine.store().resident_tier(kind),
+            Some(tfsn_engine::TierChoice::Matrix),
+            "{kind}: a net-empty batch must leave the matrix resident"
         );
     }
 }

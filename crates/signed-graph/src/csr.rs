@@ -19,7 +19,7 @@ use crate::sign::Sign;
 
 /// A CSR copy of a signed graph (read-only except for in-place sign
 /// patching).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CsrGraph {
     /// `offsets[v]..offsets[v+1]` indexes `targets` / `signs` for node `v`.
     offsets: Vec<u32>,

@@ -21,9 +21,11 @@
 //! addressable and its compatibility rows stay well-defined (everything
 //! unreachable).
 
+use std::collections::HashSet;
+
 use serde::{Deserialize, Serialize};
 
-use crate::graph::NodeId;
+use crate::graph::{NodeId, SignedGraph};
 use crate::sign::Sign;
 
 /// One edge-level change to a signed graph.
@@ -132,6 +134,39 @@ impl MutationEffect {
             EdgeChange::Removed(_) => None,
         }
     }
+}
+
+/// Reduces a batch's per-mutation `effects` to one net effect per touched
+/// edge, by comparing the edge's sign in `before` (the graph the batch was
+/// applied to) with its sign in `after` (absent, `+` or `-`). A removal
+/// plus a re-insert with the same sign cancels out; every other difference
+/// becomes [`EdgeChange::Inserted`], [`EdgeChange::Removed`] or
+/// [`EdgeChange::SignChanged`]. Nets keep the order in which their edges
+/// were first touched, and each is a valid single mutation of `before`, so
+/// any order of them rebuilds `after`'s edge set.
+pub fn net_effects(
+    before: &SignedGraph,
+    after: &SignedGraph,
+    effects: &[MutationEffect],
+) -> Vec<MutationEffect> {
+    let mut seen = HashSet::new();
+    effects
+        .iter()
+        .filter(|e| e.changed() && seen.insert((e.u, e.v)))
+        .filter_map(|e| {
+            let change = match (before.sign(e.u, e.v), after.sign(e.u, e.v)) {
+                (None, Some(sign)) => EdgeChange::Inserted(sign),
+                (Some(sign), None) => EdgeChange::Removed(sign),
+                (Some(old), Some(new)) if old != new => EdgeChange::SignChanged { old, new },
+                _ => return None,
+            };
+            Some(MutationEffect {
+                u: e.u,
+                v: e.v,
+                change,
+            })
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -342,6 +377,84 @@ mod tests {
         // Failed mutations leave the graph untouched.
         assert_eq!(g.edge_count(), 4);
         assert_same_shape(&g, &rebuilt(&g));
+    }
+
+    #[test]
+    fn net_effects_cancel_round_trips_and_fold_repeats() {
+        let before = base();
+        let mut after = before.clone();
+        let (n0, n1, n2, n3) = (
+            NodeId::new(0),
+            NodeId::new(1),
+            NodeId::new(2),
+            NodeId::new(3),
+        );
+        let batch = [
+            // Remove and re-insert (0, 1) with its sign: cancels out.
+            EdgeMutation::Remove { u: n1, v: n0 },
+            EdgeMutation::Insert {
+                u: n0,
+                v: n1,
+                sign: Sign::Positive,
+            },
+            // Flip (2, 3) twice: cancels out.
+            EdgeMutation::SetSign {
+                u: n2,
+                v: n3,
+                sign: Sign::Negative,
+            },
+            EdgeMutation::SetSign {
+                u: n3,
+                v: n2,
+                sign: Sign::Positive,
+            },
+            // Insert (0, 3) then flip it: one insert with the final sign.
+            EdgeMutation::Insert {
+                u: n3,
+                v: n0,
+                sign: Sign::Positive,
+            },
+            EdgeMutation::SetSign {
+                u: n0,
+                v: n3,
+                sign: Sign::Negative,
+            },
+            // Remove (1, 2) and re-insert it with the other sign: a flip.
+            EdgeMutation::Remove { u: n1, v: n2 },
+            EdgeMutation::Insert {
+                u: n1,
+                v: n2,
+                sign: Sign::Positive,
+            },
+            // Flip (0, 2), then remove it: one removal of the old sign.
+            EdgeMutation::SetSign {
+                u: n0,
+                v: n2,
+                sign: Sign::Negative,
+            },
+            EdgeMutation::Remove { u: n0, v: n2 },
+        ];
+        let effects: Vec<_> = batch
+            .iter()
+            .map(|m| after.apply_mutation(m).unwrap())
+            .collect();
+        let effect = |u: NodeId, v: NodeId, change| MutationEffect { u, v, change };
+        assert_eq!(
+            net_effects(&before, &after, &effects),
+            vec![
+                effect(n0, n3, EdgeChange::Inserted(Sign::Negative)),
+                effect(
+                    n1,
+                    n2,
+                    EdgeChange::SignChanged {
+                        old: Sign::Negative,
+                        new: Sign::Positive,
+                    }
+                ),
+                effect(n0, n2, EdgeChange::Removed(Sign::Positive)),
+            ]
+        );
+        assert_eq!(net_effects(&before, &after, &effects[..4]), vec![]);
     }
 
     #[test]
