@@ -166,8 +166,7 @@ fn bench_engine_throughput(c: &mut Criterion) {
     let m = tight_engine.metrics();
     println!(
         "row-mode under an 8-row budget: {} queries in {:.3}s ({:.0} q/s), \
-         {} row builds, {} evictions, {} resident rows, {} resident bytes \
-         (same byte budget held {} unpacked 9-B/node rows before bit-packing)",
+         {} row builds, {} evictions, {} resident rows, {} resident bytes",
         small_batch.len(),
         secs,
         small_batch.len() as f64 / secs.max(1e-9),
@@ -175,8 +174,6 @@ fn bench_engine_throughput(c: &mut Criterion) {
         m.row_evictions,
         m.resident_rows,
         m.resident_bytes,
-        (8 * tfsn_core::compat::estimated_row_bytes(deployment.user_count()))
-            / tfsn_bench::util::legacy_row_bytes(deployment.user_count()),
     );
     if m.row_evictions == 0 {
         // Informational, not an abort: the eviction invariant itself is

@@ -8,22 +8,21 @@
 //!
 //! Measured groups:
 //!
-//! * `figure2_greedy/<mix>/<kind>/<alg>/{masked,scalar,legacy}` — the
-//!   greedy solver on a materialised relation through three paths: the
-//!   word-parallel [`CandidateMask`] fast path, [`ScalarOnly`] (packed rows
-//!   hidden, so scalar pair probes — the live alternative the solver falls
-//!   back to), and a reconstructed legacy matrix (unpacked
-//!   9-bytes-per-node rows + scalar probes, the pre-bit-packing layout).
-//!   The `<mix>` is `random` (figure2-style coverable tasks) or `popular`
-//!   (tasks over the most-held skills, the growth-dominated regime). The
-//!   derived `speedups` list is scalar ÷ masked: what the packed-row path
-//!   gains over the live alternative, below 1 where it loses. Reports up
-//!   to schema v8 divided legacy by masked instead, so their `speedups`
-//!   are not comparable with v9's.
-//! * `row_mode` — a budgeted row-tier engine serving a batch: measured
-//!   resident rows and evictions under the byte budget, against the row
-//!   capacity the unpacked 9-bytes-per-node layout had under the same
-//!   budget (the ≥4× residency measurement).
+//! * `figure2_greedy/<mix>/<kind>/<alg>/{masked,scalar}` — the greedy
+//!   solver on a materialised relation through two paths: the
+//!   word-parallel [`CandidateMask`] fast path and [`ScalarOnly`] (packed
+//!   rows hidden, so scalar pair probes — the live alternative the solver
+//!   falls back to). The `<mix>` is `random` (figure2-style coverable
+//!   tasks) or `popular` (tasks over the most-held skills, the
+//!   growth-dominated regime). The derived `speedups` list is scalar ÷
+//!   masked: what the packed-row path gains over the live alternative,
+//!   below 1 where it loses. Reports up to schema v8 divided a
+//!   reconstructed pre-bit-packing layout by masked instead, so their
+//!   `speedups` are not comparable with v9's; up to v9 they also carried
+//!   that layout's `legacy` variant.
+//! * `row_mode` — a budgeted on-demand row store serving a batch: measured
+//!   resident rows and evictions under the byte budget, against the rows
+//!   the budget holds in the packed layout.
 //! * `service` — the transport-layer throughput: one `Service` with two
 //!   named deployments behind the hand-rolled HTTP/1.1 front-end, hammered
 //!   warm by 4 keep-alive client threads posting `/v1/batch` JSONL, against
@@ -99,7 +98,7 @@ use serde::Serialize;
 use signed_graph::NodeId;
 use tfsn_core::compat::{
     estimated_row_bytes, Compatibility, CompatibilityKind, CompatibilityMatrix, EngineConfig,
-    ScalarOnly, SourceCompatibility,
+    ScalarOnly,
 };
 use tfsn_core::team::greedy::{solve_greedy, GreedyConfig};
 use tfsn_core::team::policies::TeamAlgorithm;
@@ -107,54 +106,6 @@ use tfsn_core::team::{Solver, TfsnInstance};
 use tfsn_engine::telemetry::{HistogramStats, LatencyHistogram};
 use tfsn_engine::{BatchOptions, Deployment, Engine, EngineOptions, StorePolicy, TeamQuery};
 use tfsn_skills::taskgen::random_coverable_tasks;
-
-/// The pre-change resident representation, reconstructed for an honest
-/// baseline: one unpacked `Vec<bool>` + `Vec<Option<u32>>` row per node
-/// (9 bytes per node) and scalar pair probes only (no packed rows, so the
-/// solver cannot use the candidate mask). Built from the packed matrix, so
-/// the relation answered is bit-for-bit identical.
-struct LegacyMatrix {
-    kind: CompatibilityKind,
-    rows: Vec<SourceCompatibility>,
-}
-
-impl LegacyMatrix {
-    fn from_packed(matrix: &CompatibilityMatrix) -> Self {
-        LegacyMatrix {
-            kind: matrix.kind(),
-            rows: matrix.rows().iter().map(|r| r.to_source()).collect(),
-        }
-    }
-}
-
-impl Compatibility for LegacyMatrix {
-    fn kind(&self) -> CompatibilityKind {
-        self.kind
-    }
-
-    fn node_count(&self) -> usize {
-        self.rows.len()
-    }
-
-    fn compatible(&self, u: NodeId, v: NodeId) -> bool {
-        if u == v {
-            return true;
-        }
-        self.rows
-            .get(u.index())
-            .map(|r| r.compatible.get(v.index()).copied().unwrap_or(false))
-            .unwrap_or(false)
-    }
-
-    fn distance(&self, u: NodeId, v: NodeId) -> Option<u32> {
-        if u == v {
-            return Some(0);
-        }
-        self.rows
-            .get(u.index())
-            .and_then(|r| r.distance.get(v.index()).copied().flatten())
-    }
-}
 
 /// One measured group: the median over `samples` timed iterations, each
 /// performing `ops_per_iter` operations. Since schema v4, groups also
@@ -199,25 +150,18 @@ fn percentiles_ns(samples_ns_per_op: &[u64]) -> [Option<u64>; 3] {
     [0.50, 0.95, 0.99].map(|q| Some(snap.quantile(q)))
 }
 
-/// The row-tier residency measurement under a fixed byte budget.
+/// The on-demand row store's residency under a fixed byte budget.
 #[derive(Debug, Serialize)]
 struct RowModeReport {
     memory_budget_bytes: u64,
     nodes: u64,
     packed_row_bytes: u64,
-    /// What one row cost before bit-packing: a `bool` plus an `Option<u32>`
-    /// per node behind the `SourceCompatibility` header.
-    legacy_row_bytes: u64,
     /// Rows the budget holds in the packed layout (budget / packed row).
     packed_capacity_rows: u64,
-    /// Rows the same budget held in the legacy layout.
-    legacy_capacity_rows: u64,
     /// Rows actually resident after the measured batch.
     resident_rows: u64,
     row_builds: u64,
     row_evictions: u64,
-    /// `resident_rows / legacy_capacity_rows` — the ≥4× acceptance figure.
-    residency_gain: f64,
 }
 
 /// The service-layer throughput measurement (see the module docs).
@@ -385,7 +329,6 @@ fn greedy_groups(quick: bool, groups: &mut Vec<Group>, speedups: &mut Vec<(Strin
     };
     for &kind in kinds {
         let comp = CompatibilityMatrix::build_parallel(&dataset.graph, kind, &engine_cfg, 4);
-        let legacy_comp = LegacyMatrix::from_packed(&comp);
         for (mix, tasks) in &workloads {
             for alg in [TeamAlgorithm::LCMD, TeamAlgorithm::RFMD] {
                 let solve_all = |comp: &dyn Compatibility| {
@@ -396,24 +339,20 @@ fn greedy_groups(quick: bool, groups: &mut Vec<Group>, speedups: &mut Vec<(Strin
                     }
                 };
                 let scalar_view = ScalarOnly(&comp);
-                let [masked, scalar, legacy] = measure_interleaved(
+                let [masked, scalar] = measure_interleaved(
                     samples,
                     tasks.len() as u64,
-                    [
-                        &mut || solve_all(&comp),
-                        &mut || solve_all(&scalar_view),
-                        &mut || solve_all(&legacy_comp),
-                    ],
+                    [&mut || solve_all(&comp), &mut || solve_all(&scalar_view)],
                 );
                 let label = format!("{mix}/{}/{}", kind.label(), alg.label());
                 let speedup =
                     scalar.median_ns_per_op as f64 / masked.median_ns_per_op.max(1) as f64;
                 eprintln!(
-                    "figure2_greedy/{label}: masked {} ns/op, scalar {} ns/op, legacy \
-                     layout {} ns/op -> {speedup:.2}x vs scalar",
-                    masked.median_ns_per_op, scalar.median_ns_per_op, legacy.median_ns_per_op,
+                    "figure2_greedy/{label}: masked {} ns/op, scalar {} ns/op \
+                     -> {speedup:.2}x vs scalar",
+                    masked.median_ns_per_op, scalar.median_ns_per_op,
                 );
-                for (variant, m) in [("masked", masked), ("scalar", scalar), ("legacy", legacy)] {
+                for (variant, m) in [("masked", masked), ("scalar", scalar)] {
                     groups.push(Group {
                         name: format!("figure2_greedy/{label}/{variant}"),
                         median_ns_per_op: m.median_ns_per_op,
@@ -429,8 +368,6 @@ fn greedy_groups(quick: bool, groups: &mut Vec<Group>, speedups: &mut Vec<(Strin
         }
     }
 }
-
-use tfsn_bench::util::legacy_row_bytes;
 
 fn row_mode_report(quick: bool, groups: &mut Vec<Group>) -> RowModeReport {
     let deployment = Deployment::from_dataset(tfsn_datasets::epinions(0.05));
@@ -477,26 +414,18 @@ fn row_mode_report(quick: bool, groups: &mut Vec<Group>) -> RowModeReport {
 
     let m = engine.metrics();
     let packed = estimated_row_bytes(nodes);
-    let legacy = legacy_row_bytes(nodes);
-    let legacy_capacity = (budget / legacy).max(1);
     let report = RowModeReport {
         memory_budget_bytes: budget as u64,
         nodes: nodes as u64,
         packed_row_bytes: packed as u64,
-        legacy_row_bytes: legacy as u64,
         packed_capacity_rows: (budget / packed) as u64,
-        legacy_capacity_rows: legacy_capacity as u64,
         resident_rows: m.resident_rows,
         row_builds: m.row_builds,
         row_evictions: m.row_evictions,
-        residency_gain: m.resident_rows as f64 / legacy_capacity as f64,
     };
     eprintln!(
-        "row_mode: {} resident rows under {} bytes (legacy layout held {}) -> {:.2}x",
-        report.resident_rows,
-        report.memory_budget_bytes,
-        report.legacy_capacity_rows,
-        report.residency_gain
+        "row_mode: {} resident rows under {} bytes ({} packed rows fit)",
+        report.resident_rows, report.memory_budget_bytes, report.packed_capacity_rows,
     );
     report
 }
@@ -1854,7 +1783,7 @@ fn main() {
     let cluster = cluster_report(quick, &mut groups);
     telemetry_overhead_group(quick, &mut groups);
     let report = Report {
-        schema: "tfsn-bench-report/v9",
+        schema: "tfsn-bench-report/v10",
         quick,
         groups,
         speedups,

@@ -18,15 +18,6 @@
 pub mod util {
     use tfsn_experiments::ExperimentConfig;
 
-    /// What one cached compatibility row cost before bit-packing (the PR 2
-    /// layout): a `Vec<bool>` plus a `Vec<Option<u32>>` behind the
-    /// `SourceCompatibility` header — the baseline both `bench-report` and
-    /// the `engine_throughput` residency print compare against.
-    pub fn legacy_row_bytes(nodes: usize) -> usize {
-        std::mem::size_of::<tfsn_core::compat::SourceCompatibility>()
-            + nodes * (std::mem::size_of::<bool>() + std::mem::size_of::<Option<u32>>())
-    }
-
     /// The configuration used for the "print the regenerated artefact"
     /// preamble of each bench: the quick config, without the exact-SBP pass
     /// (benchmarked separately) so the preamble stays in the seconds range.

@@ -682,7 +682,8 @@ pub enum Response {
         changed: bool,
         /// Resident relation rows invalidated by the mutation.
         rows_invalidated: u64,
-        /// Matrix-tier kinds downgraded to row serving by this mutation.
+        /// Kinds whose full row table this mutation withdrew (the kind had
+        /// every row resident and lost one).
         downgraded: Vec<CompatibilityKind>,
         /// Live edge count after the mutation.
         edges: u64,
@@ -701,7 +702,7 @@ pub enum Response {
         rows_invalidated: u64,
         /// Resident rows kept by in-place repair instead of invalidation.
         rows_repaired: u64,
-        /// Matrix-tier kinds downgraded to row serving by this batch.
+        /// Kinds whose full row table this batch's sweep withdrew.
         downgraded: Vec<CompatibilityKind>,
         /// Live edge count after the batch.
         edges: u64,

@@ -22,38 +22,40 @@ pub struct MetricsSnapshot {
     /// Queries that performed no build work (everything resident, or they
     /// only waited on another query's in-flight build).
     pub cache_hits: u64,
-    /// Queries that performed build work themselves: ran the matrix build,
-    /// or computed at least one row. Matrix tier: equals the number of
-    /// query-triggered matrix builds exactly (`warm()` pre-builds are not
-    /// queries and count only in `matrix_builds`). Row tier: one miss may
-    /// cover many row builds, so `cache_misses <= row_builds`.
+    /// Queries that performed build work themselves: ran a kind's fill, or
+    /// computed at least one row. Filled kinds: equals the number of
+    /// query-triggered fills exactly (`warm()` fills are not queries and
+    /// count only in `matrix_builds`). On-demand rows: one miss may cover
+    /// many row builds, so `cache_misses <= row_builds`.
     pub cache_misses: u64,
     /// Total in-engine time across queries, in microseconds. Under
     /// parallel serving this exceeds wall-clock time.
     pub busy_micros: u64,
     /// Slice of `busy_micros` spent building relation state: the fetch
-    /// phase (matrix build/wait, row-store creation), row computations, and
-    /// time blocked on another query's in-flight row build.
+    /// phase (a fill or a wait on it, row-store creation), row
+    /// computations, and time blocked on another query's in-flight row
+    /// build.
     pub build_wait_micros: u64,
-    /// Full compatibility matrices built (matrix tier).
+    /// Row stores filled whole at their kind's first fetch (the `matrix`
+    /// plan).
     pub matrix_builds: u64,
-    /// Per-source rows computed (row tier; recomputations after eviction
-    /// included).
+    /// Per-source rows computed on demand (recomputations after eviction
+    /// included; filled rows excluded).
     pub row_builds: u64,
-    /// Rows evicted to stay within the memory budget (row tier).
+    /// Rows evicted to stay within the memory budget.
     pub row_evictions: u64,
-    /// Per-source rows currently resident across row-tier shards.
+    /// Per-source rows currently resident, filled or computed on demand.
     pub resident_rows: u64,
-    /// Bytes currently resident across relation tiers (estimated for
-    /// matrices, exact for rows).
+    /// Bytes currently held by resident rows (exact, side tables
+    /// included).
     pub resident_bytes: u64,
     /// Live edge mutations applied to this deployment (no-op sign sets
     /// included; failed mutations are not).
     pub mutations_applied: u64,
-    /// Resident rows invalidated by mutations — dropped from row-tier
-    /// shards, or left behind (not migrated) by a matrix→rows downgrade.
-    /// Every invalidated row that is queried again recomputes exactly once,
-    /// so after a quiesced warm scan `row_builds` grows by at most this.
+    /// Resident rows invalidated by mutations: dropped by a sweep because
+    /// repair could not keep them. Every invalidated row that is queried
+    /// again recomputes exactly once, so after a quiesced warm scan
+    /// `row_builds` grows by at most this.
     pub rows_invalidated: u64,
     /// 50th-percentile query latency in microseconds, from the engine's
     /// telemetry histogram (within one bucket — at most 12.5% — of the

@@ -9,7 +9,8 @@
 //!   the full `|V|²` relation cannot be materialised.
 //! * **Materialised relations** — [`CompatibilityMatrix`] precomputes every
 //!   source (optionally in parallel) and [`LazyCompatibility`] computes and
-//!   caches sources on demand. Both implement the [`Compatibility`] trait
+//!   caches sources on demand, or fills all of them at once (the serving
+//!   engine's one store). Both implement the [`Compatibility`] trait
 //!   consumed by the team-formation algorithms.
 //!
 //! Resident rows — matrix rows and cached lazy rows alike — use the
@@ -302,64 +303,24 @@ impl CompatibilityMatrix {
         kind: CompatibilityKind,
         cfg: &EngineConfig,
     ) -> Self {
-        let csr = CsrGraph::from_graph(graph);
-        let mut rows: Vec<CompatRow> = graph
-            .nodes()
-            .map(|v| compute_row(graph, &csr, v, kind, cfg))
-            .collect();
-        symmetrize_rows(kind, &mut rows);
-        CompatibilityMatrix { kind, rows }
+        Self::build_parallel(graph, kind, cfg, 1)
     }
 
     /// Builds the full relation using `threads` worker threads; the
-    /// per-source computations are independent. Work is distributed by an
-    /// atomic claim counter (so expensive SBP/SBPH rows balance across
-    /// workers), and every worker owns the rows it computes outright —
-    /// results are stitched into place after the joins, with no shared slot
-    /// vector or lock on the write path.
+    /// per-source computations are independent, and workers claim sources
+    /// from an atomic counter so expensive SBP/SBPH rows balance across
+    /// them.
     pub fn build_parallel(
         graph: &SignedGraph,
         kind: CompatibilityKind,
         cfg: &EngineConfig,
         threads: usize,
     ) -> Self {
-        let n = graph.node_count();
-        let threads = threads.max(1).min(n.max(1));
-        if threads <= 1 || n == 0 {
-            return Self::build_with_config(graph, kind, cfg);
-        }
         let csr = CsrGraph::from_graph(graph);
-        let next = AtomicUsize::new(0);
-        let mut rows: Vec<Option<CompatRow>> = vec![None; n];
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .map(|_| {
-                    let (next, csr) = (&next, &csr);
-                    scope.spawn(move || {
-                        let mut mine = Vec::new();
-                        loop {
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            if i >= n {
-                                break;
-                            }
-                            mine.push((i, compute_row(graph, csr, NodeId::new(i), kind, cfg)));
-                        }
-                        mine
-                    })
-                })
-                .collect();
-            for handle in handles {
-                for (i, row) in handle.join().expect("compatibility worker panicked") {
-                    rows[i] = Some(row);
-                }
-            }
-        });
-        let mut rows: Vec<CompatRow> = rows
-            .into_iter()
-            .map(|r| r.expect("every source computed"))
-            .collect();
-        symmetrize_rows(kind, &mut rows);
-        CompatibilityMatrix { kind, rows }
+        CompatibilityMatrix {
+            kind,
+            rows: fill_rows(graph, &csr, kind, cfg, threads),
+        }
     }
 
     /// Access to the per-source rows (e.g. for Table 2 statistics).
@@ -476,6 +437,53 @@ fn symmetrize_rows(kind: CompatibilityKind, rows: &mut [CompatRow]) {
     }
 }
 
+/// Computes every source's row of `kind` with `threads` workers and applies
+/// the symmetric closure — the fill behind both [`CompatibilityMatrix`] and
+/// [`LazyCompatibility::filled`]. Workers claim sources from an atomic
+/// counter (so expensive SBP/SBPH rows balance across them) and own the
+/// rows they compute outright; results are stitched into place after the
+/// joins, with no shared slot vector or lock on the write path.
+fn fill_rows(
+    graph: &SignedGraph,
+    csr: &CsrGraph,
+    kind: CompatibilityKind,
+    cfg: &EngineConfig,
+    threads: usize,
+) -> Vec<CompatRow> {
+    let n = graph.node_count();
+    let next = AtomicUsize::new(0);
+    let mut rows: Vec<Option<CompatRow>> = vec![None; n];
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..threads.clamp(1, n.max(1)))
+            .map(|_| {
+                let next = &next;
+                scope.spawn(move || {
+                    let mut mine = Vec::new();
+                    loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        if i >= n {
+                            break;
+                        }
+                        mine.push((i, compute_row(graph, csr, NodeId::new(i), kind, cfg)));
+                    }
+                    mine
+                })
+            })
+            .collect();
+        for handle in handles {
+            for (i, row) in handle.join().expect("compatibility worker panicked") {
+                rows[i] = Some(row);
+            }
+        }
+    });
+    let mut rows: Vec<CompatRow> = rows
+        .into_iter()
+        .map(|r| r.expect("every source computed"))
+        .collect();
+    symmetrize_rows(kind, &mut rows);
+    rows
+}
+
 /// Heap footprint of one cached [`CompatRow`], in bytes. This is what the
 /// row store's memory budget accounts in: 1 bit + 1 byte per node plus
 /// 8 bytes per side-table entry (distances past 125), against the 9 bytes
@@ -587,15 +595,54 @@ struct RowCacheState {
     lru: BTreeMap<u64, usize>,
     next_tick: u64,
     resident_bytes: usize,
-    /// Mutation epoch: bumped by [`LazyCompatibility::apply_mutation`]. A
+    /// Slots holding a resident row; the store is *full* when this equals
+    /// its node count.
+    resident: usize,
+    /// The resident rows carry the symmetric closure. Set by
+    /// [`LazyCompatibility::filled`] for SBPH and SBP, and cleared by any
+    /// sweep that drops a row: rows computed later are per-source lower
+    /// bounds again.
+    closed: bool,
+    /// Mutation epoch: bumped by [`LazyCompatibility::apply_mutations`]. A
     /// row computation that straddles a bump must not be retained — its
     /// content may describe the pre-mutation graph — so builders record the
     /// epoch they claimed under and publish only if it still matches.
     epoch: u64,
 }
 
+/// Every row of a full store as one immutable snapshot: published when the
+/// last empty slot fills (or by a fill, or a sweep that drops nothing) and
+/// withdrawn when any slot empties. A query pins it once
+/// ([`RowTracker::new`]) and then indexes it with no lock and no refcount
+/// per row.
+#[derive(Clone)]
+struct RowTable {
+    rows: Arc<[Arc<CompatRow>]>,
+    /// One row answers a pair on its own: the kind is per-source symmetric
+    /// or the rows carry the symmetric closure.
+    exact: bool,
+}
+
+impl RowTable {
+    /// The table of a full store.
+    fn of(st: &RowCacheState, kind: CompatibilityKind) -> Self {
+        let rows = st
+            .slots
+            .iter()
+            .map(|slot| match slot {
+                Slot::Ready { row, .. } => row.clone(),
+                _ => unreachable!("a full store has a resident row in every slot"),
+            })
+            .collect();
+        RowTable {
+            rows,
+            exact: st.closed || per_source_symmetric(kind),
+        }
+    }
+}
+
 /// The (graph, CSR) pair rows are computed from, swapped atomically (one
-/// lock) by [`LazyCompatibility::apply_mutation`] so no row computation can
+/// lock) by [`LazyCompatibility::apply_mutations`] so no row computation can
 /// ever pair a new graph with a stale CSR view or vice versa.
 struct GraphView {
     graph: Arc<SignedGraph>,
@@ -620,26 +667,47 @@ pub struct RowFetch {
     pub wait_micros: u64,
 }
 
-/// A memory-budgeted, lazily materialised relation: per-source rows are
-/// computed on first use, cached up to an optional byte budget, and evicted
-/// LRU-first when the budget is exceeded.
+/// What one [`LazyCompatibility::apply_mutations`] sweep did.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Sweep {
+    /// Resident rows dropped; they recompute on next fetch.
+    pub invalidated: usize,
+    /// Resident rows the repair pass kept (proved unchanged or patched in
+    /// place) that the coarse [`row_affected_by_edge`] predicate alone
+    /// would have dropped.
+    pub repaired: usize,
+    /// The store was full before the sweep and is not after it, so its row
+    /// table was withdrawn.
+    pub table_withdrawn: bool,
+}
+
+/// A memory-budgeted relation served one per-source row at a time: rows are
+/// computed on first use (or all at once by [`Self::filled`]), cached up to
+/// an optional byte budget, and evicted LRU-first when the budget is
+/// exceeded.
 ///
-/// This is the serving mode for graphs where the `O(|V|²)`
-/// [`CompatibilityMatrix`] is infeasible (full-size Epinions/Wikipedia):
-/// team formation touches only the users holding the task's skills, so only
-/// that working set is resident. The store is owned (`Arc<SignedGraph>`)
-/// and `Sync`, so a serving engine can share it across query threads.
+/// This is the one serving store for every deployment. On graphs where the
+/// `O(|V|²)` relation is infeasible (full-size Epinions/Wikipedia) team
+/// formation touches only the users holding the task's skills, so only
+/// that working set is resident; on small graphs a fill makes every row
+/// resident up front. The store is owned (`Arc<SignedGraph>`) and `Sync`,
+/// so a serving engine can share it across query threads.
 ///
 /// Guarantees:
 ///
 /// * **Exactly-once rows** — concurrent misses on one row claim the slot
 ///   and block on a single computation; no duplicate work is discarded.
 /// * **Budget invariant** — `resident_bytes() <= budget` whenever no call
-///   is in flight; a row larger than the whole budget is computed, served,
-///   and immediately dropped rather than retained.
+///   is in flight and no fill has run since the last sweep or build; a row
+///   larger than the whole budget is computed, served, and immediately
+///   dropped rather than retained.
 /// * **Symmetric closure** — for the asymmetric heuristic kinds (SBPH and
 ///   budget-limited SBP) a pair is compatible if either direction's row
-///   says so, matching [`CompatibilityMatrix`]'s closure exactly.
+///   says so, matching [`CompatibilityMatrix`]'s closure exactly. Filled
+///   rows carry the closure themselves until a sweep drops one of them.
+/// * **Full-store snapshots** — while every row is resident the store
+///   publishes them as one immutable table, and a [`RowTracker`] created
+///   then reads all its rows from it: one snapshot per query, no locks.
 pub struct LazyCompatibility {
     view: RwLock<GraphView>,
     /// Node count, fixed for the store's lifetime (edge mutations never
@@ -649,6 +717,8 @@ pub struct LazyCompatibility {
     cfg: EngineConfig,
     budget_bytes: Option<usize>,
     state: Mutex<RowCacheState>,
+    /// `Some` exactly while the store is full (updated under `state`).
+    table: RwLock<Option<RowTable>>,
     builds: AtomicUsize,
     evictions: AtomicUsize,
 }
@@ -693,15 +763,50 @@ impl LazyCompatibility {
                 lru: BTreeMap::new(),
                 next_tick: 0,
                 resident_bytes: 0,
+                resident: 0,
+                closed: false,
                 epoch: 0,
             }),
+            table: RwLock::new(None),
             builds: AtomicUsize::new(0),
             evictions: AtomicUsize::new(0),
         }
     }
 
+    /// Fills every row of a fresh store with `threads` workers — what the
+    /// `matrix` serving preset does at a kind's first fetch. The rows are
+    /// computed over the store's CSR, closed under symmetry (the SBPH/SBP
+    /// rows become exact), moved into their slots and published as the row
+    /// table. A fill counts as no row build, and it fills past the budget;
+    /// the next sweep or build enforces it.
+    pub fn filled(mut self, threads: usize) -> Self {
+        let view = self.view.get_mut();
+        let rows = fill_rows(&view.graph, &view.csr, self.kind, &self.cfg, threads);
+        let bounded = self.budget_bytes.is_some();
+        let st = self.state.get_mut();
+        debug_assert_eq!(st.resident, 0, "only a fresh store is filled");
+        for (source, row) in rows.into_iter().enumerate() {
+            let bytes = row_bytes(&row);
+            st.next_tick += 1;
+            let tick = st.next_tick;
+            st.slots[source] = Slot::Ready {
+                row: Arc::new(row),
+                bytes,
+                tick,
+            };
+            st.resident_bytes += bytes;
+            if bounded {
+                st.lru.insert(tick, source);
+            }
+        }
+        st.resident = self.nodes;
+        st.closed = !per_source_symmetric(self.kind);
+        *self.table.get_mut() = Some(RowTable::of(st, self.kind));
+        self
+    }
+
     /// The graph the relation is currently defined over (a snapshot — live
-    /// mutations swap the store's view via [`Self::apply_mutation`]).
+    /// mutations swap the store's view via [`Self::apply_mutations`]).
     pub fn graph(&self) -> Arc<SignedGraph> {
         self.view.read().graph.clone()
     }
@@ -805,10 +910,15 @@ impl LazyCompatibility {
                 tick,
             };
             st.resident_bytes += bytes;
+            st.resident += 1;
             if bounded {
                 st.lru.insert(tick, source.index());
             }
             self.enforce_budget(&mut st);
+            if st.resident == self.nodes {
+                // The last empty slot filled.
+                *self.table.write() = Some(RowTable::of(&st, self.kind));
+            }
         }
         RowFetch {
             row,
@@ -819,7 +929,7 @@ impl LazyCompatibility {
     }
 
     /// Evicts LRU-first until the resident bytes fit the budget. Caller
-    /// holds the state lock.
+    /// holds the state lock and keeps the row table in step.
     fn enforce_budget(&self, st: &mut RowCacheState) {
         let Some(budget) = self.budget_bytes else {
             return;
@@ -831,52 +941,11 @@ impl LazyCompatibility {
             st.lru.remove(&oldest);
             if let Slot::Ready { bytes, .. } = &st.slots[victim] {
                 st.resident_bytes -= *bytes;
+                st.resident -= 1;
                 st.slots[victim] = Slot::Empty;
                 self.evictions.fetch_add(1, Ordering::Relaxed);
             }
         }
-    }
-
-    /// Applies one edge mutation: atomically swaps the (graph, CSR) view
-    /// rows are computed from, bumps the mutation epoch (so in-flight row
-    /// computations cannot publish stale content), and drops exactly the
-    /// resident rows [`row_affected_by_edge`] says the mutation can change.
-    /// Returns the number of resident rows invalidated.
-    ///
-    /// Unaffected rows stay resident verbatim — the proof obligation is the
-    /// predicate's: `false` means recomputing on the new graph reproduces
-    /// the row bit-for-bit (property-tested in the engine's mutation suite).
-    pub fn apply_mutation(
-        &self,
-        graph: Arc<SignedGraph>,
-        csr: Arc<CsrGraph>,
-        u: NodeId,
-        v: NodeId,
-    ) -> usize {
-        debug_assert_eq!(graph.node_count(), self.nodes);
-        *self.view.write() = GraphView { graph, csr };
-        let mut st = self.state.lock();
-        st.epoch += 1;
-        let mut invalidated = 0;
-        for idx in 0..st.slots.len() {
-            match std::mem::replace(&mut st.slots[idx], Slot::Empty) {
-                Slot::Empty => {}
-                // In-flight claims are dropped: their builder will see the
-                // epoch bump and skip publication; the next fetch re-claims
-                // against the new view.
-                Slot::Building(_) => {}
-                Slot::Ready { row, bytes, tick } => {
-                    if row_affected_by_edge(&row, u, v) {
-                        st.resident_bytes -= bytes;
-                        st.lru.remove(&tick);
-                        invalidated += 1;
-                    } else {
-                        st.slots[idx] = Slot::Ready { row, bytes, tick };
-                    }
-                }
-            }
-        }
-        invalidated
     }
 
     /// Applies a batch of edge mutations in one sweep: swaps the (graph,
@@ -887,12 +956,11 @@ impl LazyCompatibility {
     /// proves them unchanged, patches them in place (the repaired row is
     /// republished under the same LRU tick, re-accounted if its side table
     /// changed size, and the budget re-enforced after the sweep), or
-    /// demands a scratch recompute, in which case the slot is dropped like
-    /// [`Self::apply_mutation`] would.
+    /// demands a scratch recompute, in which case the slot is dropped.
     ///
-    /// Returns `(invalidated, repaired)`: rows dropped vs rows the repair
-    /// pass kept that the coarse [`row_affected_by_edge`] predicate alone
-    /// would have discarded.
+    /// A full store whose sweep drops nothing republishes its row table
+    /// with the repaired rows; one that drops a row (here or to the budget)
+    /// withdraws it and loses the symmetric closure of a fill.
     ///
     /// Soundness of the per-row skip: if every effect in the batch leaves a
     /// row unaffected under the *pre-batch* lane, no composition of the
@@ -905,11 +973,12 @@ impl LazyCompatibility {
         graph: Arc<SignedGraph>,
         csr: Arc<CsrGraph>,
         effects: &[MutationEffect],
-    ) -> (usize, usize) {
+    ) -> Sweep {
         debug_assert_eq!(graph.node_count(), self.nodes);
         let repair_csr = Arc::clone(&csr);
         *self.view.write() = GraphView { graph, csr };
         let mut st = self.state.lock();
+        let was_full = st.resident == self.nodes;
         st.epoch += 1;
         let mut invalidated = 0;
         let mut repaired = 0;
@@ -917,6 +986,9 @@ impl LazyCompatibility {
         for idx in 0..st.slots.len() {
             match std::mem::replace(&mut st.slots[idx], Slot::Empty) {
                 Slot::Empty => {}
+                // In-flight claims are dropped: their builder will see the
+                // epoch bump and skip publication; the next fetch re-claims
+                // against the new view.
                 Slot::Building(_) => {}
                 Slot::Ready { row, bytes, tick } => {
                     let affected = effects
@@ -943,6 +1015,7 @@ impl LazyCompatibility {
                         }
                         repair::RepairOutcome::MustRecompute => {
                             st.resident_bytes -= bytes;
+                            st.resident -= 1;
                             st.lru.remove(&tick);
                             invalidated += 1;
                         }
@@ -950,50 +1023,28 @@ impl LazyCompatibility {
                 }
             }
         }
-        // A repaired row whose side table grew can push the store past its
-        // budget.
+        // A repaired row whose side table grew, or a fill past the budget,
+        // can leave the store over its budget.
         self.enforce_budget(&mut st);
-        (invalidated, repaired)
-    }
-
-    /// Seeds one already-computed row (the matrix→rows downgrade path: a
-    /// mutation on a matrix-tier kind migrates the matrix's unaffected rows
-    /// here instead of recomputing them). The row must belong to this
-    /// store's kind and node count. Returns `false` when the slot is
-    /// already occupied or the row alone exceeds the budget (seeding must
-    /// not evict fresher rows). Seeded rows are not counted as builds.
-    pub fn seed_row(&self, row: Arc<CompatRow>) -> bool {
-        debug_assert_eq!(row.kind(), self.kind);
-        debug_assert_eq!(row.len(), self.nodes);
-        let bytes = row_bytes(&row);
-        if self.budget_bytes.is_some_and(|b| bytes > b) {
-            return false;
+        let full = st.resident == self.nodes;
+        if full {
+            *self.table.write() = Some(RowTable::of(&st, self.kind));
+        } else {
+            st.closed = false;
+            if was_full {
+                *self.table.write() = None;
+            }
         }
-        let source = row.source().index();
-        let bounded = self.budget_bytes.is_some();
-        let mut st = self.state.lock();
-        if !matches!(st.slots[source], Slot::Empty) {
-            return false;
+        Sweep {
+            invalidated,
+            repaired,
+            table_withdrawn: was_full && !full,
         }
-        st.next_tick += 1;
-        let tick = st.next_tick;
-        st.slots[source] = Slot::Ready { row, bytes, tick };
-        st.resident_bytes += bytes;
-        if bounded {
-            st.lru.insert(tick, source);
-        }
-        self.enforce_budget(&mut st);
-        true
     }
 
     /// Number of resident rows (for diagnostics and tests).
     pub fn cached_rows(&self) -> usize {
-        self.state
-            .lock()
-            .slots
-            .iter()
-            .filter(|s| matches!(s, Slot::Ready { .. }))
-            .count()
+        self.state.lock().resident
     }
 
     /// Bytes currently held by resident rows.
@@ -1002,8 +1053,9 @@ impl LazyCompatibility {
     }
 
     /// Total per-source computations performed (recomputations after
-    /// eviction included). Without eviction this equals the number of
-    /// distinct sources ever fetched — the exactly-once test hook.
+    /// eviction included; a fill counts none). Without eviction this equals
+    /// the number of distinct sources ever fetched — the exactly-once test
+    /// hook.
     pub fn build_count(&self) -> usize {
         self.builds.load(Ordering::Relaxed)
     }
@@ -1028,33 +1080,35 @@ impl std::fmt::Debug for LazyCompatibility {
 }
 
 /// Pair compatibility through a row-fetch closure: a bit probe on the
-/// forward row first, then — for the asymmetric heuristic kinds — the
-/// symmetric closure via the reverse row, matching [`CompatibilityMatrix`].
-fn pair_compatible<F>(kind: CompatibilityKind, mut fetch: F, u: NodeId, v: NodeId) -> bool
+/// forward row first, then — unless one row is `exact` — the symmetric
+/// closure via the reverse row, matching [`CompatibilityMatrix`].
+fn pair_compatible<R, F>(exact: bool, mut fetch: F, u: NodeId, v: NodeId) -> bool
 where
-    F: FnMut(NodeId) -> Arc<CompatRow>,
+    R: std::ops::Deref<Target = CompatRow>,
+    F: FnMut(NodeId) -> R,
 {
     if u == v {
         return true;
     }
     let forward = fetch(u).is_compatible(v.index());
-    if forward || per_source_symmetric(kind) {
+    if forward || exact {
         return forward;
     }
     fetch(v).is_compatible(u.index())
 }
 
 /// Pair distance through a row-fetch closure (minimum over both directions
-/// for the asymmetric kinds, as in [`CompatibilityMatrix`]'s closure — the
+/// unless one row is `exact`, as in [`CompatibilityMatrix`]'s closure — the
 /// sentinel is `u16::MAX`, so the raw-distance `min` is the closure).
-fn pair_distance<F>(kind: CompatibilityKind, mut fetch: F, u: NodeId, v: NodeId) -> Option<u32>
+fn pair_distance<R, F>(exact: bool, mut fetch: F, u: NodeId, v: NodeId) -> Option<u32>
 where
-    F: FnMut(NodeId) -> Arc<CompatRow>,
+    R: std::ops::Deref<Target = CompatRow>,
+    F: FnMut(NodeId) -> R,
 {
     if u == v {
         return Some(0);
     }
-    if per_source_symmetric(kind) {
+    if exact {
         return fetch(u).distance(v.index());
     }
     let raw = fetch(u)
@@ -1073,11 +1127,11 @@ impl Compatibility for LazyCompatibility {
     }
 
     fn compatible(&self, u: NodeId, v: NodeId) -> bool {
-        pair_compatible(self.kind, |s| self.source(s), u, v)
+        pair_compatible(per_source_symmetric(self.kind), |s| self.source(s), u, v)
     }
 
     fn distance(&self, u: NodeId, v: NodeId) -> Option<u32> {
-        pair_distance(self.kind, |s| self.source(s), u, v)
+        pair_distance(per_source_symmetric(self.kind), |s| self.source(s), u, v)
     }
 
     fn packed_row(&self, u: NodeId) -> Option<RowHandle<'_>> {
@@ -1098,13 +1152,19 @@ type MemoSlot = Option<(NodeId, Arc<CompatRow>)>;
 /// one tracker so hit/miss accounting stays exact under concurrency: when N
 /// queries race on a cold row, exactly one tracker records the build.
 ///
-/// The tracker keeps a tiny private memo of the rows it fetched last:
-/// solvers probe the same source against many targets back to back, and the
-/// memo answers those repeats without touching the shared store's lock (or,
-/// under a tight budget, re-triggering an evicted row's recomputation
-/// mid-query).
+/// A tracker created while the store is full pins its row table and reads
+/// every row from that one snapshot, as a matrix lookup would. Otherwise it
+/// fetches through the store's lock and keeps a tiny private memo of the
+/// rows it fetched last: solvers probe the same source against many targets
+/// back to back, and the memo answers those repeats without touching the
+/// shared store's lock (or, under a tight budget, re-triggering an evicted
+/// row's recomputation mid-query).
 pub struct RowTracker<'a> {
     rows: &'a LazyCompatibility,
+    /// The pinned rows of a full store.
+    table: Option<Arc<[Arc<CompatRow>]>>,
+    /// One row answers a pair on its own.
+    exact: bool,
     built: AtomicUsize,
     build_micros: AtomicU64,
     wait_micros: AtomicU64,
@@ -1112,15 +1172,27 @@ pub struct RowTracker<'a> {
 }
 
 impl<'a> RowTracker<'a> {
-    /// Creates a tracker over `rows` with zeroed counters.
+    /// Creates a tracker over `rows` with zeroed counters, pinning the
+    /// store's row table if it is full.
     pub fn new(rows: &'a LazyCompatibility) -> Self {
+        let (table, exact) = match rows.table.read().clone() {
+            Some(table) => (Some(table.rows), table.exact),
+            None => (None, per_source_symmetric(rows.kind)),
+        };
         RowTracker {
             rows,
+            table,
+            exact,
             built: AtomicUsize::new(0),
             build_micros: AtomicU64::new(0),
             wait_micros: AtomicU64::new(0),
             memo: Mutex::new([None, None]),
         }
+    }
+
+    /// The tracker as the compatibility oracle to solve against.
+    pub fn compat(&self) -> &dyn Compatibility {
+        self
     }
 
     /// Row computations performed through this tracker.
@@ -1180,16 +1252,27 @@ impl Compatibility for RowTracker<'_> {
     }
 
     fn compatible(&self, u: NodeId, v: NodeId) -> bool {
-        pair_compatible(self.rows.kind, |s| self.fetch(s), u, v)
+        match &self.table {
+            Some(table) => pair_compatible(self.exact, |s| &*table[s.index()], u, v),
+            None => pair_compatible(self.exact, |s| self.fetch(s), u, v),
+        }
     }
 
     fn distance(&self, u: NodeId, v: NodeId) -> Option<u32> {
-        pair_distance(self.rows.kind, |s| self.fetch(s), u, v)
+        match &self.table {
+            Some(table) => pair_distance(self.exact, |s| &*table[s.index()], u, v),
+            None => pair_distance(self.exact, |s| self.fetch(s), u, v),
+        }
     }
 
     fn packed_row(&self, u: NodeId) -> Option<RowHandle<'_>> {
-        (u.index() < self.node_count())
-            .then(|| RowHandle::shared(self.fetch(u), per_source_symmetric(self.rows.kind)))
+        match &self.table {
+            Some(table) => table
+                .get(u.index())
+                .map(|row| RowHandle::borrowed(row, self.exact)),
+            None => (u.index() < self.node_count())
+                .then(|| RowHandle::shared(self.fetch(u), self.exact)),
+        }
     }
 }
 
@@ -1377,6 +1460,132 @@ mod tests {
         assert_eq!(lazy.node_count(), g.node_count());
     }
 
+    #[test]
+    fn filled_store_serves_the_matrix_from_its_row_table() {
+        let g = signed_graph::generators::social_network(
+            &signed_graph::generators::SocialNetworkConfig {
+                nodes: 60,
+                edges: 200,
+                negative_fraction: 0.3,
+                seed: 9,
+                ..Default::default()
+            },
+        );
+        let cfg = EngineConfig::default();
+        // SBP shares SBPH's closure path and is too slow for a unit test.
+        for kind in CompatibilityKind::ALL
+            .into_iter()
+            .filter(|&k| k != CompatibilityKind::Sbp)
+        {
+            let matrix = CompatibilityMatrix::build_with_config(&g, kind, &cfg);
+            let filled = LazyCompatibility::new(Arc::new(g.clone()), kind, cfg.clone()).filled(3);
+            assert_eq!(filled.build_count(), 0, "{kind}: a fill is no row build");
+            assert_eq!(filled.cached_rows(), g.node_count());
+            let tracker = RowTracker::new(&filled);
+            let mut closed_rows = 0;
+            for u in g.nodes() {
+                let handle = tracker.packed_row(u).expect("in range");
+                assert!(handle.exact(), "{kind}: filled rows are exact");
+                assert_eq!(handle.row(), &matrix.rows()[u.index()], "{kind} row {u}");
+                closed_rows += usize::from(
+                    *handle.row() != compute_row(&g, &CsrGraph::from_graph(&g), u, kind, &cfg),
+                );
+                for v in g.nodes() {
+                    assert_eq!(tracker.compatible(u, v), matrix.compatible(u, v));
+                    assert_eq!(tracker.distance(u, v), matrix.distance(u, v));
+                }
+            }
+            assert_eq!(tracker.rows_built(), 0);
+            if kind == CompatibilityKind::Sbph {
+                assert!(closed_rows > 0, "the fixture must exercise the closure");
+            }
+        }
+    }
+
+    #[test]
+    fn full_store_serves_each_query_one_snapshot() {
+        use signed_graph::EdgeMutation;
+        let g = ring_graph(12);
+        let n = g.node_count();
+        let kind = CompatibilityKind::Sbph;
+        let filled =
+            LazyCompatibility::new(Arc::new(g.clone()), kind, EngineConfig::default()).filled(2);
+        let pinned = RowTracker::new(&filled);
+        let before: Vec<CompatRow> = g
+            .nodes()
+            .map(|u| pinned.packed_row(u).expect("in range").row().clone())
+            .collect();
+        let mut mutated = g.clone();
+        let flip = mutated
+            .apply_mutation(&EdgeMutation::SetSign {
+                u: NodeId::new(0),
+                v: NodeId::new(1),
+                sign: Sign::Positive,
+            })
+            .unwrap();
+        let mutated = Arc::new(mutated);
+        let csr = Arc::new(CsrGraph::from_graph(&mutated));
+        let sweep = filled.apply_mutations(mutated.clone(), csr.clone(), &[flip]);
+        assert_eq!((sweep.invalidated, sweep.table_withdrawn), (n, true));
+        // A query that pinned the table before the sweep keeps reading it.
+        for u in g.nodes() {
+            let handle = pinned.packed_row(u).expect("in range");
+            assert!(handle.exact());
+            assert_eq!(*handle.row(), before[u.index()]);
+        }
+        // A later query reads recomputed rows: per-source lower bounds.
+        let fresh = RowTracker::new(&filled);
+        let handle = fresh.packed_row(NodeId::new(0)).expect("in range");
+        assert!(!handle.exact(), "the sweep cleared the fill's closure");
+        let cfg = EngineConfig::default();
+        assert_eq!(
+            *handle.row(),
+            compute_row(&mutated, &csr, NodeId::new(0), kind, &cfg)
+        );
+        for u in mutated.nodes() {
+            fresh.packed_row(u);
+        }
+        assert_eq!(fresh.rows_built(), n);
+        // The last row to fill republished the table, still without the
+        // closure: pair probes take it through the reverse row.
+        let reference = CompatibilityMatrix::build(&mutated, kind);
+        let warm = RowTracker::new(&filled);
+        assert!(!warm.packed_row(NodeId::new(0)).expect("in range").exact());
+        for u in mutated.nodes() {
+            for v in mutated.nodes() {
+                assert_eq!(
+                    warm.compatible(u, v),
+                    reference.compatible(u, v),
+                    "({u},{v})"
+                );
+                assert_eq!(warm.distance(u, v), reference.distance(u, v), "({u},{v})");
+            }
+        }
+        assert_eq!(warm.rows_built(), 0);
+        // ... and `warm` pinned it: a second sweep does not reach it.
+        let unflip = mutated
+            .as_ref()
+            .clone()
+            .apply_mutation(&EdgeMutation::SetSign {
+                u: NodeId::new(0),
+                v: NodeId::new(1),
+                sign: Sign::Negative,
+            })
+            .unwrap();
+        let sweep = filled.apply_mutations(
+            Arc::new(g.clone()),
+            Arc::new(CsrGraph::from_graph(&g)),
+            &[unflip],
+        );
+        assert!(sweep.table_withdrawn);
+        for u in mutated.nodes() {
+            assert_eq!(
+                *warm.packed_row(u).expect("in range").row(),
+                compute_row(&mutated, &csr, u, kind, &cfg)
+            );
+        }
+    }
+
     /// A ring graph large enough that per-source work is nontrivial.
     fn ring_graph(n: usize) -> SignedGraph {
         from_edge_triples(
@@ -1501,17 +1710,19 @@ mod tests {
         edges.push((20, 21, Sign::Positive));
         let g = from_edge_triples(edges);
         let n = g.node_count();
-        let kind = CompatibilityKind::Spo;
+        // SPM keeps only no-op proofs, and the even ring puts every ring
+        // edge on every ring source's shortest-path DAG: a flip there must
+        // recompute.
+        let kind = CompatibilityKind::Spm;
         let lazy = LazyCompatibility::new(Arc::new(g.clone()), kind, EngineConfig::default());
         // Warm every row.
         for u in g.nodes() {
             lazy.source(u);
         }
         assert_eq!(lazy.cached_rows(), n);
-        // Flip a ring edge's sign: rows in the ring component are affected,
-        // the isolated pair's rows are not.
+        let pair_rows = [lazy.source(NodeId::new(20)), lazy.source(NodeId::new(21))];
         let mut mutated = g.clone();
-        mutated
+        let flip = mutated
             .apply_mutation(&EdgeMutation::SetSign {
                 u: NodeId::new(0),
                 v: NodeId::new(1),
@@ -1520,9 +1731,18 @@ mod tests {
             .unwrap();
         let mutated = Arc::new(mutated);
         let csr = Arc::new(CsrGraph::from_graph(&mutated));
-        let invalidated = lazy.apply_mutation(mutated.clone(), csr, NodeId::new(0), NodeId::new(1));
-        assert_eq!(invalidated, 8, "exactly the ring component's rows");
+        let sweep = lazy.apply_mutations(mutated.clone(), csr, &[flip]);
+        assert_eq!(
+            (sweep.invalidated, sweep.repaired),
+            (8, 0),
+            "exactly the ring component's rows"
+        );
+        assert!(sweep.table_withdrawn, "the full store lost a row");
         assert_eq!(lazy.cached_rows(), n - 8);
+        // The other component's rows stay verbatim.
+        for (row, u) in pair_rows.iter().zip([20, 21]) {
+            assert!(Arc::ptr_eq(row, &lazy.source(NodeId::new(u))));
+        }
         // Every pair answer now matches a matrix built from the mutated
         // graph — surviving rows included.
         let reference = CompatibilityMatrix::build(&mutated, kind);
@@ -1566,9 +1786,12 @@ mod tests {
             .unwrap();
         let graph = Arc::new(mutated.clone());
         let csr = Arc::new(CsrGraph::from_graph(&graph));
-        let (invalidated, repaired) = lazy.apply_mutations(graph, csr, &[flip]);
-        assert_eq!(invalidated, 0, "NNE sign flips repair in place");
-        assert!(repaired >= 2, "at least the endpoint rows were patched");
+        let sweep = lazy.apply_mutations(graph, csr, &[flip]);
+        assert_eq!(sweep.invalidated, 0, "NNE sign flips repair in place");
+        assert!(
+            sweep.repaired >= 2,
+            "at least the endpoint rows were patched"
+        );
         assert_eq!(lazy.cached_rows(), n, "no slot was dropped");
         let builds_before = lazy.build_count();
         // Batch 2: an insert bridging the components plus a flip back —
@@ -1589,8 +1812,8 @@ mod tests {
             .unwrap();
         let graph = Arc::new(mutated.clone());
         let csr = Arc::new(CsrGraph::from_graph(&graph));
-        let (invalidated, _) = lazy.apply_mutations(graph, csr, &[e1, e2]);
-        assert_eq!(invalidated, 0, "NNE inserts relax in place");
+        let sweep = lazy.apply_mutations(graph, csr, &[e1, e2]);
+        assert_eq!(sweep.invalidated, 0, "NNE inserts relax in place");
         // Every pair answer matches a scratch matrix — without rebuilding
         // a single row.
         let reference = CompatibilityMatrix::build(&mutated, kind);
@@ -1605,36 +1828,6 @@ mod tests {
             }
         }
         assert_eq!(lazy.build_count(), builds_before, "repair avoided rebuilds");
-    }
-
-    #[test]
-    fn seed_row_respects_budget_and_occupancy() {
-        let g = Arc::new(ring_graph(30));
-        let kind = CompatibilityKind::Spa;
-        let matrix = CompatibilityMatrix::build(&g, kind);
-        let row_cost = estimated_row_bytes(g.node_count());
-        let lazy = LazyCompatibility::with_budget(
-            g.clone(),
-            kind,
-            EngineConfig::default(),
-            Some(2 * row_cost + 8),
-        );
-        let rows: Vec<Arc<CompatRow>> = matrix.rows().iter().map(|r| Arc::new(r.clone())).collect();
-        assert!(lazy.seed_row(rows[3].clone()));
-        assert!(!lazy.seed_row(rows[3].clone()), "slot already occupied");
-        assert!(lazy.seed_row(rows[5].clone()));
-        // A third seed evicts the LRU seed but is itself retained.
-        assert!(lazy.seed_row(rows[7].clone()));
-        assert_eq!(lazy.cached_rows(), 2);
-        assert_eq!(lazy.build_count(), 0, "seeding is not building");
-        // Seeded rows serve lookups without recomputation.
-        let fetch = lazy.source_tracked(NodeId::new(7));
-        assert!(!fetch.built);
-        assert_eq!(*fetch.row, *rows[7]);
-        // An oversized row is refused outright.
-        let tight = LazyCompatibility::with_budget(g, kind, EngineConfig::default(), Some(8));
-        assert!(!tight.seed_row(rows[0].clone()));
-        assert_eq!(tight.eviction_count(), 0);
     }
 
     #[test]
@@ -1783,8 +1976,8 @@ mod tests {
             .unwrap();
         let mutated = Arc::new(mutated);
         let csr = Arc::new(CsrGraph::from_graph(&mutated));
-        let (invalidated, repaired) = lazy.apply_mutations(mutated, csr, &[effect]);
-        assert_eq!((invalidated, repaired), (0, 3));
+        let sweep = lazy.apply_mutations(mutated, csr, &[effect]);
+        assert_eq!((sweep.invalidated, sweep.repaired), (0, 3));
         assert_eq!(lazy.build_count(), 3, "repaired rows are not rebuilt");
         assert!(
             lazy.resident_bytes() < before,

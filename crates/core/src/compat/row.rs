@@ -377,7 +377,8 @@ enum RowRef<'a> {
 }
 
 impl<'a> RowHandle<'a> {
-    /// A handle borrowing a row owned by the relation (matrix tier).
+    /// A handle borrowing a row owned by the relation (a matrix, or a full
+    /// store's row table).
     pub fn borrowed(row: &'a CompatRow, exact: bool) -> Self {
         RowHandle {
             row: RowRef::Borrowed(row),
@@ -385,7 +386,7 @@ impl<'a> RowHandle<'a> {
         }
     }
 
-    /// A handle sharing a cached row (row tier).
+    /// A handle sharing a cached row (a store's locked row path).
     pub fn shared(row: std::sync::Arc<CompatRow>, exact: bool) -> Self {
         RowHandle {
             row: RowRef::Shared(row),

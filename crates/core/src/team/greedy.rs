@@ -333,7 +333,7 @@ fn grow_team<C: Compatibility + ?Sized>(
 /// questions growth asks about a candidate then cost one mask bit ("is it
 /// compatible with every member?") and one distance-lane load per member
 /// row ("how far is it from the team?"). A relation probe would instead
-/// fetch the *candidate's* row, which in the row tier may build it.
+/// fetch the *candidate's* row, which a store that is not full may build.
 pub(crate) struct GrowingTeam<'s, 'c, C: ?Sized> {
     comp: &'c C,
     members: Vec<NodeId>,

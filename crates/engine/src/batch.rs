@@ -2,8 +2,8 @@
 //! returning answers in query order.
 //!
 //! Determinism: every solver is deterministic for a fixed query (the RANDOM
-//! policy is seeded per query), the matrix cache returns one shared matrix
-//! per kind no matter which worker builds it, and the parallel map is
+//! policy is seeded per query), the store returns one shared row store per
+//! kind no matter which worker builds it, and the parallel map is
 //! order-stable — so a batch's answers (timing fields aside) are identical
 //! for any thread count, which `tests/serving.rs` asserts.
 

@@ -9,12 +9,13 @@
 //!
 //! * [`Deployment`] — the immutable serving state: one signed network
 //!   (behind `Arc`) + one skill assignment, loaded once.
-//! * [`store::RelationStore`] — the tiered relation store:
-//!   per-[`CompatibilityKind`] shards served either as a fully materialised
-//!   [`tfsn_core::CompatibilityMatrix`] or as a memory-budgeted, row-level
-//!   LRU cache ([`tfsn_core::compat::LazyCompatibility`]), chosen per kind
-//!   by an explicit [`StorePolicy`]. Concurrent identical queries build
-//!   **exactly once**, and exactly one of them is accounted the miss.
+//! * [`store::RelationStore`] — the relation store: one memory-budgeted,
+//!   row-level LRU cache ([`tfsn_core::compat::LazyCompatibility`]) per
+//!   [`CompatibilityKind`], either filled whole at the kind's first fetch
+//!   (then served from an immutable row table, at matrix-lookup cost) or
+//!   filled row by row on demand, as an explicit [`StorePolicy`] plans per
+//!   kind. Concurrent identical queries build **exactly once**, and exactly
+//!   one of them is accounted the miss.
 //! * [`TeamQuery`] / [`TeamAnswer`] — the JSONL wire types
 //!   (see their module docs for the schema).
 //! * [`Engine`] — glues the above: [`Engine::query`] answers one query,
@@ -40,7 +41,7 @@
 //!     .collect();
 //! let answers = engine.batch(&queries, &BatchOptions::default());
 //! assert_eq!(answers.len(), queries.len());
-//! // One matrix build (SPO), shared by all eight queries.
+//! // One fill (SPO), shared by all eight queries.
 //! assert_eq!(engine.store().build_count(), 1);
 //! ```
 //!
@@ -51,10 +52,10 @@
 //!
 //! let deployment = Deployment::from_dataset(tfsn_datasets::slashdot());
 //! let engine = Engine::with_options(deployment, EngineOptions {
-//!     // Row tier under a 64 KiB budget per relation kind: rows are
-//!     // computed on demand and evicted LRU-first. (`StorePolicy::auto`
-//!     // does the same only for kinds whose full matrix misses the
-//!     // budget — on this 214-node demo graph the matrix would fit.)
+//!     // A 64 KiB budget per relation kind: rows are computed on demand
+//!     // and evicted LRU-first. (`StorePolicy::auto` does the same only for
+//!     // kinds whose full matrix misses the budget — on this 214-node demo
+//!     // graph the matrix would fit, so it would fill every row.)
 //!     policy: StorePolicy::rows(Some(64 << 10)),
 //!     ..Default::default()
 //! });
@@ -160,7 +161,7 @@ pub struct EngineOptions {
     pub slow_log: Option<usize>,
 }
 
-/// The query engine: a [`Deployment`] plus the tiered relation store and
+/// The query engine: a [`Deployment`] plus the relation store and
 /// serving metrics. All methods take `&self`; the engine is `Sync` and
 /// meant to be shared across threads.
 ///
@@ -473,8 +474,8 @@ impl Engine {
     }
 
     /// Pre-initialises the shards for `kinds` so subsequent queries are
-    /// warm: matrix-tier kinds are fully built; row-tier kinds get their
-    /// (empty) row store, whose rows fill on demand.
+    /// warm: kinds planned `matrix` are filled; kinds planned `rows` get
+    /// their (empty) row store, whose rows fill on demand.
     pub fn warm(&self, kinds: &[CompatibilityKind]) {
         let start = Instant::now();
         for &kind in kinds {
@@ -487,9 +488,8 @@ impl Engine {
     /// Answers one query.
     ///
     /// Accounting: the answer is a cache miss iff **this** call performed
-    /// build work — it ran the matrix build (concurrent callers that merely
-    /// blocked on it are hits), or it computed at least one row in the row
-    /// tier. Build/wait time is reported in `build_micros`, separate from
+    /// build work — it ran the kind's fill (concurrent callers that merely
+    /// blocked on it are hits), or it computed at least one row. Build/wait time is reported in `build_micros`, separate from
     /// solver time, so cold-start stalls do not masquerade as solver
     /// latency.
     pub fn query(&self, query: &TeamQuery) -> TeamAnswer {
@@ -536,14 +536,14 @@ impl Engine {
             }
             Err(e) => (AnswerStatus::from_error(&e), Vec::new(), None, None),
         };
-        // Phase split: `build_wait` is the fetch slice (matrix build/wait,
-        // or one-time row-store creation) plus time blocked on *other*
+        // Phase split: `build_wait` is the fetch slice (the fill or a wait on
+        // it, or one-time row-store creation) plus time blocked on *other*
         // queries' in-flight row builds; `row_compute` is the rows this
         // query computed itself; the remainder is solver + lookups. The
         // row-build waits come from the tracker (`RowFetch::wait_micros`),
         // so stalls no longer masquerade as solver latency.
-        let build_wait_micros = fetch_micros + scope.row_wait_micros();
-        let row_compute_micros = scope.row_build_micros();
+        let build_wait_micros = fetch_micros + scope.wait_micros();
+        let row_compute_micros = scope.build_micros();
         let build_micros = build_wait_micros + row_compute_micros;
         let cache_hit = !fetched.built_matrix() && scope.rows_built() == 0;
         let micros = start.elapsed().as_micros() as u64;

@@ -1,19 +1,18 @@
 //! Serving metrics: lock-free counters updated by every query, snapshotted
 //! for the CLI `stats`/`serve-batch` output and the batch summaries.
 //!
-//! Accounting semantics (since the tiered store): a query is a **cache
-//! miss** iff it performed relation-building work itself — it ran the
-//! matrix build, or (row tier) computed at least one per-source row. A
-//! query that found everything resident, *or that blocked on a build
-//! another query was already running*, is a hit. Consequently, in the
-//! matrix tier `cache_misses` equals the number of query-triggered matrix
-//! builds exactly, even when N cold queries race on one kind (matrices
-//! pre-built via [`crate::Engine::warm`] are outside query accounting); in
-//! the row tier each miss covers all the rows that query built, so
-//! `cache_misses <= row_builds`.
+//! Accounting semantics: a query is a **cache miss** iff it performed
+//! relation-building work itself — it ran a kind's fill, or computed at
+//! least one per-source row. A query that found everything resident, *or
+//! that blocked on a build another query was already running*, is a hit.
+//! Consequently, for filled kinds `cache_misses` equals the number of
+//! query-triggered fills exactly, even when N cold queries race on one kind
+//! (fills run via [`crate::Engine::warm`] are outside query accounting);
+//! for rows filled on demand each miss covers all the rows that query
+//! built, so `cache_misses <= row_builds`.
 //!
-//! `build_wait_micros` books the fetch phase (matrix build, the wait on a
-//! concurrent matrix build, or the one-time row-store creation), the row
+//! `build_wait_micros` books the fetch phase (a fill, the wait on a
+//! concurrent fill, or the one-time row-store creation), the row
 //! computations the query performed itself, **and** time blocked on another
 //! query's in-flight row build — the row cache reports waits per fetch
 //! (`RowFetch::wait_micros` in `tfsn_core::compat`), so that stall no

@@ -1,49 +1,46 @@
-//! The tiered relation store: per-[`CompatibilityKind`] shards, each served
-//! either as a fully materialised [`CompatibilityMatrix`] (small graphs /
-//! hot kinds) or as a memory-budgeted, row-level LRU cache of per-source
-//! rows computed on demand ([`LazyCompatibility`]), chosen per kind by an
-//! explicit [`StorePolicy`].
+//! The relation store: one memory-budgeted row store
+//! ([`LazyCompatibility`]) per [`CompatibilityKind`], created at the kind's
+//! first fetch and either left to fill row by row on demand or filled whole
+//! at once, as chosen per kind by an explicit [`StorePolicy`].
 //!
-//! Matrix construction is the dominant cost of serving a cold query
-//! (`O(|V| · BFS)` for the SP family, worse for SBP) and matrix *residency*
+//! Computing a relation is the dominant cost of serving a cold query
+//! (`O(|V| · BFS)` for the SP family, worse for SBP), and holding all of it
 //! is `O(|V|²)` — infeasible beyond a few tens of thousands of users. The
-//! tiered store is what lets one engine serve both regimes: the first query
-//! of a materialised kind pays the build and every later query is a lookup,
-//! while row-mode kinds compute only the rows team formation touches and
-//! stay within an explicit byte budget via LRU eviction.
+//! store serves both regimes with one structure. On the `matrix` plan the
+//! first query of a kind pays a parallel fill of every row, and the full
+//! store then answers from an immutable row table each query pins once, at
+//! the cost of a matrix lookup. On the `rows` plan only the rows team
+//! formation touches are computed, and they stay within an explicit byte
+//! budget via LRU eviction.
 //!
 //! Accounting is exact under concurrency: [`RelationStore::fetch`] reports
-//! whether *this call* performed the matrix build (concurrent callers block
-//! on one build and see `false`), and row-mode queries attribute row
-//! computations through a per-query [`RowTracker`] scope.
+//! whether *this call* ran the fill (concurrent callers block on one fill
+//! and see `false`), and queries attribute row computations through a
+//! per-query [`RowTracker`].
 //!
 //! ## Live mutations
 //!
-//! [`RelationStore::mutate`] applies one [`EdgeMutation`] to the deployment
+//! [`RelationStore::mutate_batch`] applies edge mutations to the deployment
 //! without a reload: the graph is patched (see [`signed_graph::delta`]),
 //! the shared CSR view is sign-patched in place for flips (rebuilt for
-//! inserts/removals), and resident relation state is invalidated at the
-//! finest sound granularity per kind
-//! ([`tfsn_core::compat::InvalidationScope`]):
-//!
-//! * **row-tier shards** hand the rows whose BFS frontier can cross the
-//!   touched edge to [`tfsn_core::compat::repair`], and drop only the rows
-//!   it can neither prove unchanged nor patch (dirty-epoch per shard;
-//!   cleared rows recompute on next fetch);
-//! * **matrix-tier shards downgrade to the row tier** — the matrix's
-//!   unaffected rows are migrated into a fresh row store and only the
-//!   affected ones recompute lazily, instead of eagerly rebuilding an
-//!   `O(|V|²)` matrix per mutation;
-//! * SBPH/SBP have no sound per-row bound and fall back to a kind-level
-//!   epoch bump (every resident row dropped).
+//! inserts/removals), and every resident kind takes one sweep
+//! ([`LazyCompatibility::apply_mutations`]) at the finest sound granularity
+//! per kind ([`tfsn_core::compat::InvalidationScope`]): rows whose BFS
+//! frontier can cross a touched edge go to [`tfsn_core::compat::repair`],
+//! and only the rows it can neither prove unchanged nor patch are dropped
+//! (they recompute on next fetch). SBPH/SBP have no sound per-row bound and
+//! drop every resident row. A full store that loses a row withdraws its row
+//! table; one that loses none republishes it with the repaired rows.
 //!
 //! Mutations are serialized against each other; queries keep running
-//! concurrently. Consistency granularity is the **row**: a query that
-//! overlaps a mutation observes each row it touches from either side of
-//! the mutation (a multi-row read — the SBPH/SBP symmetric closure, a
-//! pair-distance min — may therefore mix the two for that instant), and
-//! once `mutate` returns, every later query sees post-mutation state
-//! exactly (the property the mutation proptests pin).
+//! concurrently. A query on a full store reads every row from the one table
+//! it pinned, so it sees one snapshot, from before or after a concurrent
+//! mutation. On a store that is not full the consistency granularity is the
+//! **row**: a query that overlaps a mutation observes each row it touches
+//! from either side of the mutation (a multi-row read — the SBPH/SBP
+//! symmetric closure, a pair-distance min — may therefore mix the two for
+//! that instant). Once `mutate` returns, every later query sees
+//! post-mutation state exactly (the property the mutation proptests pin).
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -52,10 +49,8 @@ use parking_lot::{Mutex, RwLock};
 use signed_graph::csr::CsrGraph;
 use signed_graph::delta::net_effects;
 use signed_graph::{EdgeMutation, GraphError, MutationEffect, SignedGraph};
-use tfsn_core::compat::repair::{repair_row, RepairOutcome, RepairScratch};
 use tfsn_core::compat::{
-    estimated_matrix_bytes, row_affected_by_edge, Compatibility, CompatibilityKind,
-    CompatibilityMatrix, EngineConfig, InvalidationScope, LazyCompatibility, RowTracker,
+    estimated_matrix_bytes, CompatibilityKind, EngineConfig, LazyCompatibility, RowTracker,
 };
 
 /// Index of a kind in the shard array (kinds are a small closed set).
@@ -66,17 +61,18 @@ fn shard_index(kind: CompatibilityKind) -> usize {
         .expect("every kind is in ALL")
 }
 
-/// How the store picks a serving tier for each relation kind.
+/// How the store fills each relation kind.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ServingMode {
-    /// Per kind: materialise the full matrix when it fits the memory
-    /// budget, fall back to row-mode otherwise. Without a budget this
-    /// always materialises (the pre-tiered behaviour).
+    /// Per kind: fill every row at first fetch when the full relation fits
+    /// the memory budget, fill rows on demand otherwise. Without a budget
+    /// this always fills.
     #[default]
     Auto,
-    /// Always materialise the full matrix, ignoring the budget.
+    /// Always fill every row at first fetch, past the budget if need be
+    /// (the store enforces it at its next sweep).
     Matrix,
-    /// Always serve budget-capped LRU rows, even on small graphs.
+    /// Always fill rows on demand under the budget, even on small graphs.
     Rows,
 }
 
@@ -104,16 +100,15 @@ impl ServingMode {
 /// The explicit memory-budget policy of a [`RelationStore`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct StorePolicy {
-    /// Tier selection strategy.
+    /// Fill strategy.
     pub mode: ServingMode,
-    /// Resident-byte cap **per relation kind** (`None` = unbounded). In
-    /// `Auto` mode this decides materialise-vs-rows; in `Rows` mode it caps
-    /// the LRU row cache.
+    /// Resident-byte cap **per relation kind** (`None` = unbounded) on the
+    /// LRU row cache. In `Auto` mode it also decides whether a kind fills.
     pub memory_budget: Option<usize>,
 }
 
 impl StorePolicy {
-    /// The pre-tiered behaviour: every kind fully materialised, no budget.
+    /// Every kind filled at first fetch, no budget.
     pub fn materialized() -> Self {
         StorePolicy {
             mode: ServingMode::Matrix,
@@ -121,7 +116,7 @@ impl StorePolicy {
         }
     }
 
-    /// Row-mode serving for every kind under `memory_budget` bytes.
+    /// On-demand rows for every kind under `memory_budget` bytes.
     pub fn rows(memory_budget: Option<usize>) -> Self {
         StorePolicy {
             mode: ServingMode::Rows,
@@ -129,8 +124,8 @@ impl StorePolicy {
         }
     }
 
-    /// Auto tiering under a budget: materialise what fits, row-serve what
-    /// does not.
+    /// Auto planning under a budget: fill the kinds whose full relation
+    /// fits, fill the rest on demand.
     pub fn auto(memory_budget: usize) -> Self {
         StorePolicy {
             mode: ServingMode::Auto,
@@ -138,7 +133,7 @@ impl StorePolicy {
         }
     }
 
-    /// The tier this policy assigns to a relation over `nodes` users.
+    /// The plan this policy assigns to a relation over `nodes` users.
     pub fn tier_for(&self, nodes: usize) -> TierChoice {
         match self.mode {
             ServingMode::Matrix => TierChoice::Matrix,
@@ -152,12 +147,12 @@ impl StorePolicy {
     }
 }
 
-/// The serving tier a kind is assigned to.
+/// The serving plan of a kind: whether its first fetch fills every row.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TierChoice {
-    /// Fully materialised `O(|V|²)` matrix.
+    /// Every row filled at first fetch (`O(|V|²)` resident).
     Matrix,
-    /// Budget-capped LRU row cache.
+    /// Rows filled on demand into the budget-capped LRU row cache.
     Rows,
 }
 
@@ -171,21 +166,14 @@ impl TierChoice {
     }
 }
 
-/// One shard's resident state.
-#[derive(Debug, Clone)]
-enum Tier {
-    Matrix(Arc<CompatibilityMatrix>),
-    Rows(Arc<LazyCompatibility>),
-}
-
 /// The graph snapshot shards are built from: the current (possibly
-/// mutated) graph plus the lazily-built CSR view shared by every row-tier
-/// shard. One lock holds both so a build can never pair a new graph with a
-/// stale CSR.
+/// mutated) graph plus the lazily-built CSR view shared by every shard.
+/// One lock holds both so a build can never pair a new graph with a stale
+/// CSR.
 #[derive(Debug)]
 struct GraphState {
     graph: Arc<SignedGraph>,
-    /// Built on the first row-tier shard and shared by all of them — it is
+    /// Built on the first shard and shared by all of them — it is
     /// identical per kind and `O(|V|+|E|)` each, so per-shard copies would
     /// silently multiply the footprint the memory budget is supposed to
     /// bound.
@@ -197,13 +185,13 @@ struct GraphState {
 pub struct MutationReport {
     /// What structurally changed (canonical endpoints included).
     pub effect: MutationEffect,
-    /// Resident rows dropped across all shards (matrix rows not migrated
-    /// by a downgrade included).
+    /// Resident rows dropped across all shards.
     pub rows_invalidated: usize,
     /// Resident rows the repair pass kept (proved unchanged or patched in
     /// place) that the coarse frontier predicate alone would have dropped.
     pub rows_repaired: usize,
-    /// Matrix-tier kinds downgraded to the row tier by this mutation.
+    /// Kinds whose full row table this mutation withdrew: the store had
+    /// every row resident and lost one.
     pub kinds_downgraded: Vec<CompatibilityKind>,
 }
 
@@ -220,7 +208,7 @@ pub struct BatchReport {
     pub rows_invalidated: usize,
     /// Resident rows kept by repair that the coarse predicate would drop.
     pub rows_repaired: usize,
-    /// Matrix-tier kinds downgraded to the row tier by this batch.
+    /// Kinds whose full row table the merged sweep withdrew.
     pub kinds_downgraded: Vec<CompatibilityKind>,
 }
 
@@ -239,7 +227,7 @@ impl BatchReport {
     }
 }
 
-/// The tiered, build-once relation store.
+/// The build-once relation store: one row store per kind.
 #[derive(Debug)]
 pub struct RelationStore {
     state: RwLock<GraphState>,
@@ -248,7 +236,7 @@ pub struct RelationStore {
     cfg: EngineConfig,
     build_threads: usize,
     policy: StorePolicy,
-    shards: [RwLock<Option<Tier>>; CompatibilityKind::ALL.len()],
+    shards: [RwLock<Option<Arc<LazyCompatibility>>>; CompatibilityKind::ALL.len()],
     /// Serializes [`RelationStore::mutate`] calls against each other (reads
     /// stay concurrent; a query overlapping a mutation sees either
     /// snapshot).
@@ -264,9 +252,9 @@ pub struct RelationStore {
 }
 
 impl RelationStore {
-    /// Creates an empty store over `graph` that builds relations with `cfg`
-    /// using `build_threads` worker threads (0 = available parallelism) and
-    /// assigns tiers according to `policy`.
+    /// Creates an empty store over `graph` that builds relations with `cfg`,
+    /// fills them with `build_threads` worker threads (0 = available
+    /// parallelism) and plans each kind according to `policy`.
     pub fn new(
         graph: Arc<SignedGraph>,
         cfg: EngineConfig,
@@ -314,27 +302,14 @@ impl RelationStore {
         self.state.read().graph.clone()
     }
 
-    /// The tier this store's *policy* assigns to `kind` — the serving plan.
-    /// A mutation can downgrade an already-resident matrix shard to the row
-    /// tier at runtime; [`RelationStore::resident_tier`] reports the live
-    /// state.
+    /// The plan this store's policy assigns to `kind`: whether its first
+    /// fetch fills every row.
     pub fn tier_for(&self, _kind: CompatibilityKind) -> TierChoice {
         self.policy.tier_for(self.nodes)
     }
 
-    /// The tier `kind` is actually resident in right now, if initialised.
-    pub fn resident_tier(&self, kind: CompatibilityKind) -> Option<TierChoice> {
-        self.shards[shard_index(kind)]
-            .read()
-            .as_ref()
-            .map(|tier| match tier {
-                Tier::Matrix(_) => TierChoice::Matrix,
-                Tier::Rows(_) => TierChoice::Rows,
-            })
-    }
-
-    /// The shared CSR view of the served graph, once a row-tier shard (or
-    /// a mutation sweep) has built it.
+    /// The shared CSR view of the served graph, once a shard (or a
+    /// mutation sweep) has built it.
     pub fn csr(&self) -> Option<Arc<CsrGraph>> {
         self.state.read().csr.clone()
     }
@@ -355,62 +330,52 @@ impl RelationStore {
         (st.graph.clone(), st.csr.clone().expect("just initialised"))
     }
 
-    /// Returns the relation for `kind`, building (matrix tier) or creating
-    /// (rows tier) it on first use. Concurrent callers for the same kind
-    /// block on one initialisation; exactly one of them observes
-    /// [`FetchedRelation::built_matrix`] — the hook that keeps hit/miss
-    /// accounting exact when N cold queries race on one kind.
+    /// Returns the row store for `kind`, creating it on first use — and
+    /// filling every row when the kind's plan is [`TierChoice::Matrix`].
+    /// Concurrent callers for the same kind block on one initialisation;
+    /// exactly one of them observes [`FetchedRelation::built_matrix`] — the
+    /// hook that keeps hit/miss accounting exact when N cold queries race
+    /// on one kind.
     pub fn fetch(&self, kind: CompatibilityKind) -> FetchedRelation {
         let shard = &self.shards[shard_index(kind)];
-        if let Some(tier) = shard.read().clone() {
+        if let Some(rows) = shard.read().clone() {
             return FetchedRelation {
-                tier,
+                rows,
                 built_matrix: false,
             };
         }
         let mut guard = shard.write();
-        if let Some(tier) = guard.clone() {
+        if let Some(rows) = guard.clone() {
             // Raced another initialiser: it built, we reuse.
             return FetchedRelation {
-                tier,
+                rows,
                 built_matrix: false,
             };
         }
-        let mut built_matrix = false;
-        let tier = match self.tier_for(kind) {
-            TierChoice::Matrix => {
-                let graph = self.graph();
-                built_matrix = true;
-                self.matrix_builds.fetch_add(1, Ordering::Relaxed);
-                Tier::Matrix(Arc::new(CompatibilityMatrix::build_parallel(
-                    &graph,
-                    kind,
-                    &self.cfg,
-                    self.build_threads,
-                )))
-            }
-            TierChoice::Rows => {
-                let (graph, csr) = self.graph_and_csr();
-                Tier::Rows(Arc::new(LazyCompatibility::with_shared_csr(
-                    graph,
-                    csr,
-                    kind,
-                    self.cfg.clone(),
-                    self.policy.memory_budget,
-                )))
-            }
-        };
-        *guard = Some(tier.clone());
-        FetchedRelation { tier, built_matrix }
+        let (graph, csr) = self.graph_and_csr();
+        let mut rows = LazyCompatibility::with_shared_csr(
+            graph,
+            csr,
+            kind,
+            self.cfg.clone(),
+            self.policy.memory_budget,
+        );
+        let built_matrix = self.tier_for(kind) == TierChoice::Matrix;
+        if built_matrix {
+            self.matrix_builds.fetch_add(1, Ordering::Relaxed);
+            rows = rows.filled(self.build_threads);
+        }
+        let rows = Arc::new(rows);
+        *guard = Some(rows.clone());
+        FetchedRelation { rows, built_matrix }
     }
 
     /// Applies one edge mutation to the live deployment: patches the graph,
     /// refreshes the shared CSR (in-place sign patch for flips, rebuild for
-    /// inserts/removals), and invalidates resident relation state per kind
-    /// (see the module docs). Mutations serialize against each other;
-    /// concurrent queries keep answering, observing each row they touch
-    /// from either side of the mutation (row-granular consistency — see
-    /// the module docs).
+    /// inserts/removals), and sweeps every resident kind (see the module
+    /// docs). Mutations serialize against each other; concurrent queries
+    /// keep answering from either side of the mutation (see the module
+    /// docs for the granularity).
     ///
     /// Failed mutations (unknown node, duplicate/missing edge, self-loop)
     /// are typed [`GraphError`]s and leave every layer untouched. A
@@ -441,13 +406,13 @@ impl RelationStore {
     /// delta proves patchable are repaired in place
     /// ([`tfsn_core::compat::repair`]) instead of dropped.
     ///
-    /// Rows only ever see the batch as a whole, so the CSR refresh, the
-    /// sweep and the matrix downgrade run on its **net** effects
+    /// Rows only ever see the batch as a whole, so the CSR refresh and the
+    /// sweep run on its **net** effects
     /// ([`signed_graph::delta::net_effects`]): one per touched edge, with a
     /// remove plus same-sign re-insert cancelled out. A batch whose nets
     /// are empty still publishes the new graph, but keeps the CSR and every
-    /// resident shard — SBPH/SBP rows and matrix tiers included. Outcomes
-    /// and counters stay per mutation.
+    /// resident row — SBPH/SBP rows and row tables included. Outcomes and
+    /// counters stay per mutation.
     pub fn mutate_batch(&self, ms: &[EdgeMutation]) -> BatchReport {
         let _serial = self.mutation_lock.lock();
         let (old_graph, old_csr) = {
@@ -541,10 +506,10 @@ impl RelationStore {
                 kinds_downgraded: Vec::new(),
             };
         }
-        // A CSR is needed by every shard that is — or is about to become —
-        // row-served. The scan is only a hint: a shard can be initialised
-        // concurrently between it and the invalidation loop below, so the
-        // loop builds the CSR on demand if the hint was stale.
+        // A CSR is needed by every resident shard. The scan is only a hint:
+        // a shard can be initialised concurrently between it and the sweep
+        // loop below, so the loop builds the CSR on demand if the hint was
+        // stale.
         let need_csr = self.shards.iter().any(|s| s.read().is_some());
         let all_sign_only = nets.iter().all(|e| e.is_sign_only());
         let mut new_csr: Option<Arc<CsrGraph>> = if need_csr {
@@ -580,75 +545,19 @@ impl RelationStore {
         let mut invalidated = 0usize;
         let mut repaired = 0usize;
         let mut kinds_downgraded = Vec::new();
-        let mut scratch = RepairScratch::default();
         for (i, &kind) in CompatibilityKind::ALL.iter().enumerate() {
-            let mut guard = self.shards[i].write();
-            let Some(tier) = guard.clone() else {
+            let Some(rows) = self.shards[i].read().clone() else {
                 continue;
             };
             // Covers shards that raced into existence after the hint scan.
             let csr = new_csr
                 .get_or_insert_with(|| Arc::new(CsrGraph::from_graph(&new_graph)))
                 .clone();
-            match tier {
-                Tier::Rows(rows) => {
-                    let (inv, rep) = rows.apply_mutations(new_graph.clone(), csr, &nets);
-                    invalidated += inv;
-                    repaired += rep;
-                }
-                Tier::Matrix(matrix) => {
-                    // Downgrade instead of rebuilding O(|V|²) eagerly: the
-                    // matrix's unaffected rows migrate into a fresh row
-                    // store (they are per-source-exact for every kind whose
-                    // scope is not WholeKind), affected-but-patchable rows
-                    // migrate *repaired*, and only rows repair rejects
-                    // recompute lazily on next fetch.
-                    let lazy = LazyCompatibility::with_shared_csr(
-                        new_graph.clone(),
-                        csr.clone(),
-                        kind,
-                        self.cfg.clone(),
-                        self.policy.memory_budget,
-                    );
-                    if InvalidationScope::of(kind) != InvalidationScope::WholeKind {
-                        for row in matrix.rows() {
-                            // Stop once the budget is full: seeding past it
-                            // would only evict earlier seeds (O(N) churn for
-                            // a migration that can retain nothing more).
-                            // Reachable when forced Matrix mode ignored a
-                            // budget smaller than the matrix at build time.
-                            if self.policy.memory_budget.is_some_and(|budget| {
-                                lazy.resident_bytes() + tfsn_core::compat::row_bytes(row) > budget
-                            }) {
-                                break;
-                            }
-                            let affected = nets.iter().any(|e| row_affected_by_edge(row, e.u, e.v));
-                            if !affected {
-                                lazy.seed_row(Arc::new(row.clone()));
-                                continue;
-                            }
-                            match repair_row(row, &nets, &csr, &mut scratch) {
-                                RepairOutcome::Unchanged => {
-                                    if lazy.seed_row(Arc::new(row.clone())) {
-                                        repaired += 1;
-                                    }
-                                }
-                                RepairOutcome::Repaired(patched) => {
-                                    if lazy.seed_row(Arc::new(patched)) {
-                                        repaired += 1;
-                                    }
-                                }
-                                RepairOutcome::MustRecompute => {}
-                            }
-                        }
-                    }
-                    // Count what actually survived migration, not what was
-                    // offered — seeds can evict earlier seeds under a tight
-                    // budget, and every non-resident row must recompute.
-                    invalidated += matrix.node_count() - lazy.cached_rows();
-                    kinds_downgraded.push(kind);
-                    *guard = Some(Tier::Rows(Arc::new(lazy)));
-                }
+            let sweep = rows.apply_mutations(new_graph.clone(), csr, &nets);
+            invalidated += sweep.invalidated;
+            repaired += sweep.repaired;
+            if sweep.table_withdrawn {
+                kinds_downgraded.push(kind);
             }
         }
         self.mutations.fetch_add(applied, Ordering::Relaxed);
@@ -689,8 +598,8 @@ impl RelationStore {
         self.rows_repaired.load(Ordering::Relaxed)
     }
 
-    /// `true` when the shard for `kind` is initialised (matrix built, or
-    /// row store created).
+    /// `true` when the shard for `kind` is initialised (its row store
+    /// created, and filled if its plan says so).
     pub fn is_resident(&self, kind: CompatibilityKind) -> bool {
         self.shards[shard_index(kind)].read().is_some()
     }
@@ -703,123 +612,61 @@ impl RelationStore {
             .collect()
     }
 
-    /// Total full-matrix builds performed — the exactly-once test hook:
-    /// after any number of concurrent matrix-tier queries over `k` distinct
-    /// kinds this must equal `k`.
+    /// Total fills performed — the exactly-once test hook: after any number
+    /// of concurrent queries over `k` distinct kinds planned
+    /// [`TierChoice::Matrix`] this must equal `k`.
     pub fn build_count(&self) -> usize {
         self.matrix_builds.load(Ordering::Relaxed)
     }
 
-    /// Total per-source row computations across all row-tier shards
-    /// (recomputations after eviction included).
+    /// Total per-source row computations across all shards (recomputations
+    /// after eviction included; fills excluded).
     pub fn row_build_count(&self) -> usize {
-        self.fold_rows(0, |acc, rows| acc + rows.build_count())
+        self.sum_rows(LazyCompatibility::build_count)
     }
 
-    /// Total rows evicted across all row-tier shards.
+    /// Total rows evicted across all shards.
     pub fn row_eviction_count(&self) -> usize {
-        self.fold_rows(0, |acc, rows| acc + rows.eviction_count())
+        self.sum_rows(LazyCompatibility::eviction_count)
     }
 
-    /// Rows currently resident across all row-tier shards — the gauge the
-    /// bit-packed row layout moves: the same `--memory-budget` holds ~8×
-    /// more rows than the unpacked 9-bytes-per-node layout did.
+    /// Rows currently resident across all shards.
     pub fn resident_row_count(&self) -> usize {
-        self.fold_rows(0, |acc, rows| acc + rows.cached_rows())
+        self.sum_rows(LazyCompatibility::cached_rows)
     }
 
-    /// Bytes currently resident across all shards: estimated footprint of
-    /// materialised matrices plus exact resident row bytes.
+    /// Bytes currently held by resident rows across all shards.
     pub fn resident_bytes(&self) -> usize {
+        self.sum_rows(LazyCompatibility::resident_bytes)
+    }
+
+    fn sum_rows(&self, f: impl Fn(&LazyCompatibility) -> usize) -> usize {
         self.shards
             .iter()
-            .map(|s| match &*s.read() {
-                Some(Tier::Matrix(m)) => estimated_matrix_bytes(m.node_count()),
-                Some(Tier::Rows(rows)) => rows.resident_bytes(),
-                None => 0,
-            })
+            .filter_map(|s| s.read().as_deref().map(&f))
             .sum()
-    }
-
-    fn fold_rows<T>(&self, init: T, f: impl Fn(T, &LazyCompatibility) -> T) -> T {
-        self.shards.iter().fold(init, |acc, s| match &*s.read() {
-            Some(Tier::Rows(rows)) => f(acc, rows),
-            _ => acc,
-        })
     }
 }
 
-/// One fetched relation: the tier handle plus whether *this* fetch
-/// performed the matrix build.
+/// One fetched relation: the kind's row store plus whether *this* fetch
+/// ran its fill.
 #[derive(Debug, Clone)]
 pub struct FetchedRelation {
-    tier: Tier,
+    rows: Arc<LazyCompatibility>,
     built_matrix: bool,
 }
 
 impl FetchedRelation {
-    /// `true` iff this fetch ran the matrix build (matrix tier only;
-    /// callers that blocked on a concurrent build see `false`).
+    /// `true` iff this fetch ran the fill (callers that blocked on a
+    /// concurrent fill see `false`).
     pub fn built_matrix(&self) -> bool {
         self.built_matrix
     }
 
-    /// `true` when the relation is served from the row tier.
-    pub fn is_rows(&self) -> bool {
-        matches!(self.tier, Tier::Rows(_))
-    }
-
-    /// A per-query accounting scope: solve against [`RelationScope::compat`]
+    /// A per-query accounting scope: solve against [`RowTracker::compat`]
     /// and read back exactly the row builds this query performed.
-    pub fn scope(&self) -> RelationScope<'_> {
-        match &self.tier {
-            Tier::Matrix(m) => RelationScope::Matrix(m),
-            Tier::Rows(rows) => RelationScope::Rows(RowTracker::new(rows)),
-        }
-    }
-}
-
-/// The per-query compatibility view handed to the solver.
-pub enum RelationScope<'a> {
-    /// Materialised matrix: plain lookups.
-    Matrix(&'a CompatibilityMatrix),
-    /// Row tier: a tracker that counts the row builds this query performs.
-    Rows(RowTracker<'a>),
-}
-
-impl RelationScope<'_> {
-    /// The compatibility oracle to solve against.
-    pub fn compat(&self) -> &dyn Compatibility {
-        match self {
-            RelationScope::Matrix(m) => *m,
-            RelationScope::Rows(tracker) => tracker,
-        }
-    }
-
-    /// Row computations performed through this scope (0 for matrix tier).
-    pub fn rows_built(&self) -> usize {
-        match self {
-            RelationScope::Matrix(_) => 0,
-            RelationScope::Rows(tracker) => tracker.rows_built(),
-        }
-    }
-
-    /// Time this scope spent computing rows, in microseconds.
-    pub fn row_build_micros(&self) -> u64 {
-        match self {
-            RelationScope::Matrix(_) => 0,
-            RelationScope::Rows(tracker) => tracker.build_micros(),
-        }
-    }
-
-    /// Time this scope spent blocked on *other* queries' in-flight row
-    /// builds, in microseconds (0 for matrix tier). Booked as build-wait
-    /// phase time, not solver time.
-    pub fn row_wait_micros(&self) -> u64 {
-        match self {
-            RelationScope::Matrix(_) => 0,
-            RelationScope::Rows(tracker) => tracker.wait_micros(),
-        }
+    pub fn scope(&self) -> RowTracker<'_> {
+        RowTracker::new(&self.rows)
     }
 }
 
@@ -929,10 +776,13 @@ mod tests {
             StorePolicy::auto(matrix_bytes - 1),
         );
         assert_eq!(tight.tier_for(CompatibilityKind::Spa), TierChoice::Rows);
+        assert!(generous.fetch(CompatibilityKind::Spa).built_matrix());
+        assert_eq!(generous.resident_row_count(), g.node_count());
+        assert_eq!(generous.row_build_count(), 0, "a fill is no row build");
         let fetched = tight.fetch(CompatibilityKind::Spa);
-        assert!(fetched.is_rows());
         assert!(!fetched.built_matrix());
         assert_eq!(tight.build_count(), 0);
+        assert_eq!(tight.resident_row_count(), 0, "rows fill on demand");
     }
 
     #[test]

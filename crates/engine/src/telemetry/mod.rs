@@ -8,8 +8,8 @@
 //! * **per-operation** latency histograms for `query`, `batch`, `mutate`
 //!   and `warm` ([`Op::ALL`]);
 //! * **per-phase** histograms splitting each query into `build_wait`
-//!   (matrix build or any wait on another query's in-flight build, including
-//!   row-build waits — see the row-tier wait accounting in
+//!   (a kind's fill or any wait on another query's in-flight build,
+//!   including row-build waits — see the row wait accounting in
 //!   `tfsn_core::compat`), `row_compute` (rows this query computed itself),
 //!   `solve` (solver + lookups) and `serialize` (answer encoding, recorded
 //!   per batch chunk by the service layer) ([`Phase::ALL`]);
@@ -109,9 +109,10 @@ impl Op {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Phase {
     /// Building relation state or blocked on another query's in-flight
-    /// build: the matrix fetch/build slice plus row-build *waits*.
+    /// build: the fetch slice (a fill, or a wait on it) plus row-build
+    /// *waits*.
     BuildWait,
-    /// Per-source rows this query computed itself (row tier).
+    /// Per-source rows this query computed itself.
     RowCompute,
     /// Solver plus relation lookups — total minus the other phases.
     Solve,

@@ -213,7 +213,7 @@ pub fn render(scrapes: &[DeploymentScrape]) -> String {
         &mut out,
         "tfsn_matrix_builds_total",
         "counter",
-        "Full compatibility matrices built (matrix tier).",
+        "Row stores filled whole at their kind's first fetch (matrix plan).",
         scrapes,
         |s| s.metrics.matrix_builds,
     );
@@ -221,7 +221,7 @@ pub fn render(scrapes: &[DeploymentScrape]) -> String {
         &mut out,
         "tfsn_row_builds_total",
         "counter",
-        "Per-source rows computed (row tier, recomputations included).",
+        "Per-source rows computed on demand (recomputations included).",
         scrapes,
         |s| s.metrics.row_builds,
     );
@@ -229,7 +229,7 @@ pub fn render(scrapes: &[DeploymentScrape]) -> String {
         &mut out,
         "tfsn_row_evictions_total",
         "counter",
-        "Rows evicted to stay within the memory budget (row tier).",
+        "Rows evicted to stay within the memory budget.",
         scrapes,
         |s| s.metrics.row_evictions,
     );
@@ -253,7 +253,7 @@ pub fn render(scrapes: &[DeploymentScrape]) -> String {
         &mut out,
         "tfsn_resident_rows",
         "gauge",
-        "Per-source rows currently resident across row-tier shards.",
+        "Per-source rows currently resident, filled or computed on demand.",
         scrapes,
         |s| s.metrics.resident_rows,
     );
@@ -261,7 +261,7 @@ pub fn render(scrapes: &[DeploymentScrape]) -> String {
         &mut out,
         "tfsn_resident_bytes",
         "gauge",
-        "Bytes currently resident across relation tiers.",
+        "Bytes currently held by resident rows.",
         scrapes,
         |s| s.metrics.resident_bytes,
     );

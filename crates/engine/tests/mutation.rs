@@ -2,17 +2,17 @@
 //! mutations and team queries must answer **byte-identically** to an engine
 //! rebuilt from scratch on the mutated edge list — for every compatibility
 //! kind, in both the matrix and the (budgeted) row serving modes — plus the
-//! accounting, downgrade, concurrency and typed-error edge cases.
+//! accounting, fill, concurrency and typed-error edge cases.
 
 use std::sync::Arc;
 
 use proptest::prelude::*;
 use signed_graph::{EdgeChange, EdgeMutation, GraphBuilder, NodeId, Sign};
-use tfsn_core::compat::{row_affected_by_edge, CompatibilityKind};
+use tfsn_core::compat::{row_affected_by_edge, Compatibility, CompatibilityKind};
 use tfsn_engine::registry::{DeploymentConfig, DeploymentRegistry, DeploymentSource};
 use tfsn_engine::{
     Deployment, Engine, EngineOptions, Request, RequestBody, Response, Service, ServiceError,
-    StorePolicy, TeamQuery, TierChoice,
+    StorePolicy, TeamQuery,
 };
 
 const NODES: usize = 22;
@@ -188,8 +188,9 @@ fn cases() -> u32 {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(cases()))]
 
-    /// The acceptance property, matrix mode: mutations downgrade resident
-    /// matrices to seeded row stores; answers must not move.
+    /// The acceptance property, matrix mode: mutations sweep filled stores
+    /// (repairing, or dropping rows that recompute on demand); answers must
+    /// not move.
     #[test]
     fn interleave_matches_rebuild_matrix_mode(steps in steps_strategy()) {
         check_interleave(StorePolicy::materialized(), &steps);
@@ -257,50 +258,104 @@ fn frontier_invalidation_is_minimal_and_rebuilds_exactly_once() {
     assert_eq!(m.rows_invalidated, expected as u64);
 }
 
-#[test]
-fn matrix_shard_downgrades_to_seeded_rows_instead_of_rebuilding() {
-    let engine = Engine::with_options(base_deployment(), options(StorePolicy::materialized()));
-    let kind = CompatibilityKind::Spa;
-    engine.warm(&[kind]);
-    assert_eq!(engine.store().build_count(), 1);
-    assert_eq!(engine.store().resident_tier(kind), Some(TierChoice::Matrix));
-    let report = engine
-        .mutate(&EdgeMutation::SetSign {
-            u: NodeId::new(1),
-            v: NodeId::new(2),
-            sign: Sign::Negative,
+/// Every `n`-th fixture edge, its sign flipped.
+fn flips_of_every(engine: &Engine, n: usize) -> Vec<EdgeMutation> {
+    engine
+        .graph()
+        .edges()
+        .iter()
+        .step_by(n)
+        .map(|e| EdgeMutation::SetSign {
+            u: e.u,
+            v: e.v,
+            sign: e.sign.flip(),
         })
-        .unwrap();
-    assert_eq!(report.kinds_downgraded, vec![kind]);
-    assert_eq!(engine.store().resident_tier(kind), Some(TierChoice::Rows));
-    assert_eq!(
-        engine.store().build_count(),
-        1,
-        "no eager matrix rebuild on mutation"
-    );
-    // The detached pair's matrix rows migrated instead of recomputing.
-    assert!(engine.store().resident_row_count() >= 2);
-    assert_eq!(
-        report.rows_invalidated + engine.store().resident_row_count(),
-        NODES
-    );
-    // Answers equal a fresh matrix-mode engine on the mutated graph.
+        .collect()
+}
+
+#[test]
+fn filled_shards_repair_sign_flips_and_keep_their_tables() {
+    let engine = Engine::with_options(base_deployment(), options(StorePolicy::materialized()));
+    let kinds = [
+        CompatibilityKind::Spa,
+        CompatibilityKind::Spo,
+        CompatibilityKind::Nne,
+    ];
+    engine.warm(&kinds);
+    assert_eq!(engine.store().build_count(), kinds.len());
+    let flips = flips_of_every(&engine, 3);
+    assert!(flips.len() >= 6);
+    let report = engine.mutate_batch(&flips).expect("no WAL is attached");
+    assert_eq!(report.applied(), flips.len());
+    assert_eq!(report.kinds_downgraded, vec![], "every row stayed resident");
+    assert_eq!(report.rows_invalidated, 0);
+    assert!(report.rows_repaired > 0);
     let reference = Engine::with_options(
         rebuild_deployment(&engine),
         options(StorePolicy::materialized()),
     );
-    for task in [[0usize, 1], [2, 4], [1, 5]] {
-        let q = TeamQuery::new(task).with_kind(kind);
-        assert_eq!(canonical(engine.query(&q)), canonical(reference.query(&q)));
+    for kind in kinds {
+        let (live, fresh) = (engine.store().fetch(kind), reference.store().fetch(kind));
+        let (live, fresh) = (live.scope(), fresh.scope());
+        for u in (0..NODES).map(NodeId::new) {
+            let row = live.packed_row(u).expect("in range");
+            assert!(row.exact(), "{kind} row {u}");
+            assert_eq!(row.row(), fresh.packed_row(u).expect("in range").row());
+        }
+        for task in [[0usize, 1], [2, 4], [1, 5]] {
+            let q = TeamQuery::new(task).with_kind(kind);
+            assert_eq!(canonical(engine.query(&q)), canonical(reference.query(&q)));
+        }
+    }
+    assert_eq!(
+        engine.store().row_build_count(),
+        0,
+        "a resident sweep builds no row"
+    );
+}
+
+#[test]
+fn filled_sbph_and_sbp_serve_per_source_rows_after_a_change() {
+    let engine = Engine::with_options(base_deployment(), options(StorePolicy::materialized()));
+    let kinds = [CompatibilityKind::Sbph, CompatibilityKind::Sbp];
+    engine.warm(&kinds);
+    for kind in kinds {
+        let fetched = engine.store().fetch(kind);
+        assert!(fetched.scope().packed_row(NodeId::new(0)).unwrap().exact());
+    }
+    let report = engine
+        .mutate_batch(&flips_of_every(&engine, 7))
+        .expect("no WAL is attached");
+    assert_eq!(report.kinds_downgraded, kinds.to_vec());
+    assert_eq!(report.rows_invalidated, kinds.len() * NODES);
+    let reference = Engine::with_options(
+        rebuild_deployment(&engine),
+        options(StorePolicy::materialized()),
+    );
+    for kind in kinds {
+        let (live, fresh) = (engine.store().fetch(kind), reference.store().fetch(kind));
+        let (live, fresh) = (live.scope(), fresh.scope());
+        for u in (0..NODES).map(NodeId::new) {
+            assert!(
+                !live.packed_row(u).expect("in range").exact(),
+                "{kind} row {u}: recomputed rows are per-source lower bounds"
+            );
+            for v in (0..NODES).map(NodeId::new) {
+                assert_eq!(live.compatible(u, v), fresh.compatible(u, v), "{kind}");
+                assert_eq!(live.distance(u, v), fresh.distance(u, v), "{kind}");
+            }
+        }
+        for task in [[0usize, 1], [2, 4], [1, 5]] {
+            let q = TeamQuery::new(task).with_kind(kind);
+            assert_eq!(canonical(engine.query(&q)), canonical(reference.query(&q)));
+        }
     }
 }
 
 #[test]
-fn budgeted_downgrade_counts_unmigrated_rows_as_invalidated() {
-    // Forced matrix mode ignores the budget at build time, but the
-    // downgrade's row store honours it: only a few matrix rows can
-    // migrate, and every row that did not survive must be accounted
-    // invalidated (it will recompute on next fetch).
+fn budgeted_matrix_evicts_to_its_budget_at_the_first_sweep() {
+    // Forced matrix mode fills past the budget; the store enforces it at
+    // its first sweep.
     let budget = 4 * tfsn_core::compat::estimated_row_bytes(NODES);
     let engine = Engine::with_options(
         base_deployment(),
@@ -311,7 +366,8 @@ fn budgeted_downgrade_counts_unmigrated_rows_as_invalidated() {
     );
     let kind = CompatibilityKind::Spo;
     engine.warm(&[kind]);
-    assert_eq!(engine.store().resident_tier(kind), Some(TierChoice::Matrix));
+    assert_eq!(engine.store().resident_row_count(), NODES);
+    assert!(engine.store().resident_bytes() > budget);
     let report = engine
         .mutate(&EdgeMutation::SetSign {
             u: NodeId::new(1),
@@ -319,18 +375,16 @@ fn budgeted_downgrade_counts_unmigrated_rows_as_invalidated() {
             sign: Sign::Negative,
         })
         .unwrap();
+    assert_eq!(report.kinds_downgraded, vec![kind]);
     let resident = engine.store().resident_row_count();
     assert!(resident <= 4, "the budget holds at most 4 rows: {resident}");
+    assert!(engine.store().resident_bytes() <= budget);
     assert_eq!(
-        report.rows_invalidated + resident,
+        report.rows_invalidated + engine.store().row_eviction_count() + resident,
         NODES,
-        "every non-migrated row counts as invalidated"
+        "every row is kept, invalidated or evicted"
     );
-    assert_eq!(
-        engine.metrics().rows_invalidated,
-        report.rows_invalidated as u64
-    );
-    // Answers still match a from-scratch engine on the mutated graph.
+    // Answers still match a freshly filled engine on the mutated graph.
     let reference = Engine::with_options(
         rebuild_deployment(&engine),
         options(StorePolicy::materialized()),

@@ -3,7 +3,7 @@
 //! (`RelationStore::mutate_batch`) are pinned against scratch recomputes.
 //!
 //! Two acceptance properties, each across every compatibility kind and
-//! both serving tiers:
+//! both serving plans (filled and on-demand stores):
 //!
 //! * **rows**: after an arbitrary mutation batch, every row the store
 //!   serves — repaired in place, kept by a no-op proof, or recomputed on
@@ -22,7 +22,7 @@
 
 use proptest::prelude::*;
 use signed_graph::{EdgeMutation, GraphBuilder, NodeId, Sign};
-use tfsn_core::compat::CompatibilityKind;
+use tfsn_core::compat::{Compatibility, CompatibilityKind};
 use tfsn_engine::{Deployment, Engine, EngineOptions, StorePolicy, TeamQuery};
 
 const NODES: usize = 22;
@@ -103,9 +103,8 @@ fn canonical(mut answer: tfsn_engine::TeamAnswer) -> String {
     serde_json::to_string(&answer).unwrap()
 }
 
-/// Forces every row of every kind resident (rows tier) or built (matrix
-/// tier), so the subsequent batch mutates live state rather than cold
-/// shards.
+/// Forces every row of every kind resident (filled stores already are), so
+/// the subsequent batch mutates live state rather than cold shards.
 fn resident_sweep(engine: &Engine, kinds: &[CompatibilityKind]) {
     for &kind in kinds {
         let fetched = engine.store().fetch(kind);
@@ -191,38 +190,38 @@ fn check_rows_match_scratch(policy: StorePolicy, mutations: &[EdgeMutation]) {
     resident_sweep(&engine, &CompatibilityKind::ALL);
     let report = engine.mutate_batch(mutations).expect("no WAL is attached");
     prop_assert_eq!(report.outcomes.len(), mutations.len());
-    // Two scratch references, one per tier: a mutated matrix-mode engine
-    // serves downgraded *per-source* rows for the touched kinds, and an
-    // SBPH/SBP per-source row is a forward lower bound that legitimately
-    // differs from the symmetric-closed matrix row — so each kind compares
-    // against a reference serving from the same tier it resides in.
-    let ref_rows = Engine::with_options(
+    // Two scratch references: filled rows carry the symmetric closure and
+    // are exact, while rows computed on demand (every row of a row-mode
+    // store, and every SBPH/SBP row a sweep dropped from a filled one) are
+    // per-source lower bounds that legitimately differ from closed SBPH/SBP
+    // rows. Each row compares against the reference of its own exactness.
+    let on_demand = Engine::with_options(
         rebuild_deployment(&engine),
         options(StorePolicy::rows(None)),
     );
-    let ref_matrix = Engine::with_options(
+    let filled = Engine::with_options(
         rebuild_deployment(&engine),
         options(StorePolicy::materialized()),
     );
     for kind in CompatibilityKind::ALL {
-        let live = engine.store().fetch(kind);
-        let reference = match engine.store().resident_tier(kind) {
-            Some(tfsn_engine::TierChoice::Matrix) => &ref_matrix,
-            _ => &ref_rows,
-        };
-        let fresh = reference.store().fetch(kind);
-        for u in 0..NODES {
-            let l = live
-                .scope()
-                .compat()
-                .packed_row(NodeId::new(u))
-                .map(|h| h.row().clone());
-            let r = fresh
-                .scope()
-                .compat()
-                .packed_row(NodeId::new(u))
-                .map(|h| h.row().clone());
-            prop_assert_eq!(l, r, "{} row {} diverged after {:?}", kind, u, mutations);
+        let (live, on_demand, filled) = (
+            engine.store().fetch(kind),
+            on_demand.store().fetch(kind),
+            filled.store().fetch(kind),
+        );
+        let (live, on_demand, filled) = (live.scope(), on_demand.scope(), filled.scope());
+        for u in (0..NODES).map(NodeId::new) {
+            let l = live.packed_row(u).expect("in range");
+            let reference = if l.exact() { &filled } else { &on_demand };
+            let r = reference.packed_row(u).expect("in range");
+            prop_assert_eq!(
+                l.row(),
+                r.row(),
+                "{} row {} diverged after {:?}",
+                kind,
+                u,
+                mutations
+            );
         }
     }
 }
@@ -360,7 +359,7 @@ fn sign_flip_batches_repair_nne_rows_without_rebuilds() {
 }
 
 /// Sign flips on SPA/SPO-resident rows re-derive the flipped nodes' sign
-/// classes in place, in both tiers: no invalidation, no rebuild on the next
+/// classes in place, filled or not: no invalidation, no rebuild on the next
 /// sweep, and every row equal to its scratch rebuild.
 #[test]
 fn sign_flip_batches_repair_sp_rows_without_rebuilds() {
@@ -423,8 +422,9 @@ fn sign_flip_batches_repair_sp_rows_without_rebuilds() {
 }
 
 /// A batch that removes edges and re-inserts them with their signs nets out
-/// to nothing: no kind invalidates a row (SBPH/SBP included), a matrix tier
-/// stays resident, and the CSR still equals a rebuild of the new graph.
+/// to nothing: no kind invalidates a row (SBPH/SBP included), a filled
+/// store keeps every row and its closure, and the CSR still equals a
+/// rebuild of the new graph.
 #[test]
 fn remove_and_reinsert_batches_net_out_to_nothing() {
     let round_trips: Vec<EdgeMutation> = fixture_edges()
@@ -465,11 +465,17 @@ fn remove_and_reinsert_batches_net_out_to_nothing() {
         .expect("no WAL is attached");
     assert_eq!(report.rows_invalidated, 0);
     assert_eq!(report.kinds_downgraded, vec![]);
-    for kind in CompatibilityKind::ALL {
-        assert_eq!(
-            engine.store().resident_tier(kind),
-            Some(tfsn_engine::TierChoice::Matrix),
-            "{kind}: a net-empty batch must leave the matrix resident"
+    resident_sweep(&engine, &CompatibilityKind::ALL);
+    assert_eq!(
+        engine.store().row_build_count(),
+        0,
+        "a net-empty batch must keep every filled row"
+    );
+    for kind in [CompatibilityKind::Sbph, CompatibilityKind::Sbp] {
+        let fetched = engine.store().fetch(kind);
+        assert!(
+            fetched.scope().packed_row(NodeId::new(0)).unwrap().exact(),
+            "{kind}: a net-empty batch must keep the fill's closure"
         );
     }
 }
@@ -478,7 +484,7 @@ fn remove_and_reinsert_batches_net_out_to_nothing() {
 /// matters most: SBPH/SBP rows have **no** repair path, so a sign-set that
 /// changes nothing must short-circuit before the per-kind sweep ever runs —
 /// single mutations and all-no-op batches alike. In matrix mode the same
-/// short-circuit must also keep the matrix resident (no downgrade).
+/// short-circuit must also keep every filled row and the row table.
 #[test]
 fn noop_sign_sets_never_touch_sbph_or_sbp_residents() {
     for kind in [CompatibilityKind::Sbph, CompatibilityKind::Sbp] {
@@ -517,20 +523,18 @@ fn noop_sign_sets_never_touch_sbph_or_sbp_residents() {
             "{kind}: resident rows must survive no-ops untouched"
         );
 
-        // Matrix mode: the no-op must not downgrade the resident matrix.
+        // Matrix mode: the no-op must not withdraw the filled row table.
         let engine = Engine::with_options(base_deployment(), options(StorePolicy::materialized()));
         engine.warm(&[kind]);
-        assert_eq!(
-            engine.store().resident_tier(kind),
-            Some(tfsn_engine::TierChoice::Matrix)
-        );
+        assert_eq!(engine.store().build_count(), 1);
         let report = engine.mutate_batch(&noops).expect("no WAL is attached");
         assert_eq!(report.rows_invalidated, 0);
         assert_eq!(report.kinds_downgraded, vec![]);
+        resident_sweep(&engine, &[kind]);
         assert_eq!(
-            engine.store().resident_tier(kind),
-            Some(tfsn_engine::TierChoice::Matrix),
-            "{kind}: an all-no-op batch must leave the matrix resident"
+            engine.store().row_build_count(),
+            0,
+            "{kind}: an all-no-op batch must keep every filled row"
         );
     }
 }
