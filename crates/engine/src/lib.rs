@@ -21,11 +21,11 @@
 //! * [`Engine`] — glues the above: [`Engine::query`] answers one query,
 //!   [`Engine::batch`] fans a slice of queries across rayon workers with
 //!   order-stable, deterministic results.
-//! * [`metrics::EngineMetrics`] — lock-free serving counters, including
-//!   row builds, evictions and resident bytes.
-//! * [`telemetry`] — latency distributions: per-op/per-phase/per-kind
-//!   log-bucketed histograms (p50/p90/p99/p999) and the slow-query log,
-//!   exposed as the `telemetry` protocol op and Prometheus `GET /metrics`.
+//! * [`telemetry`] — the engine's one recording type, [`EngineTelemetry`]:
+//!   per-op/per-phase/per-kind/per-objective log-bucketed latency
+//!   histograms (p50/p90/p99/p999), the counters no histogram records, and
+//!   the slow-query log, exposed as the `metrics` and `telemetry` protocol
+//!   ops and Prometheus `GET /metrics`.
 //! * [`cli`] — the `tfsn` binary: `serve-batch`, `stats`, `gen`.
 //!
 //! ## Example
@@ -70,7 +70,6 @@ pub mod cli;
 pub mod cluster;
 pub mod deployment;
 pub mod failpoint;
-pub mod metrics;
 pub mod registry;
 pub mod server;
 pub mod service;
@@ -97,14 +96,13 @@ pub use answer::{AnswerStatus, TeamAnswer};
 pub use batch::BatchOptions;
 pub use client::{HttpClient, HttpReply};
 pub use deployment::Deployment;
-pub use metrics::{EngineMetrics, MetricsSnapshot};
 pub use proto::{Request, RequestBody, Response, ServiceError, PROTOCOL_VERSION};
 pub use query::{QueryReadError, TeamQuery};
 pub use registry::{DeploymentConfig, DeploymentRegistry, DeploymentSource, WalConfig};
 pub use server::{HttpServer, ServerOptions, ShutdownHandle};
 pub use service::{Deadline, Service, ServiceOptions, StreamOptions};
 pub use store::{BatchReport, MutationReport, RelationStore, ServingMode, StorePolicy, TierChoice};
-pub use telemetry::{EngineTelemetry, LatencyHistogram, TelemetryReport};
+pub use telemetry::{EngineTelemetry, LatencyHistogram, MetricsSnapshot, TelemetryReport};
 pub use tfsn_core::team::Objective;
 pub use wal::{FsyncPolicy, Wal};
 
@@ -162,7 +160,7 @@ pub struct EngineOptions {
 }
 
 /// The query engine: a [`Deployment`] plus the relation store and
-/// serving metrics. All methods take `&self`; the engine is `Sync` and
+/// serving telemetry. All methods take `&self`; the engine is `Sync` and
 /// meant to be shared across threads.
 ///
 /// Since PR 5 the served graph is **live**: [`Engine::mutate`] applies edge
@@ -175,7 +173,6 @@ pub struct EngineOptions {
 pub struct Engine {
     deployment: Deployment,
     store: RelationStore,
-    metrics: EngineMetrics,
     telemetry: EngineTelemetry,
     /// Deployment statistics, keyed by the graph version they were
     /// computed at — the exact diameter inside is an all-pairs BFS and must
@@ -249,7 +246,6 @@ impl Engine {
         Engine {
             deployment,
             store,
-            metrics: EngineMetrics::default(),
             telemetry: EngineTelemetry::new(slow_log),
             stats: parking_lot::Mutex::new(None),
             wal: std::sync::OnceLock::new(),
@@ -431,25 +427,20 @@ impl Engine {
     /// A snapshot of the serving metrics, including the store gauges and
     /// the query-latency percentiles from the telemetry histograms.
     pub fn metrics(&self) -> MetricsSnapshot {
-        let mut snap = self.metrics.snapshot();
-        snap.matrix_builds = self.store.build_count() as u64;
-        snap.row_builds = self.store.row_build_count() as u64;
-        snap.row_evictions = self.store.row_eviction_count() as u64;
-        snap.resident_rows = self.store.resident_row_count() as u64;
-        snap.resident_bytes = self.store.resident_bytes() as u64;
-        snap.mutations_applied = self.store.mutation_count() as u64;
-        snap.rows_invalidated = self.store.rows_invalidated_count() as u64;
-        let queries = self.telemetry.op_snapshot(telemetry::Op::Query);
-        snap.query_p50_micros = Some(queries.quantile(0.50));
-        snap.query_p90_micros = Some(queries.quantile(0.90));
-        snap.query_p99_micros = Some(queries.quantile(0.99));
-        snap.query_p999_micros = Some(queries.quantile(0.999));
-        snap.query_max_micros = Some(queries.max);
-        snap
+        MetricsSnapshot {
+            matrix_builds: self.store.build_count() as u64,
+            row_builds: self.store.row_build_count() as u64,
+            row_evictions: self.store.row_eviction_count() as u64,
+            resident_rows: self.store.resident_row_count() as u64,
+            resident_bytes: self.store.resident_bytes() as u64,
+            mutations_applied: self.store.mutation_count() as u64,
+            rows_invalidated: self.store.rows_invalidated_count() as u64,
+            ..self.telemetry.query_metrics()
+        }
     }
 
-    /// The engine's latency telemetry: per-op/per-phase/per-kind histograms
-    /// and the slow-query log.
+    /// The engine's telemetry: per-op/per-phase/per-kind/per-objective
+    /// histograms, the query and WAL counters, and the slow-query log.
     pub fn telemetry(&self) -> &EngineTelemetry {
         &self.telemetry
     }
@@ -489,9 +480,9 @@ impl Engine {
     ///
     /// Accounting: the answer is a cache miss iff **this** call performed
     /// build work — it ran the kind's fill (concurrent callers that merely
-    /// blocked on it are hits), or it computed at least one row. Build/wait time is reported in `build_micros`, separate from
-    /// solver time, so cold-start stalls do not masquerade as solver
-    /// latency.
+    /// blocked on it are hits), or it computed at least one row.
+    /// Build/wait time is reported in `build_micros`, separate from solver
+    /// time, so cold-start stalls do not masquerade as solver latency.
     pub fn query(&self, query: &TeamQuery) -> TeamAnswer {
         let start = Instant::now();
         // When the shard was already initialised, the fetch is a plain
@@ -561,12 +552,6 @@ impl Engine {
             objective: query.objective.as_ref().map(|o| o.label().to_string()),
             score,
         };
-        self.metrics.record_query(
-            answer.status == AnswerStatus::Ok,
-            cache_hit,
-            micros,
-            build_micros,
-        );
         self.telemetry.record_query(telemetry::QuerySample {
             kind: query.kind,
             algorithm: answer.algorithm.clone(),
@@ -577,6 +562,7 @@ impl Engine {
             team_size: answer.cardinality as u64,
             solved: answer.status == AnswerStatus::Ok,
         });
+        self.telemetry.record_cache(cache_hit);
         answer
     }
 

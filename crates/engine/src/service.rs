@@ -29,7 +29,7 @@ use crate::proto::{
 use crate::query::QueryReader;
 use crate::registry::DeploymentRegistry;
 use crate::telemetry::prometheus::{self, DeploymentScrape};
-use crate::telemetry::{HistogramSnapshot, Op, Phase};
+use crate::telemetry::{self, HistogramSnapshot, Op, Phase};
 use crate::wal;
 use crate::{BatchOptions, Engine, MetricsSnapshot, Objective, TeamQuery};
 
@@ -344,11 +344,7 @@ impl Service {
                     }
                 }
                 if merged.count() > 0 {
-                    total.query_p50_micros = Some(merged.quantile(0.50));
-                    total.query_p90_micros = Some(merged.quantile(0.90));
-                    total.query_p99_micros = Some(merged.quantile(0.99));
-                    total.query_p999_micros = Some(merged.quantile(0.999));
-                    total.query_max_micros = Some(merged.max);
+                    telemetry::set_query_latency(&mut total, &merged);
                 }
                 Ok(Response::Metrics { deployments, total })
             }
@@ -612,16 +608,18 @@ impl Service {
     /// Renders the Prometheus text exposition over every loaded deployment
     /// — the `GET /metrics` scrape body (see `docs/OBSERVABILITY.md`).
     pub fn prometheus_metrics(&self) -> String {
-        let mut scrapes = Vec::new();
-        for name in self.registry.names() {
-            if let Some(engine) = self.registry.engine_if_loaded(name) {
-                scrapes.push(DeploymentScrape::capture(
-                    name,
-                    engine.metrics(),
-                    engine.telemetry(),
-                ));
-            }
-        }
+        let engines: Vec<_> = self
+            .registry
+            .names()
+            .into_iter()
+            .filter_map(|name| Some((name, self.registry.engine_if_loaded(name)?)))
+            .collect();
+        let scrapes: Vec<_> = engines
+            .iter()
+            .map(|(name, engine)| {
+                DeploymentScrape::capture(name, engine.metrics(), engine.telemetry())
+            })
+            .collect();
         prometheus::render(&scrapes)
     }
 }

@@ -59,10 +59,10 @@ pub fn bucket_upper(index: usize) -> u64 {
 
 /// A mergeable, lock-free histogram of `u64` samples (conventionally
 /// microseconds). All operations use relaxed atomics: recording threads never
-/// coordinate, and a snapshot is "consistent enough" in the same sense as
-/// [`crate::EngineMetrics`] — counts never go backwards and no sample is
-/// lost, but a snapshot racing a record may see the bucket increment without
-/// the sum increment or vice versa.
+/// coordinate, and a snapshot is "consistent enough" in the same sense as the
+/// counters of [`crate::EngineTelemetry`] — counts never go backwards and no
+/// sample is lost, but a snapshot racing a record may see the bucket
+/// increment without the sum increment or vice versa.
 pub struct LatencyHistogram {
     buckets: [AtomicU64; BUCKET_COUNT],
     sum: AtomicU64,
@@ -145,11 +145,6 @@ impl HistogramSnapshot {
     /// Total number of recorded samples.
     pub fn count(&self) -> u64 {
         self.counts.iter().sum()
-    }
-
-    /// The recorded count of bucket `index`.
-    pub fn bucket_count(&self, index: usize) -> u64 {
-        self.counts[index]
     }
 
     /// Number of samples in buckets strictly below `index` — i.e. samples

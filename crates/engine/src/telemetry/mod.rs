@@ -1,9 +1,9 @@
-//! Serving telemetry: latency distributions per operation, phase, and
-//! compatibility kind, plus a log of the slowest queries.
+//! Serving telemetry: every counter and latency distribution an engine
+//! records, plus a log of the slowest queries.
 //!
-//! [`crate::EngineMetrics`] keeps the cheap aggregate counters; this module
-//! answers the questions counters cannot — *what is p99, and where does the
-//! time go?* Every [`crate::Engine`] owns one [`EngineTelemetry`]:
+//! Every [`crate::Engine`] owns one [`EngineTelemetry`], its only recording
+//! type. It answers both *how many* and *what is p99, and where does the
+//! time go?*:
 //!
 //! * **per-operation** latency histograms for `query`, `batch`, `mutate`
 //!   and `warm` ([`Op::ALL`]);
@@ -13,18 +13,33 @@
 //!   `tfsn_core::compat`), `row_compute` (rows this query computed itself),
 //!   `solve` (solver + lookups) and `serialize` (answer encoding, recorded
 //!   per batch chunk by the service layer) ([`Phase::ALL`]);
-//! * **per-kind** query-latency histograms over [`CompatibilityKind::ALL`];
+//! * **per-kind** and **per-objective** query-latency histograms over
+//!   [`CompatibilityKind::ALL`] and [`Objective::ALL_LABELS`];
+//! * the counters no histogram records: queries solved, cache hits and
+//!   misses, WAL appends (queries served, busy time and build time are read
+//!   off the `query` op and the phase histograms);
 //! * a [`SlowQueryLog`] retaining the N slowest queries with their phase
 //!   breakdowns, so a tail outlier can be attributed without rerunning.
+//!
+//! Accounting semantics: a query is a **cache miss** iff it performed
+//! relation-building work itself — it ran a kind's fill, or computed at
+//! least one per-source row. A query that found everything resident, *or
+//! that blocked on a build another query was already running*, is a hit.
+//! So for filled kinds `cache_misses` equals the number of query-triggered
+//! fills exactly, even when N cold queries race on one kind (fills run via
+//! [`crate::Engine::warm`] are outside query accounting); for rows filled
+//! on demand each miss covers all the rows that query built, so
+//! `cache_misses <= row_builds`.
 //!
 //! Recording is lock-free (three relaxed atomics per histogram sample; the
 //! slow log takes a lock only when a query beats the current admission
 //! threshold). Snapshots are read with relaxed loads and merge exactly, so
 //! the service can aggregate across deployments.
 //!
-//! Everything is exposed two ways: the JSON `telemetry` protocol operation
-//! (structured [`TelemetryReport`]) and the Prometheus text exposition at
-//! `GET /metrics` (see `docs/OBSERVABILITY.md`).
+//! Everything is exposed two ways: the JSON `metrics` and `telemetry`
+//! protocol operations ([`MetricsSnapshot`], [`TelemetryReport`]) and the
+//! Prometheus text exposition at `GET /metrics` ([`prometheus::FAMILIES`];
+//! see `docs/OBSERVABILITY.md`).
 
 pub mod histogram;
 pub mod prometheus;
@@ -33,7 +48,9 @@ pub use histogram::{HistogramSnapshot, LatencyHistogram};
 // The report payload shapes are wire types and live crate-side in
 // `tfsn-client` (`tfsn_client::report`), so dashboards parse telemetry
 // without linking the engine; re-exported under their historical paths.
-pub use tfsn_client::report::{AxisStats, HistogramStats, SlowQuery, TelemetryReport};
+pub use tfsn_client::report::{
+    AxisStats, HistogramStats, MetricsSnapshot, SlowQuery, TelemetryReport,
+};
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -42,10 +59,10 @@ use parking_lot::Mutex;
 use tfsn_core::compat::CompatibilityKind;
 use tfsn_core::team::Objective;
 
-/// Process-global serving counters that do not belong to any one engine:
-/// requests shed by overload protection and client-side retries. They are
-/// monotonic for the life of the process and surface unlabeled in the
-/// `/metrics` exposition (`tfsn_requests_shed_total`,
+/// Process-global serving counters that do not belong to any one engine.
+/// They are monotonic for the life of the process and surface unlabeled in
+/// the `/metrics` exposition (`tfsn_requests_shed_total`; client retries
+/// are counted by `tfsn_client::client` and surface as
 /// `tfsn_client_retries_total`).
 pub mod globals {
     use std::sync::atomic::{AtomicU64, Ordering};
@@ -61,19 +78,6 @@ pub mod globals {
     /// Requests shed so far in this process.
     pub fn requests_shed() -> u64 {
         REQUESTS_SHED.load(Ordering::Relaxed)
-    }
-
-    /// Counts one [`crate::client::HttpClient`] retry attempt (backoff
-    /// after an `overloaded` reply or a connect failure). The counter
-    /// itself lives in `tfsn-client` — the client crate cannot see the
-    /// engine — and this delegates so both paths feed one total.
-    pub fn note_client_retry() {
-        tfsn_client::client::note_client_retry();
-    }
-
-    /// Client retries so far in this process.
-    pub fn client_retries() -> u64 {
-        tfsn_client::client::client_retries()
     }
 }
 
@@ -140,10 +144,36 @@ impl Phase {
     }
 }
 
+/// The labelled histogram axes, each exported under its own label name.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Axis {
+    /// Per-operation latency ([`Op`]).
+    Op,
+    /// Per-phase latency ([`Phase`]).
+    Phase,
+    /// Per-kind query latency ([`CompatibilityKind`]).
+    Kind,
+    /// Per-objective query latency ([`Objective::ALL_LABELS`]).
+    Objective,
+}
+
+impl Axis {
+    /// The Prometheus label name (`op=`, `phase=`, `kind=`, `objective=`).
+    pub fn label(self) -> &'static str {
+        match self {
+            Axis::Op => "op",
+            Axis::Phase => "phase",
+            Axis::Kind => "kind",
+            Axis::Objective => "objective",
+        }
+    }
+}
+
 /// Histogram bucket boundaries (in microseconds) used by the Prometheus
 /// exposition. Each is the exact lower bound of an internal bucket, so the
 /// cumulative `_bucket{le=...}` counts are derived without splitting any
-/// bucket. `le` is emitted in seconds; a `+Inf` line closes each series.
+/// bucket. `le` is emitted in the family's unit; a `+Inf` line closes each
+/// series.
 pub const PROM_BOUNDS_MICROS: [u64; 17] = [
     1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 4096, 16384, 65536, 262144, 1048576, 4194304,
 ];
@@ -178,15 +208,22 @@ impl QuerySample {
     }
 }
 
-/// Per-engine telemetry: one histogram per operation, phase, and
-/// compatibility kind, plus the slow-query log. One instance per
-/// [`crate::Engine`], shared by all its worker threads.
+/// Per-engine telemetry: one histogram per operation, phase, compatibility
+/// kind and objective, the counters no histogram records, and the
+/// slow-query log. One instance per [`crate::Engine`], shared by all its
+/// worker threads.
 #[derive(Debug)]
 pub struct EngineTelemetry {
     ops: [LatencyHistogram; Op::ALL.len()],
     phases: [LatencyHistogram; Phase::ALL.len()],
     kinds: [LatencyHistogram; CompatibilityKind::ALL.len()],
     objectives: [LatencyHistogram; Objective::ALL_LABELS.len()],
+    /// Queries answered with a team.
+    queries_solved: AtomicU64,
+    /// Queries that performed no relation-building work themselves.
+    cache_hits: AtomicU64,
+    /// Queries that ran a fill or computed at least one row.
+    cache_misses: AtomicU64,
     /// Durable WAL appends acknowledged by this engine (replay excluded —
     /// replayed records go through a WAL-less mutate).
     wal_appends: AtomicU64,
@@ -210,6 +247,9 @@ impl EngineTelemetry {
             phases: std::array::from_fn(|_| LatencyHistogram::default()),
             kinds: std::array::from_fn(|_| LatencyHistogram::default()),
             objectives: std::array::from_fn(|_| LatencyHistogram::default()),
+            queries_solved: AtomicU64::new(0),
+            cache_hits: AtomicU64::new(0),
+            cache_misses: AtomicU64::new(0),
             wal_appends: AtomicU64::new(0),
             wal_fsync: LatencyHistogram::default(),
             slow: SlowQueryLog::new(slow_log),
@@ -231,13 +271,21 @@ impl EngineTelemetry {
         self.wal_appends.load(Ordering::Relaxed)
     }
 
-    /// A point-in-time copy of the WAL fsync-latency histogram.
-    pub fn wal_fsync_snapshot(&self) -> HistogramSnapshot {
-        self.wal_fsync.snapshot()
+    /// Records whether a served query was a cache hit (see the module docs
+    /// for what counts as one). [`crate::Engine::query`] calls this once per
+    /// query next to [`EngineTelemetry::record_query`].
+    pub fn record_cache(&self, hit: bool) {
+        let counter = if hit {
+            &self.cache_hits
+        } else {
+            &self.cache_misses
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records one served query into the query-op, per-phase, per-kind, and
-    /// per-objective histograms, and offers it to the slow-query log.
+    /// per-objective histograms, counts it if solved, and offers it to the
+    /// slow-query log.
     pub fn record_query(&self, sample: QuerySample) {
         self.record_op(Op::Query, sample.total_micros);
         self.record_phase(Phase::BuildWait, sample.build_wait_micros);
@@ -251,6 +299,9 @@ impl EngineTelemetry {
             .position(|&l| l == sample.objective)
             .unwrap_or(0);
         self.objectives[idx].record(sample.total_micros);
+        if sample.solved {
+            self.queries_solved.fetch_add(1, Ordering::Relaxed);
+        }
         self.slow.offer(sample);
     }
 
@@ -271,64 +322,81 @@ impl EngineTelemetry {
         self.ops[op as usize].snapshot()
     }
 
-    /// A point-in-time copy of one phase's histogram.
-    pub fn phase_snapshot(&self, phase: Phase) -> HistogramSnapshot {
-        self.phases[phase as usize].snapshot()
+    /// Every labelled histogram as `(axis, label, histogram)`, in exposition
+    /// order: operations, phases, kinds, then objectives. The `telemetry`
+    /// report and the Prometheus exposition both walk this.
+    pub fn axes(&self) -> impl Iterator<Item = (Axis, &'static str, &LatencyHistogram)> {
+        let ops = Op::ALL
+            .iter()
+            .map(|&op| (Axis::Op, op.label(), &self.ops[op as usize]));
+        let phases = Phase::ALL
+            .iter()
+            .map(|&phase| (Axis::Phase, phase.label(), &self.phases[phase as usize]));
+        let kinds = CompatibilityKind::ALL
+            .iter()
+            .map(|&kind| (Axis::Kind, kind.label(), &self.kinds[kind as usize]));
+        let objectives = Objective::ALL_LABELS
+            .iter()
+            .zip(&self.objectives)
+            .map(|(&label, histogram)| (Axis::Objective, label, histogram));
+        ops.chain(phases).chain(kinds).chain(objectives)
     }
 
-    /// A point-in-time copy of one kind's query-latency histogram.
-    pub fn kind_snapshot(&self, kind: CompatibilityKind) -> HistogramSnapshot {
-        self.kinds[kind as usize].snapshot()
-    }
-
-    /// A point-in-time copy of one objective's query-latency histogram
-    /// (`index` into [`Objective::ALL_LABELS`]).
-    pub fn objective_snapshot(&self, index: usize) -> HistogramSnapshot {
-        self.objectives[index].snapshot()
-    }
-
-    /// The slow-query log.
-    pub fn slow_log(&self) -> &SlowQueryLog {
-        &self.slow
+    /// The query counters and latency percentiles of a [`MetricsSnapshot`].
+    /// The store gauges stay zero; [`crate::Engine::metrics`] fills them.
+    /// Queries served and busy time are the `query` op histogram's count
+    /// and sum; build time is the `build_wait` plus `row_compute` sums.
+    pub fn query_metrics(&self) -> MetricsSnapshot {
+        let queries = self.op_snapshot(Op::Query);
+        let phase_sum = |phase: Phase| self.phases[phase as usize].snapshot().sum;
+        let mut snapshot = MetricsSnapshot {
+            queries_served: queries.count(),
+            queries_solved: self.queries_solved.load(Ordering::Relaxed),
+            cache_hits: self.cache_hits.load(Ordering::Relaxed),
+            cache_misses: self.cache_misses.load(Ordering::Relaxed),
+            busy_micros: queries.sum,
+            build_wait_micros: phase_sum(Phase::BuildWait) + phase_sum(Phase::RowCompute),
+            ..MetricsSnapshot::default()
+        };
+        set_query_latency(&mut snapshot, &queries);
+        snapshot
     }
 
     /// The full structured report served by the `telemetry` protocol op:
-    /// per-op, per-phase, and per-kind percentile summaries plus the slow
-    /// queries, slowest first.
+    /// every axis's percentile summaries plus the slow queries, slowest
+    /// first.
     pub fn report(&self) -> TelemetryReport {
-        TelemetryReport {
-            ops: Op::ALL
-                .iter()
-                .map(|&op| AxisStats {
-                    label: op.label().to_string(),
-                    stats: histogram_stats(&self.op_snapshot(op)),
-                })
-                .collect(),
-            phases: Phase::ALL
-                .iter()
-                .map(|&phase| AxisStats {
-                    label: phase.label().to_string(),
-                    stats: histogram_stats(&self.phase_snapshot(phase)),
-                })
-                .collect(),
-            kinds: CompatibilityKind::ALL
-                .iter()
-                .map(|&kind| AxisStats {
-                    label: kind.label().to_string(),
-                    stats: histogram_stats(&self.kind_snapshot(kind)),
-                })
-                .collect(),
-            objectives: Objective::ALL_LABELS
-                .iter()
-                .enumerate()
-                .map(|(i, &label)| AxisStats {
-                    label: label.to_string(),
-                    stats: histogram_stats(&self.objective_snapshot(i)),
-                })
-                .collect(),
+        let mut report = TelemetryReport {
+            ops: Vec::new(),
+            phases: Vec::new(),
+            kinds: Vec::new(),
+            objectives: Vec::new(),
             slow_queries: self.slow.entries(),
+        };
+        for (axis, label, histogram) in self.axes() {
+            let list = match axis {
+                Axis::Op => &mut report.ops,
+                Axis::Phase => &mut report.phases,
+                Axis::Kind => &mut report.kinds,
+                Axis::Objective => &mut report.objectives,
+            };
+            list.push(AxisStats {
+                label: label.to_string(),
+                stats: histogram_stats(&histogram.snapshot()),
+            });
         }
+        report
     }
+}
+
+/// Sets the `query_p50_micros` … `query_max_micros` fields of `snapshot`
+/// from a `query` op histogram (one engine's, or several merged).
+pub fn set_query_latency(snapshot: &mut MetricsSnapshot, queries: &HistogramSnapshot) {
+    snapshot.query_p50_micros = Some(queries.quantile(0.50));
+    snapshot.query_p90_micros = Some(queries.quantile(0.90));
+    snapshot.query_p99_micros = Some(queries.quantile(0.99));
+    snapshot.query_p999_micros = Some(queries.quantile(0.999));
+    snapshot.query_max_micros = Some(queries.max);
 }
 
 /// Keeps the `capacity` slowest queries seen so far.
@@ -363,11 +431,6 @@ impl SlowQueryLog {
         }
     }
 
-    /// The configured retention capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Offers one query; assigns it the next monotonic sequence number and
     /// retains it if it ranks among the slowest seen.
     pub fn offer(&self, sample: QuerySample) {
@@ -389,6 +452,7 @@ impl SlowQueryLog {
             }
             entries.swap_remove(slot);
         }
+        let solve_micros = sample.solve_micros();
         entries.push(SlowQuery {
             seq,
             kind: sample.kind.label().to_string(),
@@ -397,9 +461,7 @@ impl SlowQueryLog {
             total_micros: sample.total_micros,
             build_wait_micros: sample.build_wait_micros,
             row_compute_micros: sample.row_compute_micros,
-            solve_micros: sample
-                .total_micros
-                .saturating_sub(sample.build_wait_micros + sample.row_compute_micros),
+            solve_micros,
             team_size: sample.team_size,
             solved: sample.solved,
         });
@@ -460,19 +522,17 @@ mod tests {
         let t = EngineTelemetry::new(4);
         t.record_query(sample(CompatibilityKind::Spa, 100, 30, 20));
         t.record_query(sample(CompatibilityKind::Nne, 10, 0, 0));
-        assert_eq!(t.op_snapshot(Op::Query).count(), 2);
-        assert_eq!(t.phase_snapshot(Phase::BuildWait).sum, 30);
-        assert_eq!(t.phase_snapshot(Phase::RowCompute).sum, 20);
-        assert_eq!(t.phase_snapshot(Phase::Solve).sum, 60);
-        assert_eq!(t.phase_snapshot(Phase::Serialize).count(), 0);
-        assert_eq!(t.kind_snapshot(CompatibilityKind::Spa).count(), 1);
-        assert_eq!(t.kind_snapshot(CompatibilityKind::Nne).count(), 1);
-        assert_eq!(t.kind_snapshot(CompatibilityKind::Dpe).count(), 0);
         let report = t.report();
         assert_eq!(report.ops.len(), Op::ALL.len());
         assert_eq!(report.phases.len(), Phase::ALL.len());
         assert_eq!(report.kinds.len(), CompatibilityKind::ALL.len());
         assert_eq!(report.objectives.len(), Objective::ALL_LABELS.len());
+        assert_eq!(report.ops[Op::Query as usize].stats.count, 2);
+        let phase_sums: Vec<u64> = report.phases.iter().map(|a| a.stats.sum_micros).collect();
+        assert_eq!(phase_sums, vec![30, 20, 60, 0]);
+        assert_eq!(report.phases[Phase::Serialize as usize].stats.count, 0);
+        let kind_counts: Vec<u64> = report.kinds.iter().map(|a| a.stats.count).collect();
+        assert_eq!(kind_counts, vec![0, 1, 0, 0, 0, 0, 1]);
         assert_eq!(report.slow_queries.len(), 2);
         assert_eq!(report.slow_queries[0].total_micros, 100);
         assert_eq!(report.slow_queries[0].solve_micros, 50);
@@ -491,13 +551,37 @@ mod tests {
             objective: "constrained",
             ..sample(CompatibilityKind::Nne, 70, 0, 0)
         });
-        assert_eq!(t.objective_snapshot(0).count(), 1);
-        assert_eq!(t.objective_snapshot(1).count(), 1);
-        assert_eq!(t.objective_snapshot(2).count(), 1);
-        assert_eq!(t.objective_snapshot(1).sum, 40);
         let report = t.report();
         let labels: Vec<&str> = report.objectives.iter().map(|a| a.label.as_str()).collect();
         assert_eq!(labels, Objective::ALL_LABELS.to_vec());
+        let counts: Vec<u64> = report.objectives.iter().map(|a| a.stats.count).collect();
+        assert_eq!(counts, vec![1, 1, 1]);
+        assert_eq!(report.objectives[1].stats.sum_micros, 40);
+    }
+
+    #[test]
+    fn query_metrics_read_off_the_histograms() {
+        let t = EngineTelemetry::default();
+        t.record_cache(false);
+        t.record_query(sample(CompatibilityKind::Spa, 100, 40, 20));
+        t.record_cache(true);
+        t.record_query(QuerySample {
+            solved: false,
+            ..sample(CompatibilityKind::Spa, 50, 0, 0)
+        });
+        // Serialize is not a query phase, so it stays out of build time.
+        t.record_phase(Phase::Serialize, 1000);
+        let snap = t.query_metrics();
+        assert_eq!(snap.queries_served, 2);
+        assert_eq!(snap.queries_solved, 1);
+        assert_eq!(snap.cache_hits, 1);
+        assert_eq!(snap.cache_misses, 1);
+        assert_eq!(snap.busy_micros, 150);
+        assert_eq!(snap.build_wait_micros, 60);
+        assert_eq!(snap.query_max_micros, Some(100));
+        assert!(snap.query_p50_micros <= snap.query_p99_micros);
+        assert!((snap.mean_latency_micros() - 75.0).abs() < 1e-9);
+        assert_eq!(snap.matrix_builds, 0);
     }
 
     #[test]

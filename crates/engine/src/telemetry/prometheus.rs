@@ -1,10 +1,12 @@
 //! Prometheus text exposition (format version 0.0.4) of the engine's
 //! counters and latency histograms, rendered for `GET /metrics` scrapes.
 //!
-//! Every series carries a `deployment` label and the exposition is
-//! **label-closed**: all operations, phases, and compatibility kinds are
-//! emitted for every loaded deployment, at zero if never observed, so
-//! dashboards and alerts never see series flap into existence.
+//! Every family is declared once, in [`FAMILIES`]; the renderer and the
+//! docs-coverage test both walk that table. Every series except the
+//! process-wide ones carries a `deployment` label, and the exposition is
+//! **label-closed**: all operations, phases, compatibility kinds and
+//! objectives are emitted for every loaded deployment, at zero if never
+//! observed, so dashboards and alerts never see series flap into existence.
 //!
 //! One documented deviation from the Prometheus convention: a
 //! `_bucket{le="B"}` line counts samples **strictly below** `B`, not
@@ -16,68 +18,221 @@
 //! microsecond-resolution latencies the distinction is below measurement
 //! noise; the `+Inf` line is exact either way.
 
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 
-use tfsn_core::compat::CompatibilityKind;
-use tfsn_core::team::Objective;
-
-use crate::metrics::MetricsSnapshot;
-
-use super::histogram::{bucket_index, HistogramSnapshot};
-use super::{EngineTelemetry, Op, Phase, PROM_BOUNDS_MICROS};
+use super::histogram::{bucket_index, LatencyHistogram};
+use super::{globals, Axis, EngineTelemetry, MetricsSnapshot, PROM_BOUNDS_MICROS};
 
 /// The `Content-Type` of the text exposition format, as scrapers expect.
 pub const CONTENT_TYPE: &str = "text/plain; version=0.0.4";
 
-/// One loaded deployment's scrape inputs: its counter snapshot plus
-/// point-in-time copies of every latency histogram.
+/// One exported metric family: the registry row that both the renderer and
+/// the docs-coverage test walk.
 #[derive(Debug)]
-pub struct DeploymentScrape {
-    /// The deployment name (becomes the `deployment` label).
-    pub deployment: String,
-    /// Its counter/gauge snapshot.
-    pub metrics: MetricsSnapshot,
-    /// Per-operation latency, indexed like [`Op::ALL`].
-    pub ops: Vec<HistogramSnapshot>,
-    /// Per-phase latency, indexed like [`Phase::ALL`].
-    pub phases: Vec<HistogramSnapshot>,
-    /// Per-kind query counts, indexed like [`CompatibilityKind::ALL`].
-    pub kind_queries: Vec<u64>,
-    /// Per-objective query counts, indexed like [`Objective::ALL_LABELS`].
-    pub objective_queries: Vec<u64>,
-    /// Durable WAL appends acknowledged by this deployment's engine.
-    pub wal_appends: u64,
-    /// WAL fsync latency (only appends that flushed record here).
-    pub wal_fsync: HistogramSnapshot,
+pub struct Family {
+    /// The metric name.
+    pub name: &'static str,
+    /// Its Prometheus type.
+    pub kind: Type,
+    /// The `# HELP` text.
+    pub help: &'static str,
+    /// Where its values come from, and so which labels it carries.
+    pub source: Source,
 }
 
-impl DeploymentScrape {
+/// A family's Prometheus type.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Type {
+    /// A monotonic count.
+    Counter,
+    /// A point-in-time level.
+    Gauge,
+    /// A latency histogram, with `le` bounds and `_sum` in this unit.
+    Histogram(Unit),
+}
+
+/// The unit a latency histogram is exported in.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Unit {
+    /// Seconds (Prometheus convention; names end in `_seconds`).
+    Seconds,
+    /// Raw microseconds (names end in `_micros`).
+    Micros,
+}
+
+/// Where a family's values come from.
+#[derive(Debug)]
+pub enum Source {
+    /// One value per deployment, labelled `deployment`.
+    Value(fn(&DeploymentScrape) -> u64),
+    /// One histogram per deployment, labelled `deployment`.
+    Histogram(fn(&EngineTelemetry) -> &LatencyHistogram),
+    /// One histogram per deployment and label of the axis (from
+    /// [`EngineTelemetry::axes`]), labelled `deployment` and the axis; a
+    /// counter exports each histogram's sample count.
+    Axis(Axis),
+    /// One process-wide value, unlabelled.
+    Process(fn() -> u64),
+}
+
+impl Type {
+    fn label(self) -> &'static str {
+        match self {
+            Type::Counter => "counter",
+            Type::Gauge => "gauge",
+            Type::Histogram(_) => "histogram",
+        }
+    }
+}
+
+/// Every exported family, in exposition order.
+pub const FAMILIES: [Family; 19] = [
+    Family {
+        name: "tfsn_queries_served_total",
+        kind: Type::Counter,
+        help: "Queries answered (any status).",
+        source: Source::Value(|s| s.metrics.queries_served),
+    },
+    Family {
+        name: "tfsn_queries_solved_total",
+        kind: Type::Counter,
+        help: "Queries answered with a team.",
+        source: Source::Value(|s| s.metrics.queries_solved),
+    },
+    Family {
+        name: "tfsn_query_cache_hits_total",
+        kind: Type::Counter,
+        help: "Queries that performed no relation-building work.",
+        source: Source::Value(|s| s.metrics.cache_hits),
+    },
+    Family {
+        name: "tfsn_query_cache_misses_total",
+        kind: Type::Counter,
+        help: "Queries that built the matrix or computed at least one row.",
+        source: Source::Value(|s| s.metrics.cache_misses),
+    },
+    Family {
+        name: "tfsn_matrix_builds_total",
+        kind: Type::Counter,
+        help: "Row stores filled whole at their kind's first fetch (matrix plan).",
+        source: Source::Value(|s| s.metrics.matrix_builds),
+    },
+    Family {
+        name: "tfsn_row_builds_total",
+        kind: Type::Counter,
+        help: "Per-source rows computed on demand (recomputations included).",
+        source: Source::Value(|s| s.metrics.row_builds),
+    },
+    Family {
+        name: "tfsn_row_evictions_total",
+        kind: Type::Counter,
+        help: "Rows evicted to stay within the memory budget.",
+        source: Source::Value(|s| s.metrics.row_evictions),
+    },
+    Family {
+        name: "tfsn_mutations_applied_total",
+        kind: Type::Counter,
+        help: "Live edge mutations applied.",
+        source: Source::Value(|s| s.metrics.mutations_applied),
+    },
+    Family {
+        name: "tfsn_rows_invalidated_total",
+        kind: Type::Counter,
+        help: "Resident rows invalidated by mutations.",
+        source: Source::Value(|s| s.metrics.rows_invalidated),
+    },
+    Family {
+        name: "tfsn_resident_rows",
+        kind: Type::Gauge,
+        help: "Per-source rows currently resident, filled or computed on demand.",
+        source: Source::Value(|s| s.metrics.resident_rows),
+    },
+    Family {
+        name: "tfsn_resident_bytes",
+        kind: Type::Gauge,
+        help: "Bytes currently held by resident rows.",
+        source: Source::Value(|s| s.metrics.resident_bytes),
+    },
+    Family {
+        name: "tfsn_wal_appends_total",
+        kind: Type::Counter,
+        help: "Durable write-ahead-log appends acknowledged.",
+        source: Source::Value(|s| s.telemetry.wal_appends()),
+    },
+    Family {
+        name: "tfsn_op_latency_seconds",
+        kind: Type::Histogram(Unit::Seconds),
+        help: "Operation latency by op (query/batch/mutate/warm).",
+        source: Source::Axis(Axis::Op),
+    },
+    Family {
+        name: "tfsn_phase_latency_seconds",
+        kind: Type::Histogram(Unit::Seconds),
+        help: "Query-phase latency (build_wait/row_compute/solve/serialize).",
+        source: Source::Axis(Axis::Phase),
+    },
+    Family {
+        name: "tfsn_kind_queries_total",
+        kind: Type::Counter,
+        help: "Queries served by compatibility kind.",
+        source: Source::Axis(Axis::Kind),
+    },
+    Family {
+        name: "tfsn_objective_queries_total",
+        kind: Type::Counter,
+        help: "Queries served by team objective.",
+        source: Source::Axis(Axis::Objective),
+    },
+    Family {
+        name: "tfsn_wal_fsync_micros",
+        kind: Type::Histogram(Unit::Micros),
+        help: "Write-ahead-log fsync latency in microseconds.",
+        source: Source::Histogram(|t| &t.wal_fsync),
+    },
+    Family {
+        name: "tfsn_requests_shed_total",
+        kind: Type::Counter,
+        help: "Requests refused by overload protection (process-wide).",
+        source: Source::Process(globals::requests_shed),
+    },
+    Family {
+        name: "tfsn_client_retries_total",
+        kind: Type::Counter,
+        help: "HTTP client retry attempts after overload or connect failure (process-wide).",
+        source: Source::Process(tfsn_client::client::client_retries),
+    },
+];
+
+/// One loaded deployment's scrape inputs: its counter snapshot plus its
+/// live telemetry, whose histograms are snapshotted as they render.
+#[derive(Debug)]
+pub struct DeploymentScrape<'a> {
+    /// The deployment name, escaped for a label value.
+    deployment: String,
+    /// Its counter/gauge snapshot.
+    pub metrics: MetricsSnapshot,
+    /// Its telemetry.
+    pub telemetry: &'a EngineTelemetry,
+}
+
+impl<'a> DeploymentScrape<'a> {
     /// Captures one deployment's scrape inputs.
     pub fn capture(
         deployment: &str,
         metrics: MetricsSnapshot,
-        telemetry: &EngineTelemetry,
+        telemetry: &'a EngineTelemetry,
     ) -> Self {
         DeploymentScrape {
-            deployment: deployment.to_string(),
+            deployment: escape_label(deployment),
             metrics,
-            ops: Op::ALL
-                .iter()
-                .map(|&op| telemetry.op_snapshot(op))
-                .collect(),
-            phases: Phase::ALL
-                .iter()
-                .map(|&phase| telemetry.phase_snapshot(phase))
-                .collect(),
-            kind_queries: CompatibilityKind::ALL
-                .iter()
-                .map(|&kind| telemetry.kind_snapshot(kind).count())
-                .collect(),
-            objective_queries: (0..Objective::ALL_LABELS.len())
-                .map(|i| telemetry.objective_snapshot(i).count())
-                .collect(),
-            wal_appends: telemetry.wal_appends(),
-            wal_fsync: telemetry.wal_fsync_snapshot(),
+            telemetry,
+        }
+    }
+
+    fn labels(&self, axis: Option<(Axis, &'static str)>) -> Labels<'_> {
+        Labels {
+            deployment: &self.deployment,
+            axis,
         }
     }
 }
@@ -97,298 +252,108 @@ fn escape_label(value: &str) -> String {
     out
 }
 
-/// Microseconds as seconds, formatted without float artifacts.
-fn seconds(micros: u64) -> f64 {
-    micros as f64 / 1e6
+/// The label body of one series: `deployment="…"` plus the axis label, if
+/// any (without the `le` pair).
+struct Labels<'a> {
+    deployment: &'a str,
+    axis: Option<(Axis, &'static str)>,
 }
 
-/// Writes one `# HELP`/`# TYPE` family header.
-fn family(out: &mut String, name: &str, kind: &str, help: &str) {
-    let _ = writeln!(out, "# HELP {name} {help}");
-    let _ = writeln!(out, "# TYPE {name} {kind}");
-}
-
-/// Writes one counter or gauge family across all deployments.
-fn scalar_family(
-    out: &mut String,
-    name: &str,
-    kind: &str,
-    help: &str,
-    scrapes: &[DeploymentScrape],
-    value: impl Fn(&DeploymentScrape) -> u64,
-) {
-    family(out, name, kind, help);
-    for scrape in scrapes {
-        let _ = writeln!(
-            out,
-            "{name}{{deployment=\"{}\"}} {}",
-            escape_label(&scrape.deployment),
-            value(scrape)
-        );
+impl fmt::Display for Labels<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "deployment=\"{}\"", self.deployment)?;
+        match self.axis {
+            Some((axis, label)) => write!(f, ",{}=\"{label}\"", axis.label()),
+            None => Ok(()),
+        }
     }
 }
 
-/// Writes one histogram series (`_bucket` lines, `_sum`, `_count`) under
-/// an already-written family header. `labels` is the pre-rendered label
-/// body without the `le` pair (e.g. `deployment="sd",op="query"`).
-fn histogram_series(out: &mut String, name: &str, labels: &str, snapshot: &HistogramSnapshot) {
-    for &bound in PROM_BOUNDS_MICROS.iter() {
-        let _ = writeln!(
-            out,
-            "{name}_bucket{{{labels},le=\"{}\"}} {}",
-            seconds(bound),
-            snapshot.cumulative_below(bucket_index(bound))
-        );
+/// A microsecond value in a histogram's export unit (seconds are printed
+/// as the shortest float that round-trips).
+struct Scaled(Unit, u64);
+
+impl fmt::Display for Scaled {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self.0 {
+            Unit::Seconds => write!(f, "{}", self.1 as f64 / 1e6),
+            Unit::Micros => write!(f, "{}", self.1),
+        }
     }
-    let _ = writeln!(
-        out,
-        "{name}_bucket{{{labels},le=\"+Inf\"}} {}",
-        snapshot.count()
-    );
-    let _ = writeln!(out, "{name}_sum{{{labels}}} {}", seconds(snapshot.sum));
-    let _ = writeln!(out, "{name}_count{{{labels}}} {}", snapshot.count());
 }
 
-/// Like [`histogram_series`] but with `le` bounds and `_sum` in raw
-/// microseconds, for families whose unit suffix is `_micros`.
-fn histogram_series_micros(
-    out: &mut String,
-    name: &str,
-    labels: &str,
-    snapshot: &HistogramSnapshot,
-) {
-    for &bound in PROM_BOUNDS_MICROS.iter() {
-        let _ = writeln!(
-            out,
-            "{name}_bucket{{{labels},le=\"{bound}\"}} {}",
-            snapshot.cumulative_below(bucket_index(bound))
-        );
+impl Family {
+    /// Writes this family's `# HELP`/`# TYPE` header and every series.
+    fn render(&self, out: &mut String, scrapes: &[DeploymentScrape]) {
+        let name = self.name;
+        let _ = writeln!(out, "# HELP {name} {}", self.help);
+        let _ = writeln!(out, "# TYPE {name} {}", self.kind.label());
+        match self.source {
+            Source::Process(value) => {
+                let _ = writeln!(out, "{name} {}", value());
+            }
+            Source::Value(value) => {
+                for scrape in scrapes {
+                    let _ = writeln!(out, "{name}{{{}}} {}", scrape.labels(None), value(scrape));
+                }
+            }
+            Source::Histogram(histogram) => {
+                for scrape in scrapes {
+                    self.series(out, &scrape.labels(None), histogram(scrape.telemetry));
+                }
+            }
+            Source::Axis(axis) => {
+                for scrape in scrapes {
+                    for (_, label, histogram) in scrape.telemetry.axes().filter(|s| s.0 == axis) {
+                        self.series(out, &scrape.labels(Some((axis, label))), histogram);
+                    }
+                }
+            }
+        }
     }
-    let _ = writeln!(
-        out,
-        "{name}_bucket{{{labels},le=\"+Inf\"}} {}",
-        snapshot.count()
-    );
-    let _ = writeln!(out, "{name}_sum{{{labels}}} {}", snapshot.sum);
-    let _ = writeln!(out, "{name}_count{{{labels}}} {}", snapshot.count());
+
+    /// Writes one histogram-backed series: the sample count for a counter,
+    /// else the cumulative `_bucket` lines, `_sum` and `_count`.
+    fn series(&self, out: &mut String, labels: &Labels, histogram: &LatencyHistogram) {
+        let name = self.name;
+        let snapshot = histogram.snapshot();
+        let Type::Histogram(unit) = self.kind else {
+            let _ = writeln!(out, "{name}{{{labels}}} {}", snapshot.count());
+            return;
+        };
+        for &bound in PROM_BOUNDS_MICROS.iter() {
+            let _ = writeln!(
+                out,
+                "{name}_bucket{{{labels},le=\"{}\"}} {}",
+                Scaled(unit, bound),
+                snapshot.cumulative_below(bucket_index(bound))
+            );
+        }
+        let count = snapshot.count();
+        let _ = writeln!(out, "{name}_bucket{{{labels},le=\"+Inf\"}} {count}");
+        let _ = writeln!(out, "{name}_sum{{{labels}}} {}", Scaled(unit, snapshot.sum));
+        let _ = writeln!(out, "{name}_count{{{labels}}} {count}");
+    }
 }
 
 /// Renders the full exposition for every loaded deployment, label-closed
-/// over operations × phases × kinds.
+/// over every axis.
 pub fn render(scrapes: &[DeploymentScrape]) -> String {
     let mut out = String::new();
-    scalar_family(
-        &mut out,
-        "tfsn_queries_served_total",
-        "counter",
-        "Queries answered (any status).",
-        scrapes,
-        |s| s.metrics.queries_served,
-    );
-    scalar_family(
-        &mut out,
-        "tfsn_queries_solved_total",
-        "counter",
-        "Queries answered with a team.",
-        scrapes,
-        |s| s.metrics.queries_solved,
-    );
-    scalar_family(
-        &mut out,
-        "tfsn_query_cache_hits_total",
-        "counter",
-        "Queries that performed no relation-building work.",
-        scrapes,
-        |s| s.metrics.cache_hits,
-    );
-    scalar_family(
-        &mut out,
-        "tfsn_query_cache_misses_total",
-        "counter",
-        "Queries that built the matrix or computed at least one row.",
-        scrapes,
-        |s| s.metrics.cache_misses,
-    );
-    scalar_family(
-        &mut out,
-        "tfsn_matrix_builds_total",
-        "counter",
-        "Row stores filled whole at their kind's first fetch (matrix plan).",
-        scrapes,
-        |s| s.metrics.matrix_builds,
-    );
-    scalar_family(
-        &mut out,
-        "tfsn_row_builds_total",
-        "counter",
-        "Per-source rows computed on demand (recomputations included).",
-        scrapes,
-        |s| s.metrics.row_builds,
-    );
-    scalar_family(
-        &mut out,
-        "tfsn_row_evictions_total",
-        "counter",
-        "Rows evicted to stay within the memory budget.",
-        scrapes,
-        |s| s.metrics.row_evictions,
-    );
-    scalar_family(
-        &mut out,
-        "tfsn_mutations_applied_total",
-        "counter",
-        "Live edge mutations applied.",
-        scrapes,
-        |s| s.metrics.mutations_applied,
-    );
-    scalar_family(
-        &mut out,
-        "tfsn_rows_invalidated_total",
-        "counter",
-        "Resident rows invalidated by mutations.",
-        scrapes,
-        |s| s.metrics.rows_invalidated,
-    );
-    scalar_family(
-        &mut out,
-        "tfsn_resident_rows",
-        "gauge",
-        "Per-source rows currently resident, filled or computed on demand.",
-        scrapes,
-        |s| s.metrics.resident_rows,
-    );
-    scalar_family(
-        &mut out,
-        "tfsn_resident_bytes",
-        "gauge",
-        "Bytes currently held by resident rows.",
-        scrapes,
-        |s| s.metrics.resident_bytes,
-    );
-    scalar_family(
-        &mut out,
-        "tfsn_wal_appends_total",
-        "counter",
-        "Durable write-ahead-log appends acknowledged.",
-        scrapes,
-        |s| s.wal_appends,
-    );
-
-    family(
-        &mut out,
-        "tfsn_op_latency_seconds",
-        "histogram",
-        "Operation latency by op (query/batch/mutate/warm).",
-    );
-    for scrape in scrapes {
-        let deployment = escape_label(&scrape.deployment);
-        for (i, op) in Op::ALL.iter().enumerate() {
-            let labels = format!("deployment=\"{deployment}\",op=\"{}\"", op.label());
-            histogram_series(&mut out, "tfsn_op_latency_seconds", &labels, &scrape.ops[i]);
-        }
+    for family in &FAMILIES {
+        family.render(&mut out, scrapes);
     }
-
-    family(
-        &mut out,
-        "tfsn_phase_latency_seconds",
-        "histogram",
-        "Query-phase latency (build_wait/row_compute/solve/serialize).",
-    );
-    for scrape in scrapes {
-        let deployment = escape_label(&scrape.deployment);
-        for (i, phase) in Phase::ALL.iter().enumerate() {
-            let labels = format!("deployment=\"{deployment}\",phase=\"{}\"", phase.label());
-            histogram_series(
-                &mut out,
-                "tfsn_phase_latency_seconds",
-                &labels,
-                &scrape.phases[i],
-            );
-        }
-    }
-
-    family(
-        &mut out,
-        "tfsn_kind_queries_total",
-        "counter",
-        "Queries served by compatibility kind.",
-    );
-    for scrape in scrapes {
-        let deployment = escape_label(&scrape.deployment);
-        for (i, kind) in CompatibilityKind::ALL.iter().enumerate() {
-            let _ = writeln!(
-                out,
-                "tfsn_kind_queries_total{{deployment=\"{deployment}\",kind=\"{}\"}} {}",
-                kind.label(),
-                scrape.kind_queries[i]
-            );
-        }
-    }
-
-    family(
-        &mut out,
-        "tfsn_objective_queries_total",
-        "counter",
-        "Queries served by team objective.",
-    );
-    for scrape in scrapes {
-        let deployment = escape_label(&scrape.deployment);
-        for (i, label) in Objective::ALL_LABELS.iter().enumerate() {
-            let _ = writeln!(
-                out,
-                "tfsn_objective_queries_total{{deployment=\"{deployment}\",objective=\"{label}\"}} {}",
-                scrape.objective_queries[i]
-            );
-        }
-    }
-
-    family(
-        &mut out,
-        "tfsn_wal_fsync_micros",
-        "histogram",
-        "Write-ahead-log fsync latency in microseconds.",
-    );
-    for scrape in scrapes {
-        let labels = format!("deployment=\"{}\"", escape_label(&scrape.deployment));
-        histogram_series_micros(
-            &mut out,
-            "tfsn_wal_fsync_micros",
-            &labels,
-            &scrape.wal_fsync,
-        );
-    }
-
-    family(
-        &mut out,
-        "tfsn_requests_shed_total",
-        "counter",
-        "Requests refused by overload protection (process-wide).",
-    );
-    let _ = writeln!(
-        out,
-        "tfsn_requests_shed_total {}",
-        super::globals::requests_shed()
-    );
-    family(
-        &mut out,
-        "tfsn_client_retries_total",
-        "counter",
-        "HTTP client retry attempts after overload or connect failure (process-wide).",
-    );
-    let _ = writeln!(
-        out,
-        "tfsn_client_retries_total {}",
-        super::globals::client_retries()
-    );
     out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::telemetry::QuerySample;
+    use crate::telemetry::{Op, Phase, QuerySample};
+    use tfsn_core::compat::CompatibilityKind;
+    use tfsn_core::team::Objective;
 
-    fn sample_scrapes() -> Vec<DeploymentScrape> {
+    fn sample_exposition() -> String {
         let telemetry = EngineTelemetry::default();
         telemetry.record_query(QuerySample {
             kind: CompatibilityKind::Spa,
@@ -406,17 +371,13 @@ mod tests {
             fsynced: true,
             fsync_micros: 1500,
         });
-        let metrics = MetricsSnapshot {
-            queries_served: 1,
-            queries_solved: 1,
-            ..Default::default()
-        };
-        vec![DeploymentScrape::capture("sd", metrics, &telemetry)]
+        let metrics = telemetry.query_metrics();
+        render(&[DeploymentScrape::capture("sd", metrics, &telemetry)])
     }
 
     #[test]
     fn exposition_is_label_closed_and_cumulative() {
-        let text = render(&sample_scrapes());
+        let text = sample_exposition();
         // Every op and phase appears even if never recorded.
         for op in Op::ALL {
             assert!(

@@ -5,6 +5,9 @@
 //!   ship undocumented);
 //! * `docs/ARCHITECTURE.md` must keep describing the invalidation rules
 //!   and shutdown surface it anchors;
+//! * `docs/OBSERVABILITY.md` must name every axis label and every
+//!   Prometheus family in the registry table
+//!   (`tfsn_engine::telemetry::prometheus::FAMILIES`);
 //! * `docs/DURABILITY.md` must keep covering every fsync policy and the
 //!   WAL/deadline/shedding surface;
 //! * local markdown links in README/ROADMAP/docs must resolve to files
@@ -133,16 +136,15 @@ fn observability_doc_covers_every_axis_label() {
             "docs/OBSERVABILITY.md is missing objective label `{objective}`"
         );
     }
-    for anchor in [
-        "tfsn_op_latency_seconds",
-        "tfsn_phase_latency_seconds",
-        "tfsn_kind_queries_total",
-        "tfsn_objective_queries_total",
-        "slow-query log",
-        "query_p50_micros",
-        "+Inf",
-        "wait_micros",
-    ] {
+    for family in tfsn_engine::telemetry::prometheus::FAMILIES {
+        assert!(
+            doc.contains(&format!("`{}`", family.name)),
+            "docs/OBSERVABILITY.md is missing Prometheus family `{}` — every \
+             family in prometheus::FAMILIES must appear in its table",
+            family.name
+        );
+    }
+    for anchor in ["slow-query log", "query_p50_micros", "+Inf", "wait_micros"] {
         assert!(
             doc.contains(anchor),
             "docs/OBSERVABILITY.md lost its `{anchor}` section"
