@@ -14,12 +14,13 @@
 //!   consumed by the team-formation algorithms.
 //!
 //! Resident rows — matrix rows and cached lazy rows alike — use the
-//! bit-packed [`CompatRow`] layout (1 bit per node for the compatible set,
-//! 1 byte per node for the distance and the SP mixed flag, ~1.1 bytes per
-//! node in all), built straight from each relation's scan by
-//! [`compute_row`]: ~8× smaller than the unpacked [`SourceCompatibility`]
-//! and word-parallel for the solver's [`crate::team::CandidateMask`] fast
-//! path, exposed through [`Compatibility::packed_row`].
+//! bit-packed [`CompatRow`] layout (1 bit per node each for the compatible
+//! set and the SP mixed flag, a 4-bit distance code per node, ~0.75 bytes
+//! per node in all; rows with many distances past 13 take 8-bit codes),
+//! built straight from each relation's scan by [`compute_row`]: ~12×
+//! smaller than the unpacked [`SourceCompatibility`] and word-parallel for
+//! the solver's [`crate::team::CandidateMask`] fast path, exposed through
+//! [`Compatibility::packed_row`].
 
 pub mod repair;
 pub mod row;
@@ -282,7 +283,7 @@ pub trait Compatibility: Sync {
 /// A fully materialised compatibility relation: one bit-packed
 /// [`CompatRow`] per node, with the symmetric closure already applied.
 ///
-/// Memory is `O(|V|²)` bits-plus-bytes (~1.1 bytes per cell); intended for
+/// Memory is `O(|V|²)` bits-plus-nibbles (~0.75 bytes per cell); intended for
 /// the scaled dataset emulations and the experiment harness. Use
 /// [`LazyCompatibility`] when only a few sources will ever be queried.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -485,31 +486,39 @@ fn fill_rows(
 }
 
 /// Heap footprint of one cached [`CompatRow`], in bytes. This is what the
-/// row store's memory budget accounts in: 1 bit + 1 byte per node plus
-/// 8 bytes per side-table entry (distances past 125), against the 9 bytes
-/// per node of the unpacked [`SourceCompatibility`] — ~8× more resident
-/// rows for the same budget.
+/// row store's memory budget accounts in: 2 bits per node for the
+/// compatible set and the mixed flags, the lane (half a byte per node at
+/// 4-bit codes, a byte at 8-bit), and 8 bytes per side-table entry
+/// (distances past the lane's inline range), against the 9 bytes per node
+/// of the unpacked [`SourceCompatibility`] — ~12× more resident rows for
+/// the same budget.
 pub fn row_bytes(row: &CompatRow) -> usize {
     std::mem::size_of::<CompatRow>()
-        + std::mem::size_of_val(row.words())
-        + row.len()
+        + 2 * std::mem::size_of_val(row.words())
+        + row.lane_bytes()
         + row.side_table_len() * std::mem::size_of::<row::SideEntry>()
 }
 
 /// Estimated footprint of one bit-packed row over a graph with `nodes`
 /// users, before computing it (used by budget policies to choose a serving
 /// tier). Every kind has this one size: it equals [`row_bytes`] exactly for
-/// a row with no side-table entries (the row constructors allocate
-/// exact-capacity vectors), which is every row whose distances stay within
-/// 125.
+/// a row of 4-bit codes with no side-table entries (the row constructors
+/// allocate exact-capacity vectors), which is every row whose distances
+/// stay within 13 — every DPE, SP-family and NNE row of the benchmark
+/// deployments. A row that
+/// packs 8-bit codes or holds side entries is larger, and the store
+/// accounts it at its real size.
 pub fn estimated_row_bytes(nodes: usize) -> usize {
-    std::mem::size_of::<CompatRow>() + bitset_words(nodes) * std::mem::size_of::<u64>() + nodes
+    std::mem::size_of::<CompatRow>()
+        + 2 * bitset_words(nodes) * std::mem::size_of::<u64>()
+        + nodes.div_ceil(2)
 }
 
 /// Estimated footprint of a fully materialised [`CompatibilityMatrix`] over
 /// a graph with `nodes` users: `O(|V|²)` and still quickly infeasible —
-/// ~2.6 GiB at 50k nodes, ~18 GiB for the full 132k-node Epinions network
-/// (the pre-bit-packing layout needed ~21 GiB and ~146 GiB respectively).
+/// ~1.75 GiB at 50k nodes, ~12.2 GiB for the full 132k-node Epinions
+/// network (the pre-bit-packing layout needed ~21 GiB and ~146 GiB
+/// respectively).
 pub fn estimated_matrix_bytes(nodes: usize) -> usize {
     nodes.saturating_mul(estimated_row_bytes(nodes))
 }
@@ -1851,47 +1860,128 @@ mod tests {
 
     #[test]
     fn byte_estimates_are_consistent() {
+        // A 27-ring's distances top out at 13: 4-bit codes and no side
+        // entry, so the estimate is exact.
+        let g = ring_graph(27);
+        let m = CompatibilityMatrix::build(&g, CompatibilityKind::Nne);
+        for row in m.rows() {
+            assert_eq!(row.code_bits(), 4);
+            assert_eq!(row_bytes(row), estimated_row_bytes(27));
+        }
+        assert_eq!(estimated_matrix_bytes(27), 27 * estimated_row_bytes(27));
+        // A 50-ring's run to 25: 4-bit codes would spill 23 nodes into the
+        // side table, so its rows pack 8-bit codes, a byte per node.
         let g = ring_graph(50);
         let m = CompatibilityMatrix::build(&g, CompatibilityKind::Nne);
-        let actual = row_bytes(&m.rows()[0]);
-        let estimated = estimated_row_bytes(g.node_count());
-        assert_eq!(actual, estimated);
-        assert_eq!(estimated_matrix_bytes(g.node_count()), 50 * estimated);
+        for row in m.rows() {
+            assert_eq!(row.code_bits(), 8);
+            assert_eq!(row_bytes(row), estimated_row_bytes(50) + 25);
+        }
     }
 
-    /// Ring sources whose distances run well past the inline lane range
-    /// (up to 150 on a 300-ring).
-    const LONG_RING: usize = 300;
+    /// A ring whose distances run past the 8-bit inline range (up to 270;
+    /// 33 nodes past 253 from any source).
+    const LONG_RING: usize = 540;
+
+    /// A ring whose farthest node sits one step past the 4-bit inline
+    /// range (distance 14), which its rows keep in the side table.
+    const SHORT_RING: usize = 28;
 
     #[test]
     fn distances_past_the_inline_range_round_trip_exactly() {
-        let g = ring_graph(LONG_RING);
-        let csr = CsrGraph::from_graph(&g);
-        let cfg = EngineConfig::default();
-        for kind in CompatibilityKind::ALL {
-            if kind == CompatibilityKind::Sbp {
-                continue; // exponential search; its cap is 12 anyway
+        for (nodes, bits) in [(SHORT_RING, 4u32), (LONG_RING, 8)] {
+            let g = ring_graph(nodes);
+            let csr = CsrGraph::from_graph(&g);
+            let cfg = EngineConfig::default();
+            for kind in CompatibilityKind::ALL {
+                if kind == CompatibilityKind::Sbp {
+                    continue; // exponential search; its cap is 12 anyway
+                }
+                let source = NodeId::new(7);
+                let row = compute_row(&g, &csr, source, kind, &cfg);
+                let legacy = compute_source(&g, &csr, source, kind, &cfg);
+                assert_eq!(row.to_source(), legacy, "{kind}");
+                let max_inline = (1u32 << row.code_bits()) - 3;
+                let long = legacy
+                    .distance
+                    .iter()
+                    .filter(|d| d.is_some_and(|d| d > max_inline))
+                    .count();
+                assert_eq!(row.side_table_len(), long, "{kind}");
+                let byte_lane = if row.code_bits() == 8 { nodes / 2 } else { 0 };
+                assert_eq!(
+                    row_bytes(&row),
+                    estimated_row_bytes(nodes)
+                        + byte_lane
+                        + long * std::mem::size_of::<row::SideEntry>(),
+                    "{kind}: row_bytes counts the lane and side-table entries"
+                );
+                if matches!(
+                    kind,
+                    CompatibilityKind::Spa | CompatibilityKind::Spo | CompatibilityKind::Nne
+                ) {
+                    assert_eq!(row.code_bits(), bits, "{kind} on a {nodes}-ring");
+                    assert!(long > 0, "{kind}: the ring must reach past {max_inline}");
+                }
             }
-            let source = NodeId::new(7);
-            let row = compute_row(&g, &csr, source, kind, &cfg);
-            let legacy = compute_source(&g, &csr, source, kind, &cfg);
-            assert_eq!(row.to_source(), legacy, "{kind}");
-            let long = legacy
-                .distance
-                .iter()
-                .filter(|d| d.is_some_and(|d| d > u32::from(row::MAX_INLINE_DISTANCE)))
-                .count();
-            assert_eq!(row.side_table_len(), long, "{kind}");
-            assert_eq!(
-                row_bytes(&row),
-                estimated_row_bytes(LONG_RING) + long * std::mem::size_of::<row::SideEntry>(),
-                "{kind}: row_bytes counts side-table entries"
-            );
-            if matches!(
-                kind,
-                CompatibilityKind::Spa | CompatibilityKind::Spo | CompatibilityKind::Nne
-            ) {
-                assert!(long > 0, "{kind}: the ring must reach past 125");
+        }
+    }
+
+    /// No row outgrows the one-byte-lane layout (7-bit codes, 0..=125
+    /// inline, the mixed flag in bit 7, side entries past 125) by more than
+    /// its mixed bitset plus one Vec header, at either code width.
+    #[test]
+    fn rows_outgrow_one_byte_lanes_by_at_most_the_mixed_bitset() {
+        #[allow(dead_code)]
+        struct ByteLaneRow {
+            source: NodeId,
+            kind: CompatibilityKind,
+            nodes: usize,
+            bits: Vec<u64>,
+            lane: Vec<u8>,
+            side: Vec<row::SideEntry>,
+        }
+        let vec_header = std::mem::size_of::<Vec<u64>>();
+        assert_eq!(
+            std::mem::size_of::<CompatRow>(),
+            std::mem::size_of::<ByteLaneRow>() + vec_header,
+            "the code width rides in the header's padding"
+        );
+        if cfg!(target_pointer_width = "64") {
+            assert_eq!(estimated_row_bytes(1443), 1202, "the documented figure");
+        }
+        let cfg = EngineConfig::default();
+        for g in [
+            paper_figure_1a(),
+            ring_graph(SHORT_RING),
+            ring_graph(50),
+            ring_graph(LONG_RING),
+        ] {
+            let csr = CsrGraph::from_graph(&g);
+            let n = g.node_count();
+            let bitset = bitset_words(n) * std::mem::size_of::<u64>();
+            for kind in CompatibilityKind::ALL {
+                if kind == CompatibilityKind::Sbp {
+                    continue;
+                }
+                for source in g.nodes().step_by(n.div_ceil(16)) {
+                    let row = compute_row(&g, &csr, source, kind, &cfg);
+                    let past_125 = row
+                        .to_source()
+                        .distance
+                        .iter()
+                        .filter(|d| d.is_some_and(|d| d > 125))
+                        .count();
+                    let byte_lane = std::mem::size_of::<ByteLaneRow>()
+                        + bitset
+                        + n
+                        + past_125 * std::mem::size_of::<row::SideEntry>();
+                    assert!(
+                        row_bytes(&row) <= byte_lane + bitset + vec_header,
+                        "{kind} row {source} of {n}: {} > {byte_lane} + {bitset} + {vec_header}",
+                        row_bytes(&row)
+                    );
+                }
             }
         }
     }
@@ -1900,45 +1990,55 @@ mod tests {
     fn repairs_across_the_inline_boundary_equal_scratch_rows() {
         use repair::{repair_row, RepairOutcome, RepairScratch};
         use signed_graph::EdgeMutation;
-        let g = ring_graph(LONG_RING);
         let cfg = EngineConfig::default();
         let row_of = |g: &SignedGraph, source: usize, kind| {
             compute_row(g, &CsrGraph::from_graph(g), NodeId::new(source), kind, &cfg)
         };
-        // A chord pulls distances from past 125 back inline (NNE
-        // relaxation); a flip next to the sources changes sign classes on
-        // both sides of the boundary (SP propagation).
-        for (mutation, kinds) in [
-            (
-                EdgeMutation::Insert {
-                    u: NodeId::new(10),
-                    v: NodeId::new(160),
-                    sign: Sign::Positive,
-                },
-                vec![CompatibilityKind::Nne],
-            ),
-            (
-                EdgeMutation::SetSign {
-                    u: NodeId::new(1),
-                    v: NodeId::new(2),
-                    sign: Sign::Negative,
-                },
-                vec![CompatibilityKind::Spa, CompatibilityKind::Spo],
-            ),
+        // A chord pulls distances from past the inline range back inline
+        // (NNE relaxation): 254..=270 on the long ring's 8-bit rows, 14 on
+        // the short ring's 4-bit rows. A flip next to the sources changes
+        // sign classes on both sides of the boundary (SP propagation).
+        for (nodes, chord, sources) in [
+            (LONG_RING, (10, 160), [0usize, 1, 3, 150]),
+            (SHORT_RING, (3, 17), [0, 1, 3, 15]),
         ] {
-            let mut mutated = g.clone();
-            let effects = vec![mutated.apply_mutation(&mutation).unwrap()];
-            let csr = CsrGraph::from_graph(&mutated);
-            let mut scratch = RepairScratch::default();
-            for kind in kinds {
-                for source in [0usize, 1, 3, 150] {
-                    let before = row_of(&g, source, kind);
-                    let after = row_of(&mutated, source, kind);
-                    match repair_row(&before, &effects, &csr, &mut scratch) {
-                        RepairOutcome::Repaired(row) => {
-                            assert_eq!(row, after, "{kind} row {source} after {mutation:?}")
+            let g = ring_graph(nodes);
+            for (mutation, kinds) in [
+                (
+                    EdgeMutation::Insert {
+                        u: NodeId::new(chord.0),
+                        v: NodeId::new(chord.1),
+                        sign: Sign::Positive,
+                    },
+                    vec![CompatibilityKind::Nne],
+                ),
+                (
+                    EdgeMutation::SetSign {
+                        u: NodeId::new(1),
+                        v: NodeId::new(2),
+                        sign: Sign::Negative,
+                    },
+                    vec![CompatibilityKind::Spa, CompatibilityKind::Spo],
+                ),
+            ] {
+                let mut mutated = g.clone();
+                let effects = vec![mutated.apply_mutation(&mutation).unwrap()];
+                let csr = CsrGraph::from_graph(&mutated);
+                let mut scratch = RepairScratch::default();
+                for kind in kinds {
+                    for source in sources {
+                        let before = row_of(&g, source, kind);
+                        assert!(before.side_table_len() > 0, "{kind} row {source}");
+                        let after = row_of(&mutated, source, kind);
+                        match repair_row(&before, &effects, &csr, &mut scratch) {
+                            RepairOutcome::Repaired(row) => {
+                                assert_eq!(row.code_bits(), before.code_bits());
+                                assert_eq!(row, after, "{kind} row {source} after {mutation:?}")
+                            }
+                            other => {
+                                panic!("{kind} row {source}: expected a repair, got {other:?}")
+                            }
                         }
-                        other => panic!("{kind} row {source}: expected a repair, got {other:?}"),
                     }
                 }
             }
@@ -1953,7 +2053,8 @@ mod tests {
             Arc::new(g.clone()),
             CompatibilityKind::Nne,
             EngineConfig::default(),
-            Some(4 * estimated_row_bytes(LONG_RING) + 1024),
+            // Room for the three 8-bit rows and their side tables.
+            Some(4 * (estimated_row_bytes(LONG_RING) + LONG_RING / 2) + 1024),
         );
         for u in [0usize, 40, 80] {
             lazy.source(NodeId::new(u));

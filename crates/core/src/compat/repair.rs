@@ -12,7 +12,7 @@
 //! * **`SPA`/`SPO`** rows only ask which of a node's positive/negative
 //!   shortest-path counts are non-zero: its *sign class* (positive only,
 //!   negative only, or both), which the row keeps as the compatibility bit
-//!   plus the lane's mixed flag. A sign flip changes no BFS level. Off the
+//!   plus the row's mixed flag. A sign flip changes no BFS level. Off the
 //!   shortest-path DAG (levels not adjacent) it is a provable no-op; on it
 //!   (levels ℓ and ℓ+1) it can change only the class of the deeper
 //!   endpoint, which is the OR of its level-ℓ neighbours' classes with
@@ -41,10 +41,12 @@
 //!
 //! Soundness is a type, not a convention: the only way to keep a resident
 //! row across a mutation is a [`RepairOutcome`] that proves it exact.
-//! Repaired rows are bit-for-bit equal to a scratch recompute — the
-//! differential harness in `crates/engine/tests/repair.rs` pins exactly
-//! that, for every kind, across arbitrary mutation sequences. A row is
-//! copied on its first change only; unchanged rows are kept as they are.
+//! Repaired rows equal a scratch recompute in every bit, mixed flag and
+//! distance — the differential harness in `crates/engine/tests/repair.rs`
+//! pins exactly that, for every kind, across arbitrary mutation sequences.
+//! A repaired row keeps the distance code width it was packed with, which
+//! a scratch recompute may choose differently. A row is copied on its
+//! first change only; unchanged rows are kept as they are.
 //!
 //! Distances saturate at [`MAX_PACKED_DISTANCE`] ([`UNREACHABLE_DISTANCE`]
 //! is the sentinel). Capping is a min-plus homomorphism
@@ -75,7 +77,8 @@ pub enum RepairOutcome {
     /// The row is provably unaffected by every effect — keep it as-is.
     Unchanged,
     /// The row was patched in place of a recompute; the payload is exact
-    /// (bit-for-bit equal to a scratch rebuild on the mutated graph).
+    /// (equal to a scratch rebuild on the mutated graph in every bit, flag
+    /// and distance).
     Repaired(CompatRow),
     /// No sound patch exists; the caller must drop the row and recompute
     /// it from scratch on next touch.

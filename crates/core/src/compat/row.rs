@@ -6,18 +6,31 @@
 //! per node. [`CompatRow`] packs the same facts into
 //!
 //! * a `u64`-word **bitset** for the compatible set (1 bit per node),
-//! * a one-byte **lane** per node: bits 0–6 hold the distance (0..=125
-//!   inline, 126 = "exact distance in the side table", 127 = unreachable)
-//!   and bit 7 is the SP **mixed** flag (the node has both positive and
-//!   negative shortest paths from the source), and
-//! * a sorted **side table** of `(node, u16 distance)` entries for the rare
-//!   distances past the inline range (relation distances are BFS levels:
-//!   5–6 at most on the benchmark deployments),
+//! * a second bitset with the same word indexing for the SP **mixed** flag
+//!   (the node has both positive and negative shortest paths from the
+//!   source; 1 bit per node),
+//! * a **lane** of distance codes, 4 or 8 bits per node. With `b`-bit codes
+//!   the top code (`2^b − 1`) means unreachable, the one below it means
+//!   "exact distance in the side table", and every other code is the
+//!   distance itself: 0..=13 inline at 4 bits, 0..=253 at 8, and
+//! * a sorted **side table** of `(node, u16 distance)` entries for the
+//!   distances past the inline range.
 //!
-//! for ~1.1 bytes per node — an ~8× smaller resident row. The layout is not
-//! only smaller: the bitset makes set operations word-parallel, which is
-//! what the greedy solver's [`crate::team::CandidateMask`] fast path, the
-//! popcount-based pair statistics and the skill-degree computation exploit.
+//! Relation distances are mostly BFS levels, and the benchmark
+//! deployments' diameters are 4–12, so their rows take 4-bit codes, with
+//! an empty side table for every DPE, SP-family and NNE row: ~0.75 bytes
+//! per node, a 12× smaller resident row. The code width is fixed when a
+//! row is packed and chosen by size: 4-bit codes cost `⌈n/2⌉ + 8·#{d > 13}`
+//! bytes, 8-bit codes `n + 8·#{d > 253}`, and the row takes the smaller
+//! (4-bit on a tie). A long ring or a sparse tree thus packs 8-bit codes
+//! instead of spilling most of its nodes into the side table. Repair keeps
+//! a row's width: a distance past its inline range moves into the side
+//! table.
+//!
+//! The layout is not only small: the bitset makes set operations
+//! word-parallel, which is what the greedy solver's
+//! [`crate::team::CandidateMask`] fast path, the popcount-based pair
+//! statistics and the skill-degree computation exploit.
 //!
 //! The mixed flag is what lets a sign flip be repaired in place: together
 //! with the compatibility bit it recovers each node's shortest-path *sign
@@ -37,19 +50,6 @@ pub const UNREACHABLE_DISTANCE: u16 = u16::MAX;
 /// practice on graphs that fit in memory).
 pub const MAX_PACKED_DISTANCE: u32 = (u16::MAX - 1) as u32;
 
-/// Largest distance stored inline in a lane byte; longer distances live in
-/// the row's side table.
-pub(crate) const MAX_INLINE_DISTANCE: u16 = 125;
-
-/// Lane code: the exact distance is in the side table.
-const SIDE_TABLE_CODE: u8 = 126;
-/// Lane code: no defined distance.
-const UNREACHABLE_CODE: u8 = 127;
-/// Bits 0–6 of a lane byte: the distance code.
-const DISTANCE_MASK: u8 = 0x7f;
-/// Bit 7 of a lane byte: the SP mixed flag.
-const MIXED_FLAG: u8 = 0x80;
-
 /// One side-table entry: a node and its exact (saturated) distance.
 pub(crate) type SideEntry = (u32, u16);
 
@@ -58,56 +58,170 @@ pub const fn bitset_words(nodes: usize) -> usize {
     nodes.div_ceil(64)
 }
 
+/// The width of a row's distance codes: 4 bits (two nodes per lane byte)
+/// or 8 bits (one). Both widths share one code path, parameterised by a
+/// shift and a mask.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub(crate) struct LaneWidth {
+    /// log2 of the nodes per lane byte: 1 for 4-bit codes, 0 for 8-bit.
+    per_byte_log2: u8,
+}
+
+impl LaneWidth {
+    /// 4-bit codes: distances 0..=13 inline.
+    pub(crate) const NIBBLE: LaneWidth = LaneWidth { per_byte_log2: 1 };
+    /// 8-bit codes: distances 0..=253 inline.
+    pub(crate) const BYTE: LaneWidth = LaneWidth { per_byte_log2: 0 };
+
+    /// The width that packs a row over `nodes` nodes into fewer bytes,
+    /// given its finite distances (4-bit on a tie). One pass over the
+    /// distances the relation's scan produced; nothing is packed twice.
+    pub(crate) fn fitting(nodes: usize, distances: impl IntoIterator<Item = u32>) -> LaneWidth {
+        let (nibble_max, byte_max) = (
+            u32::from(Self::NIBBLE.max_inline()),
+            u32::from(Self::BYTE.max_inline()),
+        );
+        let (mut past_nibble, mut past_byte) = (0usize, 0usize);
+        for d in distances {
+            past_nibble += usize::from(d > nibble_max);
+            past_byte += usize::from(d > byte_max);
+        }
+        let entry = std::mem::size_of::<SideEntry>();
+        let nibble = Self::NIBBLE.lane_bytes(nodes) + past_nibble * entry;
+        let byte = Self::BYTE.lane_bytes(nodes) + past_byte * entry;
+        if nibble <= byte {
+            Self::NIBBLE
+        } else {
+            Self::BYTE
+        }
+    }
+
+    /// Bits per code: 4 or 8.
+    const fn bits(self) -> u32 {
+        8 >> self.per_byte_log2
+    }
+
+    /// Mask of one code; also the "unreachable" code.
+    const fn mask(self) -> u8 {
+        (0xffu16 >> (8 - self.bits())) as u8
+    }
+
+    /// The "exact distance in the side table" code.
+    const fn side_code(self) -> u8 {
+        self.mask() - 1
+    }
+
+    /// Largest distance stored inline: 13 or 253.
+    const fn max_inline(self) -> u16 {
+        self.mask() as u16 - 2
+    }
+
+    /// Bytes of a lane over `nodes` nodes.
+    const fn lane_bytes(self, nodes: usize) -> usize {
+        nodes.div_ceil(1 << self.per_byte_log2)
+    }
+
+    /// The lane byte holding `v`'s code, and the code's bit offset in it.
+    #[inline]
+    const fn locate(self, v: usize) -> (usize, u32) {
+        let s = self.per_byte_log2 as u32;
+        (v >> s, ((v << (3 - s)) & 7) as u32)
+    }
+
+    /// The code for `raw_distance`.
+    fn encode(self, raw_distance: u16) -> u8 {
+        match raw_distance {
+            UNREACHABLE_DISTANCE => self.mask(),
+            d if d <= self.max_inline() => d as u8,
+            _ => self.side_code(),
+        }
+    }
+}
+
 /// One source's compatibility row in the bit-packed resident layout: who is
-/// compatible with the source (1 bit per node), at what distance and with
-/// which SP mixed flag (1 byte per node, plus side-table entries for
-/// distances past 125). See the module docs for the byte math.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+/// compatible with the source and which nodes the SP relations mark mixed
+/// (1 bit per node each), at what distance (a 4- or 8-bit code per node,
+/// plus side-table entries for distances past the inline range). See the
+/// module docs for the byte math.
+///
+/// Rows compare by the facts they hold: two rows with the same bits, mixed
+/// flags and distances are equal even when their code widths differ (a
+/// repaired row keeps the width it was packed with).
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct CompatRow {
     source: NodeId,
     kind: CompatibilityKind,
+    width: LaneWidth,
     nodes: usize,
     bits: Vec<u64>,
+    mixed: Vec<u64>,
     lane: Vec<u8>,
-    /// Sorted by node: the exact distances of lanes coded
-    /// `SIDE_TABLE_CODE`.
+    /// Sorted by node: the exact distances of lanes coded as side-table
+    /// entries.
     side: Vec<SideEntry>,
 }
 
+impl PartialEq for CompatRow {
+    fn eq(&self, other: &Self) -> bool {
+        let same_distances = || {
+            if self.width == other.width {
+                self.lane == other.lane && self.side == other.side
+            } else {
+                (0..self.nodes).all(|v| self.raw_distance(v) == other.raw_distance(v))
+            }
+        };
+        self.source == other.source
+            && self.kind == other.kind
+            && self.nodes == other.nodes
+            && self.bits == other.bits
+            && self.mixed == other.mixed
+            && same_distances()
+    }
+}
+
+impl Eq for CompatRow {}
+
 impl CompatRow {
-    /// Packs a row node by node: `entry(v)` gives `v`'s compatibility bit,
-    /// distance and mixed flag. Nodes arrive in ascending order, so
-    /// side-table entries are appended already sorted.
+    /// Packs a row node by node with `width`-bit codes: `entry(v)` gives
+    /// `v`'s compatibility bit, distance and mixed flag. Nodes arrive in
+    /// ascending order, so side-table entries are appended already sorted.
     pub(crate) fn pack(
         source: NodeId,
         kind: CompatibilityKind,
+        width: LaneWidth,
         nodes: usize,
         mut entry: impl FnMut(usize) -> (bool, Option<u32>, bool),
     ) -> Self {
         let mut bits = vec![0u64; bitset_words(nodes)];
-        let mut lane = Vec::with_capacity(nodes);
+        let mut mixed = vec![0u64; bitset_words(nodes)];
+        let mut lane = vec![0u8; width.lane_bytes(nodes)];
         let mut side = Vec::new();
         for v in 0..nodes {
-            let (compatible, distance, mixed) = entry(v);
-            if compatible {
-                bits[v / 64] |= 1u64 << (v % 64);
+            let (compatible, distance, is_mixed) = entry(v);
+            bits[v / 64] |= u64::from(compatible) << (v % 64);
+            mixed[v / 64] |= u64::from(is_mixed) << (v % 64);
+            let raw = distance.map_or(UNREACHABLE_DISTANCE, |d| d.min(MAX_PACKED_DISTANCE) as u16);
+            let code = width.encode(raw);
+            if code == width.side_code() {
+                side.push((v as u32, raw));
             }
-            let code = match distance {
-                None => UNREACHABLE_CODE,
-                Some(d) if d <= u32::from(MAX_INLINE_DISTANCE) => d as u8,
-                Some(d) => {
-                    side.push((v as u32, d.min(MAX_PACKED_DISTANCE) as u16));
-                    SIDE_TABLE_CODE
-                }
-            };
-            lane.push(if mixed { code | MIXED_FLAG } else { code });
+            let (byte, offset) = width.locate(v);
+            lane[byte] |= code << offset;
+        }
+        // The spare slot of an odd-length 4-bit lane reads as unreachable,
+        // so `raw_distance` bounds its reads by the lane alone.
+        for v in nodes..lane.len() << width.per_byte_log2 {
+            let (byte, offset) = width.locate(v);
+            lane[byte] |= width.mask() << offset;
         }
         side.shrink_to_fit();
         CompatRow {
             source,
             kind,
+            width,
             nodes,
             bits,
+            mixed,
             lane,
             side,
         }
@@ -117,7 +231,9 @@ impl CompatRow {
     /// A [`SourceCompatibility`] carries no path-sign classes, so the mixed
     /// flags stay clear.
     pub fn from_source(sc: &SourceCompatibility) -> Self {
-        Self::pack(sc.source, sc.kind, sc.compatible.len(), |v| {
+        let nodes = sc.compatible.len();
+        let width = LaneWidth::fitting(nodes, sc.distance.iter().flatten().copied());
+        Self::pack(sc.source, sc.kind, width, nodes, |v| {
             (sc.compatible[v], sc.distance[v], false)
         })
     }
@@ -148,6 +264,18 @@ impl CompatRow {
         &self.bits
     }
 
+    /// Bits per distance code, fixed when the row was packed: 4 (distances
+    /// 0..=13 inline) or 8 (0..=253 inline).
+    pub fn code_bits(&self) -> u32 {
+        self.width.bits()
+    }
+
+    /// Bytes of the distance lane: `⌈n/2⌉` at 4-bit codes, `n` at 8-bit
+    /// (counted by [`super::row_bytes`]).
+    pub(crate) fn lane_bytes(&self) -> usize {
+        self.lane.len()
+    }
+
     /// Number of side-table entries: nodes whose distance is past the
     /// inline range (counted by [`super::row_bytes`]).
     pub fn side_table_len(&self) -> usize {
@@ -173,13 +301,31 @@ impl CompatRow {
     /// distances is the symmetric-closure distance.
     #[inline]
     pub fn raw_distance(&self, v: usize) -> u16 {
-        let Some(&byte) = self.lane.get(v) else {
+        // One decode; naming the width as a constant in each arm lets the
+        // compiler fold its shift and mask (this is the solver's hot read).
+        if self.width == LaneWidth::NIBBLE {
+            self.decode(LaneWidth::NIBBLE, v)
+        } else {
+            self.decode(LaneWidth::BYTE, v)
+        }
+    }
+
+    /// The raw distance of `v`, read with the row's `width`. Slots past
+    /// `len()` read as unreachable: past the lane, or the spare slot
+    /// [`Self::pack`] fills with the unreachable code.
+    #[inline(always)]
+    fn decode(&self, width: LaneWidth, v: usize) -> u16 {
+        let (byte, offset) = width.locate(v);
+        let Some(&byte) = self.lane.get(byte) else {
             return UNREACHABLE_DISTANCE;
         };
-        match byte & DISTANCE_MASK {
-            UNREACHABLE_CODE => UNREACHABLE_DISTANCE,
-            SIDE_TABLE_CODE => self.side_distance(v),
-            d => u16::from(d),
+        let code = byte >> offset & width.mask();
+        if code < width.side_code() {
+            u16::from(code)
+        } else if code == width.mask() {
+            UNREACHABLE_DISTANCE
+        } else {
+            self.side_distance(v)
         }
     }
 
@@ -196,7 +342,7 @@ impl CompatRow {
     /// `true` when the SP row marks `v` as reached by both positive and
     /// negative shortest paths (always `false` for other kinds).
     pub(crate) fn is_mixed(&self, v: usize) -> bool {
-        self.lane[v] & MIXED_FLAG != 0
+        self.mixed[v / 64] >> (v % 64) & 1 == 1
     }
 
     /// Number of nodes compatible with the source (including the source
@@ -248,21 +394,19 @@ impl CompatRow {
     /// compatibility bit or mixed flag (used by the repair relaxation,
     /// whose lane updates are independent of the bitset patches). Moves
     /// the entry into or out of the side table as the distance crosses the
-    /// inline range.
+    /// row's inline range; the code width never changes.
     pub(crate) fn set_distance(&mut self, v: usize, raw_distance: u16) {
         debug_assert!(v < self.nodes);
-        let code = match raw_distance {
-            UNREACHABLE_DISTANCE => UNREACHABLE_CODE,
-            d if d <= MAX_INLINE_DISTANCE => d as u8,
-            _ => SIDE_TABLE_CODE,
-        };
-        let in_side = self.lane[v] & DISTANCE_MASK == SIDE_TABLE_CODE;
-        if in_side || code == SIDE_TABLE_CODE {
+        let (byte, offset) = self.width.locate(v);
+        let side_code = self.width.side_code();
+        let code = self.width.encode(raw_distance);
+        let current = self.lane[byte] >> offset & self.width.mask();
+        if current == side_code || code == side_code {
             let slot = self
                 .side
                 .binary_search_by_key(&(v as u32), |&(node, _)| node);
             let exact = raw_distance.min(MAX_PACKED_DISTANCE as u16);
-            match (slot, code == SIDE_TABLE_CODE) {
+            match (slot, code == side_code) {
                 (Ok(i), true) => self.side[i].1 = exact,
                 (Err(i), true) => self.side.insert(i, (v as u32, exact)),
                 (Ok(i), false) => {
@@ -271,27 +415,20 @@ impl CompatRow {
                 (Err(_), false) => {}
             }
         }
-        self.lane[v] = (self.lane[v] & MIXED_FLAG) | code;
+        let lane = &mut self.lane[byte];
+        *lane = (*lane & !(self.width.mask() << offset)) | (code << offset);
     }
 
     /// Sets or clears the compatibility bit of `v`.
     pub(crate) fn set_compatible(&mut self, v: usize, compatible: bool) {
         debug_assert!(v < self.nodes);
-        let (word, bit) = (v / 64, 1u64 << (v % 64));
-        if compatible {
-            self.bits[word] |= bit;
-        } else {
-            self.bits[word] &= !bit;
-        }
+        set_bit(&mut self.bits, v, compatible);
     }
 
     /// Sets or clears the SP mixed flag of `v`.
     pub(crate) fn set_mixed(&mut self, v: usize, mixed: bool) {
-        if mixed {
-            self.lane[v] |= MIXED_FLAG;
-        } else {
-            self.lane[v] &= !MIXED_FLAG;
-        }
+        debug_assert!(v < self.nodes);
+        set_bit(&mut self.mixed, v, mixed);
     }
 
     /// Overwrites the bit and distance of `v` (used by the symmetric
@@ -309,6 +446,16 @@ impl CompatRow {
             compatible: (0..self.nodes).map(|v| self.is_compatible(v)).collect(),
             distance: (0..self.nodes).map(|v| self.distance(v)).collect(),
         }
+    }
+}
+
+/// Sets or clears bit `v` of a `u64`-word bitset.
+fn set_bit(words: &mut [u64], v: usize, on: bool) {
+    let (word, bit) = (v / 64, 1u64 << (v % 64));
+    if on {
+        words[word] |= bit;
+    } else {
+        words[word] &= !bit;
     }
 }
 
@@ -459,6 +606,9 @@ mod tests {
             let row = CompatRow::from_source(&sc);
             assert_eq!(row.len(), nodes);
             assert_eq!(row.to_source(), sc, "{nodes} nodes");
+            // Past the row, including an odd 4-bit lane's spare slot.
+            assert_eq!(row.raw_distance(nodes), UNREACHABLE_DISTANCE);
+            assert_eq!(row.distance(nodes + 1), None);
             assert_eq!(
                 row.compatible_count(),
                 sc.compatible.iter().filter(|&&c| c).count()
@@ -499,38 +649,123 @@ mod tests {
     }
 
     #[test]
-    fn set_distance_moves_entries_through_the_side_table() {
-        let mut row = CompatRow::from_source(&sample(10));
-        row.set_mixed(4, true);
-        let past_inline = MAX_INLINE_DISTANCE + 1;
-        for d in [
-            past_inline,
-            300,
-            MAX_INLINE_DISTANCE,
-            7,
-            UNREACHABLE_DISTANCE,
-            past_inline,
-            MAX_PACKED_DISTANCE as u16,
-        ] {
-            row.set_distance(4, d);
-            assert_eq!(row.raw_distance(4), d);
-            assert!(row.is_mixed(4), "a move must keep the mixed flag");
-            assert!(!row.is_mixed(5));
-            let in_side = d > MAX_INLINE_DISTANCE && d != UNREACHABLE_DISTANCE;
-            assert_eq!(row.side_table_len(), usize::from(in_side), "distance {d}");
+    fn width_rule_picks_the_smaller_lane() {
+        use LaneWidth as W;
+        // Nothing past 13: 4-bit codes, whatever the node count.
+        assert_eq!(W::fitting(0, []), W::NIBBLE);
+        assert_eq!(W::fitting(1, [0]), W::NIBBLE);
+        assert_eq!(W::fitting(100, (0..100).map(|v| v % 14)), W::NIBBLE);
+        // ⌈n/2⌉ + 8·#{d > 13} against n + 8·#{d > 253}, 4-bit on a tie:
+        // 16 nodes with one 14 cost 8 + 8 = 16 bytes either way; a second
+        // 14 tips the row to 8-bit codes.
+        assert_eq!(W::fitting(16, [0, 14]), W::NIBBLE);
+        assert_eq!(W::fitting(16, [0, 14, 14]), W::BYTE);
+        // Distances past 253 cost a side entry at either width.
+        assert_eq!(W::fitting(17, [254]), W::NIBBLE);
+        assert_eq!(W::fitting(40, (0..40).map(|d| d * 7)), W::BYTE);
+        assert_eq!(
+            (W::NIBBLE.max_inline(), W::BYTE.max_inline()),
+            (13, 253),
+            "the two top codes of each width are reserved"
+        );
+    }
+
+    #[test]
+    fn inline_boundaries_round_trip_at_both_widths() {
+        // 4-bit: 13 is the last inline distance, 14 the first side entry;
+        // 8-bit: 253 and 254. Odd node counts leave a padding nibble.
+        for (nodes, inline, past) in [(31usize, 13u32, 14u32), (41, 253, 254)] {
+            let sc = SourceCompatibility {
+                source: NodeId::new(0),
+                kind: CompatibilityKind::Nne,
+                compatible: vec![true; nodes],
+                distance: (0..nodes)
+                    .map(|v| match v {
+                        0 => Some(0),
+                        1 => Some(past),
+                        2 => None,
+                        _ => Some(if v % 2 == 0 { inline } else { 1 }),
+                    })
+                    .collect(),
+            };
+            let row = CompatRow::from_source(&sc);
+            let bits = if inline == 13 { 4 } else { 8 };
+            assert_eq!(row.code_bits(), bits, "{nodes} nodes");
+            assert_eq!(row.lane_bytes(), (nodes * bits as usize).div_ceil(8));
+            assert_eq!(row.side_table_len(), 1, "only {past} leaves the lane");
+            assert_eq!(row.to_source(), sc);
+            assert_eq!(row.raw_distance(nodes), UNREACHABLE_DISTANCE);
         }
-        // Inserts on either side of an entry keep the table sorted: the
-        // patched row equals one packed with the same distances.
-        row.set_distance(9, 200);
-        row.set_distance(1, 500);
-        row.set_distance(4, 130);
-        assert_eq!(row.side_table_len(), 3);
-        let packed = CompatRow::pack(row.source(), row.kind(), 10, |v| {
-            (row.is_compatible(v), row.distance(v), row.is_mixed(v))
-        });
-        assert_eq!(packed, row);
-        assert_eq!(row.raw_distance(1), 500);
-        assert_eq!(row.raw_distance(9), 200);
+    }
+
+    #[test]
+    fn set_distance_moves_entries_through_the_side_table() {
+        for width in [LaneWidth::NIBBLE, LaneWidth::BYTE] {
+            let sc = sample(11);
+            let mut row = CompatRow::pack(sc.source, sc.kind, width, 11, |v| {
+                (sc.compatible[v], sc.distance[v], false)
+            });
+            row.set_mixed(4, true);
+            let max_inline = width.max_inline();
+            let past_inline = max_inline + 1;
+            let base_side = row.side_table_len();
+            for d in [
+                past_inline,
+                300,
+                max_inline,
+                7,
+                UNREACHABLE_DISTANCE,
+                past_inline,
+                MAX_PACKED_DISTANCE as u16,
+            ] {
+                row.set_distance(4, d);
+                assert_eq!(row.raw_distance(4), d);
+                assert_eq!(row.raw_distance(5), sc.distance[5].unwrap() as u16);
+                assert!(row.is_mixed(4), "a move must keep the mixed flag");
+                assert!(!row.is_mixed(5));
+                let in_side = d > max_inline && d != UNREACHABLE_DISTANCE;
+                assert_eq!(
+                    row.side_table_len(),
+                    base_side + usize::from(in_side),
+                    "{} bits, distance {d}",
+                    width.bits()
+                );
+            }
+            // Inserts on either side of an entry keep the table sorted: the
+            // patched row equals one packed with the same distances.
+            row.set_distance(10, 400);
+            row.set_distance(1, 500);
+            row.set_distance(4, 260);
+            row.set_distance(5, max_inline);
+            let packed = CompatRow::pack(row.source(), row.kind(), width, 11, |v| {
+                (row.is_compatible(v), row.distance(v), row.is_mixed(v))
+            });
+            assert_eq!(packed.lane, row.lane, "{} bits", width.bits());
+            assert_eq!(packed.side, row.side);
+            assert_eq!(packed, row);
+            assert_eq!(row.raw_distance(1), 500);
+            assert_eq!(row.raw_distance(10), 400);
+            assert_eq!(row.raw_distance(5), max_inline);
+        }
+    }
+
+    #[test]
+    fn rows_compare_by_facts_across_widths() {
+        let sc = sample(20);
+        let pack = |width| {
+            CompatRow::pack(sc.source, sc.kind, width, 20, |v| {
+                (sc.compatible[v], sc.distance[v], v == 6)
+            })
+        };
+        let (nibble, byte) = (pack(LaneWidth::NIBBLE), pack(LaneWidth::BYTE));
+        assert_ne!(nibble.lane_bytes(), byte.lane_bytes());
+        assert_eq!(nibble, byte);
+        let mut moved = byte.clone();
+        moved.set_distance(8, 3);
+        assert_ne!(nibble, moved, "a different distance");
+        let mut flagged = byte;
+        flagged.set_mixed(7, true);
+        assert_ne!(nibble, flagged, "a different mixed flag");
     }
 
     #[test]

@@ -17,6 +17,7 @@ use signed_graph::csr::CsrGraph;
 use signed_graph::{NodeId, Sign};
 use std::collections::VecDeque;
 
+use super::row::LaneWidth;
 use super::{CompatRow, CompatibilityKind, SourceCompatibility};
 
 /// Sentinel distance for unreachable nodes.
@@ -144,7 +145,9 @@ pub(crate) fn row_from_counts(
         kind,
         CompatibilityKind::Spa | CompatibilityKind::Spm | CompatibilityKind::Spo
     ));
-    CompatRow::pack(source, kind, counts.dist.len(), |v| {
+    let reached = counts.dist.iter().copied().filter(|&d| d != UNREACHABLE);
+    let width = LaneWidth::fitting(counts.dist.len(), reached);
+    CompatRow::pack(source, kind, width, counts.dist.len(), |v| {
         let d = counts.dist[v];
         if d == UNREACHABLE {
             return (false, None, false);

@@ -11,6 +11,7 @@ use signed_graph::csr::CsrGraph;
 use signed_graph::traversal::{bfs_distances_csr, UNREACHABLE};
 use signed_graph::{NodeId, Sign, SignedGraph};
 
+use super::row::LaneWidth;
 use super::{CompatRow, CompatibilityKind, SourceCompatibility};
 use crate::distance;
 
@@ -59,7 +60,9 @@ pub fn nne_source(graph: &SignedGraph, csr: &CsrGraph, source: NodeId) -> Source
 /// The DPE row of `source`, packed straight from its adjacency.
 pub(crate) fn dpe_row(graph: &SignedGraph, source: NodeId) -> CompatRow {
     let s = source.index();
-    let mut row = CompatRow::pack(source, CompatibilityKind::Dpe, graph.node_count(), |v| {
+    // Distances 0 and 1 always fit 4-bit codes.
+    let n = graph.node_count();
+    let mut row = CompatRow::pack(source, CompatibilityKind::Dpe, LaneWidth::NIBBLE, n, |v| {
         (v == s, (v == s).then_some(0), false)
     });
     for nb in graph.neighbors(source) {
@@ -74,7 +77,9 @@ pub(crate) fn dpe_row(graph: &SignedGraph, source: NodeId) -> CompatRow {
 /// source's negative edges.
 pub(crate) fn nne_row(graph: &SignedGraph, csr: &CsrGraph, source: NodeId) -> CompatRow {
     let dist = bfs_distances_csr(csr, source);
-    let mut row = CompatRow::pack(source, CompatibilityKind::Nne, dist.len(), |v| {
+    let reached = dist.iter().copied().filter(|&d| d != UNREACHABLE);
+    let width = LaneWidth::fitting(dist.len(), reached);
+    let mut row = CompatRow::pack(source, CompatibilityKind::Nne, width, dist.len(), |v| {
         (true, (dist[v] != UNREACHABLE).then_some(dist[v]), false)
     });
     for nb in graph.neighbors(source) {

@@ -437,12 +437,18 @@ proptest! {
 }
 
 /// `row_bytes` must account the packed row's real heap footprint (the
-/// constructors allocate exact-capacity vectors: one lane byte per node
-/// plus the side table), and the pre-computation estimate must agree with
-/// it for these rows, whose distances all stay inline.
+/// constructors allocate exact-capacity vectors: the compatible set and
+/// the mixed flags, the lane at 4 or 8 bits per node, and the side table),
+/// and every row must take the code width that packs it into fewer bytes:
+/// `⌈n/2⌉ + 8·#{d > 13}` for 4-bit codes against `n + 8·#{d > 253}` for
+/// 8-bit ones. The pre-computation estimate is exact for a 4-bit row with
+/// an empty side table. The sparse graphs below (as many edges as a tree)
+/// hold rows of both widths.
 #[test]
 fn row_bytes_matches_real_heap_footprint() {
     use tfsn_core::compat::{estimated_row_bytes, row_bytes, CompatibilityMatrix};
+    let entry = std::mem::size_of::<(u32, u16)>();
+    let mut widths = std::collections::BTreeSet::new();
     for nodes in [1usize, 7, 63, 64, 65, 200] {
         let g = social_network(&SocialNetworkConfig {
             nodes,
@@ -453,17 +459,184 @@ fn row_bytes_matches_real_heap_footprint() {
         });
         let m = CompatibilityMatrix::build(&g, CompatibilityKind::Spo);
         for row in m.rows() {
-            let heap = std::mem::size_of_val(row.words())
-                + row.len() * std::mem::size_of::<u8>()
-                + row.side_table_len() * std::mem::size_of::<(u32, u16)>();
+            let bits = row.code_bits() as usize;
+            widths.insert(bits);
+            let heap = 2 * std::mem::size_of_val(row.words())
+                + (row.len() * bits).div_ceil(8)
+                + row.side_table_len() * entry;
             assert_eq!(
                 row_bytes(row),
                 std::mem::size_of_val(row) + heap,
                 "{nodes} nodes: accounted bytes must equal struct + heap payload"
             );
             assert_eq!(row.words().len(), nodes.div_ceil(64));
-            assert_eq!(row_bytes(row), estimated_row_bytes(nodes));
+            let distances = row.to_source().distance;
+            let past = |inline: u32| {
+                distances
+                    .iter()
+                    .filter(|d| d.is_some_and(|d| d > inline))
+                    .count()
+            };
+            let nibble = nodes.div_ceil(2) + past(13) * entry;
+            let byte = nodes + past(253) * entry;
+            assert_eq!(bits, if nibble <= byte { 4 } else { 8 }, "{nodes} nodes");
+            assert_eq!(row.side_table_len(), past(if bits == 4 { 13 } else { 253 }));
+            assert_eq!(
+                row_bytes(row),
+                estimated_row_bytes(nodes) - nodes.div_ceil(2) + nibble.min(byte)
+            );
         }
+    }
+    assert_eq!(widths.into_iter().collect::<Vec<_>>(), [4, 8]);
+}
+
+// ---------------------------------------------------------------------------
+// DPE and NNE against their definitions (paper §3).
+// ---------------------------------------------------------------------------
+
+/// A dense random signed graph: short paths, so every row packs 4-bit
+/// distance codes.
+fn arb_dense_graph() -> impl Strategy<Value = SignedGraph> {
+    (20usize..60, 0u64..5000, 0u32..50).prop_map(|(n, seed, negp)| {
+        social_network(&SocialNetworkConfig {
+            nodes: n,
+            edges: 4 * n,
+            negative_fraction: f64::from(negp) / 100.0,
+            seed,
+            ..Default::default()
+        })
+    })
+}
+
+/// A sparse tree-like signed graph: node `i` hangs off node `i − 1` or
+/// `i − 2`, so paths run long and rows far from the middle pack 8-bit
+/// distance codes.
+fn arb_long_tree() -> impl Strategy<Value = SignedGraph> {
+    (
+        40usize..90,
+        prop::collection::vec((prop::bool::ANY, prop::bool::ANY), 90),
+    )
+        .prop_map(|(n, picks)| {
+            let edges: Vec<_> = (1..n)
+                .map(|i| {
+                    let (skip, negative) = picks[i];
+                    let parent = if skip && i >= 2 { i - 2 } else { i - 1 };
+                    let sign = if negative {
+                        Sign::Negative
+                    } else {
+                        Sign::Positive
+                    };
+                    (parent, i, sign)
+                })
+                .collect();
+            from_edge_triples(edges)
+        })
+}
+
+/// The DPE and NNE rows of `source`, transcribed from the definitions. DPE:
+/// the source plus its positive neighbours, at distance 1. NNE: everyone
+/// but the source's negative neighbours, at the unsigned shortest-path
+/// distance, from a textbook BFS over the adjacency lists.
+fn definition_rows(g: &SignedGraph, source: NodeId) -> [tfsn_core::compat::SourceCompatibility; 2] {
+    let n = g.node_count();
+    let s = source.index();
+    let mut dpe_compatible = vec![false; n];
+    let mut dpe_distance = vec![None; n];
+    dpe_compatible[s] = true;
+    dpe_distance[s] = Some(0);
+    let mut nne_compatible = vec![true; n];
+    for nb in g.neighbors(source) {
+        match nb.sign {
+            Sign::Positive => {
+                dpe_compatible[nb.node.index()] = true;
+                dpe_distance[nb.node.index()] = Some(1);
+            }
+            Sign::Negative => nne_compatible[nb.node.index()] = false,
+        }
+    }
+    let mut nne_distance: Vec<Option<u32>> = vec![None; n];
+    nne_distance[s] = Some(0);
+    let mut queue = std::collections::VecDeque::from([source]);
+    while let Some(x) = queue.pop_front() {
+        let next = nne_distance[x.index()].map(|d| d + 1);
+        for nb in g.neighbors(x) {
+            if nne_distance[nb.node.index()].is_none() {
+                nne_distance[nb.node.index()] = next;
+                queue.push_back(nb.node);
+            }
+        }
+    }
+    [
+        tfsn_core::compat::SourceCompatibility {
+            source,
+            kind: CompatibilityKind::Dpe,
+            compatible: dpe_compatible,
+            distance: dpe_distance,
+        },
+        tfsn_core::compat::SourceCompatibility {
+            source,
+            kind: CompatibilityKind::Nne,
+            compatible: nne_compatible,
+            distance: nne_distance,
+        },
+    ]
+}
+
+/// Checks every DPE and NNE row of `g` against [`definition_rows`]: the
+/// direct row builders, the packed layout of the definition itself, and
+/// rows fetched (and evicted) through a two-row-budget store. Returns the
+/// distance code widths the rows took.
+fn check_definition_oracles(g: &SignedGraph) -> std::collections::BTreeSet<u32> {
+    use signed_graph::csr::CsrGraph;
+    use std::sync::Arc;
+    use tfsn_core::compat::{compute_row, estimated_row_bytes, CompatRow, LazyCompatibility};
+    let csr = CsrGraph::from_graph(g);
+    let cfg = EngineConfig::default();
+    let n = g.node_count();
+    let stores = [CompatibilityKind::Dpe, CompatibilityKind::Nne].map(|kind| {
+        LazyCompatibility::with_budget(
+            Arc::new(g.clone()),
+            kind,
+            EngineConfig::default(),
+            Some(2 * estimated_row_bytes(n) + 16),
+        )
+    });
+    let mut widths = std::collections::BTreeSet::new();
+    for source in g.nodes() {
+        for (oracle, store) in definition_rows(g, source).into_iter().zip(&stores) {
+            let kind = oracle.kind;
+            let row = compute_row(g, &csr, source, kind, &cfg);
+            assert_eq!(row.to_source(), oracle, "{kind} row {source}");
+            let packed = CompatRow::from_source(&oracle);
+            assert_eq!(row.code_bits(), packed.code_bits(), "{kind} row {source}");
+            assert_eq!(row, packed, "{kind} row {source}");
+            assert_eq!(
+                store.source(source).to_source(),
+                oracle,
+                "{kind} stored row {source}"
+            );
+            widths.insert(row.code_bits());
+        }
+    }
+    for store in &stores {
+        assert!(store.eviction_count() > 0, "a two-row budget must evict");
+    }
+    widths
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// DPE and NNE equal their definitions on both sides of the lane
+    /// width choice: dense graphs, whose rows all pack 4-bit codes, and
+    /// long trees, where some rows pack 8-bit codes.
+    #[test]
+    fn dpe_and_nne_rows_match_their_definitions(
+        dense in arb_dense_graph(),
+        tree in arb_long_tree(),
+    ) {
+        prop_assert_eq!(check_definition_oracles(&dense), [4].into());
+        prop_assert!(check_definition_oracles(&tree).contains(&8));
     }
 }
 

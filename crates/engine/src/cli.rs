@@ -1327,11 +1327,12 @@ mod tests {
     #[test]
     fn stats_reports_rows_tier_under_tight_budget() {
         let (out, _, result) =
-            run_to_strings(&["stats", "--dataset", "slashdot", "--memory-budget", "64K"]);
+            run_to_strings(&["stats", "--dataset", "slashdot", "--memory-budget", "48K"]);
         result.unwrap();
-        // 214² rows cannot fit 64 KiB: auto mode must pick row serving.
+        // 214 rows of 283 bytes (~59 KiB) cannot fit 48 KiB: auto mode
+        // must pick row serving.
         assert!(out.contains("\"tier\": \"rows\""), "got: {out}");
-        assert!(out.contains("\"memory_budget_bytes\": 65536"), "got: {out}");
+        assert!(out.contains("\"memory_budget_bytes\": 49152"), "got: {out}");
     }
 
     #[test]

@@ -644,7 +644,7 @@ pub(crate) fn read_request(
         })
         .collect();
 
-    let mut content_length = 0usize;
+    let mut content_length: Option<usize> = None;
     // HTTP/1.1 defaults to keep-alive; 1.0 to close.
     let mut close = !http11;
     let mut expect_continue = false;
@@ -672,17 +672,26 @@ pub(crate) fn read_request(
         };
         let value = value.trim();
         if name.eq_ignore_ascii_case("content-length") {
-            content_length = match value.parse() {
-                Ok(n) => n,
-                Err(_) => {
-                    return Ok(Err((
-                        400,
-                        ServiceError::BadRequest {
-                            detail: format!("invalid Content-Length `{value}`"),
-                        },
-                    )))
+            // RFC 9112 §6.3: the value is 1*DIGIT (`usize::from_str` would
+            // also take a sign), and a second value that differs from the
+            // first leaves the framing ambiguous. Both are invalid framing.
+            let parsed = value
+                .bytes()
+                .all(|b| b.is_ascii_digit())
+                .then(|| value.parse::<usize>().ok())
+                .flatten();
+            match parsed {
+                Some(n) if content_length.is_none_or(|first| first == n) => {
+                    content_length = Some(n)
                 }
-            };
+                invalid => {
+                    let detail = match invalid {
+                        Some(_) => "conflicting Content-Length headers".to_string(),
+                        None => format!("invalid Content-Length `{value}`"),
+                    };
+                    return Ok(Err((400, ServiceError::BadRequest { detail })));
+                }
+            }
         } else if name.eq_ignore_ascii_case("connection") {
             if value.eq_ignore_ascii_case("close") {
                 close = true;
@@ -704,6 +713,7 @@ pub(crate) fn read_request(
             expect_continue = true;
         }
     }
+    let content_length = content_length.unwrap_or(0);
     if content_length > max_body {
         return Ok(Err((
             413,

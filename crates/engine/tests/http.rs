@@ -376,6 +376,61 @@ fn deeply_nested_json_is_a_bad_request_not_a_crash() {
     server.shutdown();
 }
 
+/// RFC 9112 §6.3 framing: a signed `Content-Length` and two different
+/// `Content-Length` values are invalid framing, answered with a 400 and a
+/// closed connection. A well-framed request on a fresh connection is still
+/// served, and so is one that repeats the same value.
+#[test]
+fn ambiguous_content_length_is_a_bad_request_and_closes() {
+    use std::io::{Read, Write};
+    let server = HttpServer::bind(
+        two_deployment_service(),
+        "127.0.0.1:0",
+        ServerOptions {
+            keep_alive: std::time::Duration::from_secs(5),
+            ..Default::default()
+        },
+    )
+    .unwrap();
+    // One request per connection; the reply is read until the server
+    // closes it.
+    let exchange = |headers: &str, body: &str| -> String {
+        let mut stream = std::net::TcpStream::connect(server.addr()).unwrap();
+        stream
+            .set_read_timeout(Some(std::time::Duration::from_secs(10)))
+            .unwrap();
+        let request = format!(
+            "POST /v1/query?deployment=tiny&timing=0 HTTP/1.1\r\nHost: test\r\n{headers}\r\n\r\n{body}"
+        );
+        stream.write_all(request.as_bytes()).unwrap();
+        let mut reply = String::new();
+        stream
+            .read_to_string(&mut reply)
+            .expect("the server answers and closes the connection");
+        reply
+    };
+    for framing in [
+        "Content-Length: +2",
+        "Content-Length: 2\r\nContent-Length: 3",
+    ] {
+        let reply = exchange(framing, "");
+        assert!(reply.starts_with("HTTP/1.1 400 "), "{framing}: {reply}");
+        assert!(reply.contains("\r\nConnection: close\r\n"), "{reply}");
+        assert!(reply.contains("bad_request"), "{reply}");
+    }
+    let body = r#"{"task": [1, 2]}"#;
+    let length = format!("Content-Length: {}", body.len());
+    for framing in [
+        format!("{length}\r\nConnection: close"),
+        format!("{length}\r\n{length}\r\nConnection: close"),
+    ] {
+        let reply = exchange(&framing, body);
+        assert!(reply.starts_with("HTTP/1.1 200 "), "{framing}: {reply}");
+        assert!(reply.contains(r#""status""#), "{reply}");
+    }
+    server.shutdown();
+}
+
 #[test]
 fn mutate_endpoint_applies_live_edge_changes() {
     let service = two_deployment_service();

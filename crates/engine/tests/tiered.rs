@@ -3,11 +3,16 @@
 //! row-mode vs matrix-mode answer equivalence, and serving a graph whose
 //! full `O(|V|²)` matrix would blow the memory budget.
 
-use tfsn_core::compat::{estimated_matrix_bytes, CompatibilityKind};
+use signed_graph::csr::CsrGraph;
+use tfsn_core::compat::{
+    compute_row, estimated_matrix_bytes, estimated_row_bytes, row_bytes, CompatibilityKind,
+    EngineConfig,
+};
 use tfsn_core::team::greedy::GreedyConfig;
 use tfsn_core::team::policies::TeamAlgorithm;
 use tfsn_core::team::Solver;
 use tfsn_datasets::{synthetic, DatasetSpec};
+use tfsn_engine::registry::DeploymentSource;
 use tfsn_engine::{
     AnswerStatus, BatchOptions, Deployment, Engine, EngineOptions, StorePolicy, TeamAnswer,
     TeamQuery, TierChoice,
@@ -128,7 +133,7 @@ fn row_mode_answers_match_matrix_mode_under_eviction_pressure() {
 }
 
 /// Acceptance scenario: a 50k-node synthetic graph whose full matrix
-/// (~5 GiB even bit-packed) can never be materialised under the budget is
+/// (~1.75 GiB even bit-packed) can never be materialised under the budget is
 /// served in row mode under a 1 MiB per-kind budget, with evictions
 /// observed in the metrics.
 #[test]
@@ -152,7 +157,7 @@ fn serves_50k_nodes_under_memory_budget_with_evictions() {
     let dataset = synthetic::generate(&spec, 1.0);
     assert_eq!(dataset.graph.node_count(), users);
 
-    // 1 MiB: fits ~9 bit-packed rows of 50k nodes (the unpacked layout fit
+    // 1 MiB: fits 27 bit-packed rows of 50k nodes (the unpacked layout fit
     // 2), still nowhere near 50k of them.
     let budget = 1 << 20;
     assert!(estimated_matrix_bytes(users) > budget * 1_000);
@@ -164,7 +169,7 @@ fn serves_50k_nodes_under_memory_budget_with_evictions() {
             let holders = dataset.skills.users_with_skill(SkillId::new(s)).len();
             (1..=6).contains(&holders)
         })
-        .take(8)
+        .take(12)
         .collect();
     assert!(rare.len() >= 4, "generator produced too few rare skills");
     let solver = Solver::Greedy {
@@ -212,7 +217,7 @@ fn serves_50k_nodes_under_memory_budget_with_evictions() {
     assert!(m.row_builds >= 3, "expected several on-demand rows: {m:?}");
     assert!(
         m.row_evictions > 0,
-        "a ~9-row budget must evict under this workload: {m:?}"
+        "a 27-row budget must evict under this workload: {m:?}"
     );
     assert!(
         m.resident_bytes <= budget as u64,
@@ -227,4 +232,47 @@ fn serves_50k_nodes_under_memory_budget_with_evictions() {
         m.resident_rows as usize <= capacity,
         "resident rows exceed the budget's capacity: {m:?}"
     );
+}
+
+/// The lane width rule on the emulated datasets, whose diameters are 4–12
+/// (`slashdot` nearest the 4-bit limit of 13). Every row of the kinds whose
+/// distance is the BFS level packs 4-bit distance codes with an empty side
+/// table, so each is exactly the kind-free estimate. SBPH distances are
+/// balanced-path lengths, which can run past the diameter: two `slashdot`
+/// SBPH rows keep one side entry each, and still pack 4-bit codes.
+#[test]
+fn emulated_deployment_rows_pack_four_bit_codes() {
+    let cfg = EngineConfig::default();
+    for spec in ["slashdot", "epinions:0.05", "epinions:0.1", "wikipedia:0.1"] {
+        let deployment = DeploymentSource::parse(spec).unwrap().load();
+        let graph = deployment.graph();
+        let csr = CsrGraph::from_graph(graph);
+        for kind in [
+            CompatibilityKind::Dpe,
+            CompatibilityKind::Spa,
+            CompatibilityKind::Spm,
+            CompatibilityKind::Spo,
+            CompatibilityKind::Nne,
+        ] {
+            for source in graph.nodes() {
+                let row = compute_row(graph, &csr, source, kind, &cfg);
+                assert_eq!(
+                    (row.code_bits(), row.side_table_len()),
+                    (4, 0),
+                    "{spec}: {kind} row {source}"
+                );
+                assert_eq!(row_bytes(&row), estimated_row_bytes(graph.node_count()));
+            }
+        }
+    }
+    let deployment = DeploymentSource::Slashdot.load();
+    let graph = deployment.graph();
+    let csr = CsrGraph::from_graph(graph);
+    let side: usize = graph
+        .nodes()
+        .map(|source| compute_row(graph, &csr, source, CompatibilityKind::Sbph, &cfg))
+        .inspect(|row| assert_eq!(row.code_bits(), 4, "SBPH row {}", row.source()))
+        .map(|row| row.side_table_len())
+        .sum();
+    assert_eq!(side, 2);
 }
