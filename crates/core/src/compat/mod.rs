@@ -22,6 +22,7 @@
 //! the solver's [`crate::team::CandidateMask`] fast path, exposed through
 //! [`Compatibility::packed_row`].
 
+mod batch;
 pub mod repair;
 pub mod row;
 pub mod sbp;
@@ -307,10 +308,10 @@ impl CompatibilityMatrix {
         Self::build_parallel(graph, kind, cfg, 1)
     }
 
-    /// Builds the full relation using `threads` worker threads; the
-    /// per-source computations are independent, and workers claim sources
-    /// from an atomic counter so expensive SBP/SBPH rows balance across
-    /// them.
+    /// Builds the full relation using `threads` worker threads; workers
+    /// claim the next batch of sources (SPA, SPO, NNE) or the next source
+    /// (the other kinds) as they free up, so expensive SBP/SBPH rows balance
+    /// across them.
     pub fn build_parallel(
         graph: &SignedGraph,
         kind: CompatibilityKind,
@@ -440,10 +441,12 @@ fn symmetrize_rows(kind: CompatibilityKind, rows: &mut [CompatRow]) {
 
 /// Computes every source's row of `kind` with `threads` workers and applies
 /// the symmetric closure — the fill behind both [`CompatibilityMatrix`] and
-/// [`LazyCompatibility::filled`]. Workers claim sources from an atomic
-/// counter (so expensive SBP/SBPH rows balance across them) and own the
-/// rows they compute outright; results are stitched into place after the
-/// joins, with no shared slot vector or lock on the write path.
+/// [`LazyCompatibility::filled`]. SPA, SPO and NNE rows come a batch of
+/// sources at a time from one bit-parallel search ([`batch`]); the other
+/// kinds run their per-source kernel ([`compute_row`]). Workers claim the
+/// next batch (or source) and its run of output slots under one lock, so
+/// expensive SBP/SBPH rows balance across them, and write each row straight
+/// into its slot: no worker buffers rows for a stitch after the joins.
 fn fill_rows(
     graph: &SignedGraph,
     csr: &CsrGraph,
@@ -452,29 +455,30 @@ fn fill_rows(
     threads: usize,
 ) -> Vec<CompatRow> {
     let n = graph.node_count();
-    let next = AtomicUsize::new(0);
+    let batched = batch::batched(kind);
+    let step = if batched { batch::BATCH } else { 1 };
     let mut rows: Vec<Option<CompatRow>> = vec![None; n];
+    let tasks = Mutex::new(rows.chunks_mut(step).enumerate());
     std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads.clamp(1, n.max(1)))
-            .map(|_| {
-                let next = &next;
-                scope.spawn(move || {
-                    let mut mine = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= n {
-                            break;
+        for _ in 0..threads.clamp(1, n.div_ceil(step).max(1)) {
+            scope.spawn(|| {
+                let mut scratch = Vec::new();
+                loop {
+                    let Some((task, slots)) = tasks.lock().next() else {
+                        break;
+                    };
+                    let first = task * step;
+                    if batched {
+                        let built = batch::fill_batch(graph, csr, kind, first, &mut scratch);
+                        for (slot, row) in slots.iter_mut().zip(built) {
+                            *slot = Some(row);
                         }
-                        mine.push((i, compute_row(graph, csr, NodeId::new(i), kind, cfg)));
+                    } else {
+                        let source = NodeId::new(first);
+                        slots[0] = Some(compute_row(graph, csr, source, kind, cfg));
                     }
-                    mine
-                })
-            })
-            .collect();
-        for handle in handles {
-            for (i, row) in handle.join().expect("compatibility worker panicked") {
-                rows[i] = Some(row);
-            }
+                }
+            });
         }
     });
     let mut rows: Vec<CompatRow> = rows
@@ -1446,6 +1450,22 @@ mod tests {
                 par.rows(),
                 "{kind}: parallel and sequential differ"
             );
+        }
+    }
+
+    #[test]
+    fn fills_of_empty_and_single_node_graphs() {
+        let cfg = EngineConfig::default();
+        for nodes in [0, 1] {
+            let g = signed_graph::GraphBuilder::with_nodes(nodes).build();
+            for kind in CompatibilityKind::ALL {
+                let m = CompatibilityMatrix::build_parallel(&g, kind, &cfg, 2);
+                assert_eq!(m.rows().len(), nodes, "{kind}");
+                if let Some(row) = m.rows().first() {
+                    assert!(row.is_compatible(0), "{kind}");
+                    assert_eq!(row.distance(0), Some(0), "{kind}");
+                }
+            }
         }
     }
 

@@ -77,18 +77,19 @@ impl LaneWidth {
     /// given its finite distances (4-bit on a tie). One pass over the
     /// distances the relation's scan produced; nothing is packed twice.
     pub(crate) fn fitting(nodes: usize, distances: impl IntoIterator<Item = u32>) -> LaneWidth {
-        let (nibble_max, byte_max) = (
-            u32::from(Self::NIBBLE.max_inline()),
-            u32::from(Self::BYTE.max_inline()),
-        );
-        let (mut past_nibble, mut past_byte) = (0usize, 0usize);
+        let mut past = PastInline::default();
         for d in distances {
-            past_nibble += usize::from(d > nibble_max);
-            past_byte += usize::from(d > byte_max);
+            past.count(d);
         }
+        Self::choose(nodes, past)
+    }
+
+    /// The width rule itself, from how many distances fall past each
+    /// width's inline range.
+    fn choose(nodes: usize, past: PastInline) -> LaneWidth {
         let entry = std::mem::size_of::<SideEntry>();
-        let nibble = Self::NIBBLE.lane_bytes(nodes) + past_nibble * entry;
-        let byte = Self::BYTE.lane_bytes(nodes) + past_byte * entry;
+        let nibble = Self::NIBBLE.lane_bytes(nodes) + past.past_nibble * entry;
+        let byte = Self::BYTE.lane_bytes(nodes) + past.past_byte * entry;
         if nibble <= byte {
             Self::NIBBLE
         } else {
@@ -135,6 +136,21 @@ impl LaneWidth {
             d if d <= self.max_inline() => d as u8,
             _ => self.side_code(),
         }
+    }
+}
+
+/// How many of a row's distances fall past the inline range of each code
+/// width: all the width rule needs to know about them.
+#[derive(Debug, Clone, Copy, Default)]
+struct PastInline {
+    past_nibble: usize,
+    past_byte: usize,
+}
+
+impl PastInline {
+    fn count(&mut self, d: u32) {
+        self.past_nibble += usize::from(d > u32::from(LaneWidth::NIBBLE.max_inline()));
+        self.past_byte += usize::from(d > u32::from(LaneWidth::BYTE.max_inline()));
     }
 }
 
@@ -449,6 +465,83 @@ impl CompatRow {
     }
 }
 
+/// A row packed in place while a search reaches its nodes, in any order:
+/// the bit-parallel fill ([`super::batch`]) writes each source's row this
+/// way as its BFS levels complete, with no per-node distance buffer. The
+/// row grows with 4-bit codes, and [`Self::finish`] applies the width rule
+/// from the distances it counted, so the finished row equals the one
+/// [`CompatRow::pack`] builds from the same facts, in every byte.
+pub(crate) struct RowPacker {
+    row: CompatRow,
+    past: PastInline,
+}
+
+impl RowPacker {
+    /// A row with no node reached yet: every code unreachable, no mixed
+    /// flag, and every compatibility bit set to `compatible`.
+    pub(crate) fn new(
+        source: NodeId,
+        kind: CompatibilityKind,
+        nodes: usize,
+        compatible: bool,
+    ) -> Self {
+        let width = LaneWidth::NIBBLE;
+        let mut bits = vec![0u64; bitset_words(nodes)];
+        if compatible {
+            for v in 0..nodes {
+                bits[v / 64] |= 1 << (v % 64);
+            }
+        }
+        RowPacker {
+            row: CompatRow {
+                source,
+                kind,
+                width,
+                nodes,
+                bits,
+                mixed: vec![0u64; bitset_words(nodes)],
+                lane: vec![0xff; width.lane_bytes(nodes)],
+                side: Vec::new(),
+            },
+            past: PastInline::default(),
+        }
+    }
+
+    /// Records that the search reached `v` at `distance`: sets its code,
+    /// and sets its bit and mixed flag where asked (a set bit stays set).
+    /// Each node is reached at most once.
+    #[inline]
+    pub(crate) fn reach(&mut self, v: usize, compatible: bool, distance: u32, mixed: bool) {
+        let row = &mut self.row;
+        row.bits[v / 64] |= u64::from(compatible) << (v % 64);
+        row.mixed[v / 64] |= u64::from(mixed) << (v % 64);
+        self.past.count(distance);
+        let raw = distance.min(MAX_PACKED_DISTANCE) as u16;
+        let code = row.width.encode(raw);
+        if code == row.width.side_code() {
+            row.side.push((v as u32, raw));
+        }
+        let (byte, offset) = row.width.locate(v);
+        row.lane[byte] &= !(row.width.mask() << offset);
+        row.lane[byte] |= code << offset;
+    }
+
+    /// The finished row: side entries sorted by node, and 8-bit codes if the
+    /// width rule picks them (the 4-bit row is then repacked once).
+    pub(crate) fn finish(self) -> CompatRow {
+        let RowPacker { mut row, past } = self;
+        row.side.sort_unstable_by_key(|&(v, _)| v);
+        let width = LaneWidth::choose(row.nodes, past);
+        if width != row.width {
+            return CompatRow::pack(row.source, row.kind, width, row.nodes, |v| {
+                (row.is_compatible(v), row.distance(v), row.is_mixed(v))
+            });
+        }
+        row.side.shrink_to_fit();
+        row
+    }
+}
+
 /// Sets or clears bit `v` of a `u64`-word bitset.
 fn set_bit(words: &mut [u64], v: usize, on: bool) {
     let (word, bit) = (v / 64, 1u64 << (v % 64));
@@ -461,8 +554,7 @@ fn set_bit(words: &mut [u64], v: usize, on: bool) {
 
 /// A plain mutable bitset over node ids, sharing [`CompatRow`]'s word
 /// indexing — the one implementation behind every "is this node in the
-/// set?" probe outside the rows themselves (the greedy relevance pool, the
-/// SBPH search's scratch marks).
+/// set?" probe outside the rows themselves (the greedy relevance pool).
 #[derive(Debug, Clone)]
 pub struct NodeSet {
     words: Vec<u64>,
@@ -481,14 +573,6 @@ impl NodeSet {
         let v = v.index();
         if v / 64 < self.words.len() {
             self.words[v / 64] |= 1u64 << (v % 64);
-        }
-    }
-
-    /// Removes `v` (ignores out-of-range ids).
-    pub fn remove(&mut self, v: NodeId) {
-        let v = v.index();
-        if v / 64 < self.words.len() {
-            self.words[v / 64] &= !(1u64 << (v % 64));
         }
     }
 
@@ -746,6 +830,50 @@ mod tests {
             assert_eq!(row.raw_distance(1), 500);
             assert_eq!(row.raw_distance(10), 400);
             assert_eq!(row.raw_distance(5), max_inline);
+        }
+    }
+
+    #[test]
+    fn packer_builds_the_packed_row_in_any_reach_order() {
+        // Nodes 3k+2 stay unreached; the first `far` nodes sit past the
+        // 4-bit or the 8-bit inline range. 41 nodes with three far keep
+        // 4-bit codes (and a spare slot); 40 with twenty far take 8-bit.
+        for (nodes, far) in [(41usize, 3usize), (40, 20), (9, 0)] {
+            let distance = |v: usize| match (v % 3, v < far, v & 1) {
+                (2, _, _) => None,
+                (_, true, 0) => Some(14 + v as u32),
+                (_, true, _) => Some(254 + v as u32),
+                _ => Some((v % 14) as u32),
+            };
+            let (bit, mixed) = (|v: usize| v % 4 == 1, |v: usize| v % 5 == 1);
+            for compatible in [false, true] {
+                // Reached out of node order, as a BFS reaches them.
+                let mut packer =
+                    RowPacker::new(NodeId::new(1), CompatibilityKind::Spa, nodes, compatible);
+                for v in (0..nodes).rev() {
+                    if let Some(d) = distance(v) {
+                        packer.reach(v, bit(v), d, mixed(v));
+                    }
+                }
+                let row = packer.finish();
+                let width = LaneWidth::fitting(nodes, (0..nodes).filter_map(distance));
+                let packed =
+                    CompatRow::pack(NodeId::new(1), CompatibilityKind::Spa, width, nodes, |v| {
+                        let d = distance(v);
+                        (
+                            compatible || d.is_some() && bit(v),
+                            d,
+                            d.is_some() && mixed(v),
+                        )
+                    });
+                assert_eq!(row.width, packed.width, "{nodes} nodes");
+                assert_eq!(
+                    (&row.bits, &row.mixed, &row.lane, &row.side),
+                    (&packed.bits, &packed.mixed, &packed.lane, &packed.side),
+                    "{nodes} nodes, compatible {compatible}"
+                );
+                assert_eq!(row.side.capacity(), row.side.len());
+            }
         }
     }
 

@@ -12,6 +12,14 @@
 //! saturate at `u64::MAX`; the derived relations only ever compare the two
 //! counters, and the comparison outcome is unaffected by simultaneous
 //! saturation in all but adversarial cases far beyond the paper's datasets.
+//!
+//! This module runs Algorithm 1 one source at a time: for every SPM row,
+//! and for the SPA and SPO rows a store computes on demand (row-mode
+//! misses, repair recomputes). A saturated counter never returns to 0, so
+//! SPA and SPO only ask whether `N⁺ > 0` and whether `N⁻ > 0`. The fill
+//! that computes every row of a kind at once (`compat/batch.rs`) therefore
+//! carries one existence bit per sign instead of the counts, and runs the
+//! same recurrence for 32 sources per pass; it packs the same rows.
 
 use signed_graph::csr::CsrGraph;
 use signed_graph::{NodeId, Sign};

@@ -641,6 +641,197 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
+// SBPH against a transcription of the paper's prefix search (§3).
+// ---------------------------------------------------------------------------
+
+/// SBPH from `source`, transcribed from the paper's prefix search: a FIFO
+/// of prefixes, each extended by its endpoint's neighbours in ascending id.
+/// An extension is retained when the subgraph induced on its nodes is
+/// balanced (Definition 3.4, a 2-colouring from scratch) and fewer than
+/// `width` prefixes of its sign already end at its endpoint (the trivial
+/// prefix counts as the source's first positive one). A positive prefix
+/// makes its endpoint compatible at the prefix's length.
+fn reference_sbph(
+    g: &SignedGraph,
+    source: NodeId,
+    width: usize,
+) -> tfsn_core::compat::SourceCompatibility {
+    let n = g.node_count();
+    let mut compatible = vec![false; n];
+    let mut distance: Vec<Option<u32>> = vec![None; n];
+    compatible[source.index()] = true;
+    distance[source.index()] = Some(0);
+    let mut retained = vec![[0usize; 2]; n];
+    retained[source.index()][0] = 1;
+    let mut queue = std::collections::VecDeque::from([vec![source]]);
+    while let Some(prefix) = queue.pop_front() {
+        let end = *prefix.last().expect("a prefix holds the source");
+        let mut next: Vec<NodeId> = g.neighbors(end).iter().map(|nb| nb.node).collect();
+        next.sort();
+        for w in next {
+            if prefix.contains(&w) {
+                continue;
+            }
+            let mut path = prefix.clone();
+            path.push(w);
+            if !signed_graph::balance::is_structurally_balanced_path(g, &path) {
+                continue;
+            }
+            let sign = g.path_sign(&path).expect("consecutive nodes share an edge");
+            let slot = &mut retained[w.index()][usize::from(sign == Sign::Negative)];
+            if *slot >= width {
+                continue;
+            }
+            *slot += 1;
+            if sign == Sign::Positive {
+                let len = (path.len() - 1) as u32;
+                compatible[w.index()] = true;
+                distance[w.index()] = Some(distance[w.index()].map_or(len, |d| d.min(len)));
+            }
+            queue.push_back(path);
+        }
+    }
+    tfsn_core::compat::SourceCompatibility {
+        source,
+        kind: CompatibilityKind::Sbph,
+        compatible,
+        distance,
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(oracle_cases()))]
+
+    /// `sbph_source` returns exactly the transcription's relation, at the
+    /// paper's width 1 and at width 2, on small connected graphs, dense
+    /// graphs and long trees.
+    #[test]
+    fn sbph_matches_definition_oracle(
+        g in arb_graph(),
+        dense in arb_dense_graph(),
+        tree in arb_long_tree(),
+    ) {
+        use signed_graph::csr::CsrGraph;
+        use tfsn_core::compat::sbph::sbph_source;
+        for graph in [&g, &dense, &tree] {
+            let csr = CsrGraph::from_graph(graph);
+            for width in [1, 2] {
+                for source in graph.nodes() {
+                    prop_assert_eq!(
+                        sbph_source(graph, &csr, source, width),
+                        reference_sbph(graph, source, width),
+                        "source {} width {}", source, width
+                    );
+                }
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The fill against the per-source rows.
+// ---------------------------------------------------------------------------
+
+/// A signed graph over 1–200 nodes, half the time at a size next to a
+/// multiple of the fill's batch (63, 64, 65, 128 or 129 nodes): a connected
+/// social graph, or a sparse random one with several components and
+/// isolated nodes.
+fn arb_fill_graph() -> impl Strategy<Value = SignedGraph> {
+    (
+        0usize..10,
+        1usize..201,
+        prop::bool::ANY,
+        1usize..5,
+        0u64..5000,
+        0u32..50,
+    )
+        .prop_map(|(pick, n, sparse, degree, seed, negp)| {
+            let n = [63, 64, 65, 128, 129].get(pick).copied().unwrap_or(n);
+            let negative_fraction = f64::from(negp) / 100.0;
+            if sparse {
+                // Average degree 0.5–2.
+                signed_graph::generators::erdos_renyi_signed(
+                    n,
+                    n * degree / 4,
+                    negative_fraction,
+                    seed,
+                )
+            } else {
+                social_network(&SocialNetworkConfig {
+                    nodes: n,
+                    edges: 2 * n,
+                    negative_fraction,
+                    seed,
+                    ..Default::default()
+                })
+            }
+        })
+}
+
+/// Checks every row of every kind that the fill computes over `g`, at 1 and
+/// 3 threads, against `compute_row` closed under symmetry (the closure is a
+/// no-op on the kinds symmetric per source): the same bits, mixed flags and
+/// distances, the per-source row's code width, and the side table and
+/// accounted bytes that width gives.
+fn check_filled_rows(g: &SignedGraph) {
+    use signed_graph::csr::CsrGraph;
+    use tfsn_core::compat::{compute_row, per_source_symmetric, row_bytes, CompatRow};
+    // A small exact-SBP budget keeps 200-node graphs quick; the fill and
+    // the per-source rows share it.
+    let cfg = EngineConfig {
+        sbp_max_states: 2_000,
+        ..EngineConfig::default()
+    };
+    let csr = CsrGraph::from_graph(g);
+    let entry = std::mem::size_of::<(u32, u16)>();
+    for kind in CompatibilityKind::ALL {
+        let per_source: Vec<CompatRow> = g
+            .nodes()
+            .map(|s| compute_row(g, &csr, s, kind, &cfg))
+            .collect();
+        let mut closed: Vec<_> = per_source.iter().map(CompatRow::to_source).collect();
+        legacy_symmetrize(&mut closed);
+        for threads in [1, 3] {
+            let filled = CompatibilityMatrix::build_parallel(g, kind, &cfg, threads);
+            assert_eq!(filled.rows().len(), g.node_count());
+            for (u, row) in filled.rows().iter().enumerate() {
+                let (reference, closed) = (&per_source[u], &closed[u]);
+                let at = format!("{kind} row {u} of {} at {threads} threads", g.node_count());
+                if per_source_symmetric(kind) {
+                    assert_eq!(row, reference, "{at}");
+                }
+                assert_eq!(&row.to_source(), closed, "{at}");
+                assert_eq!(row.code_bits(), reference.code_bits(), "{at}");
+                let inline = if row.code_bits() == 4 { 13 } else { 253 };
+                let side = closed.distance.iter().flatten().filter(|&&d| d > inline);
+                let side = side.count();
+                assert_eq!(row.side_table_len(), side, "{at}");
+                assert_eq!(
+                    row_bytes(row) + reference.side_table_len() * entry,
+                    row_bytes(reference) + side * entry,
+                    "{at}"
+                );
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(oracle_cases()))]
+
+    /// The fill behind `matrix` stores holds exactly the per-source rows
+    /// (closed under symmetry) for all seven kinds. SPA, SPO and NNE fill a
+    /// batch of sources per bit-parallel search, so the graphs straddle
+    /// batch boundaries, fall apart into components, and run long enough
+    /// (the trees) for rows to pack 8-bit codes.
+    #[test]
+    fn filled_rows_equal_per_source_rows(g in arb_fill_graph(), tree in arb_long_tree()) {
+        check_filled_rows(&g);
+        check_filled_rows(&tree);
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Tiered row store (LazyCompatibility) vs the materialised matrix.
 // ---------------------------------------------------------------------------
 
