@@ -35,7 +35,6 @@ pub use row::{
     UNREACHABLE_DISTANCE,
 };
 
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
@@ -595,18 +594,93 @@ enum Slot {
     Ready {
         row: Arc<CompatRow>,
         bytes: usize,
-        tick: u64,
     },
+}
+
+/// The end of the LRU list: no slot.
+const NIL: u32 = u32::MAX;
+
+/// A slot's neighbours in the LRU list.
+#[derive(Clone, Copy)]
+struct Link {
+    prev: u32,
+    next: u32,
+}
+
+/// The resident slots in exact LRU order, least recently used at `head`: a
+/// doubly linked list threaded through one [`Link`] per slot, so touch,
+/// append, unlink and evict are `O(1)` and allocate nothing.
+struct LruList {
+    links: Vec<Link>,
+    head: u32,
+    tail: u32,
+}
+
+impl LruList {
+    /// An empty list over `slots` slots.
+    fn new(slots: usize) -> Self {
+        assert!(slots < NIL as usize, "slot indices must stay below NIL");
+        let unlinked = Link {
+            prev: NIL,
+            next: NIL,
+        };
+        LruList {
+            links: vec![unlinked; slots],
+            head: NIL,
+            tail: NIL,
+        }
+    }
+
+    /// Appends slot `i`, which is not in the list, as the most recent.
+    fn push_back(&mut self, i: usize) {
+        self.links[i] = Link {
+            prev: self.tail,
+            next: NIL,
+        };
+        match self.tail {
+            NIL => self.head = i as u32,
+            tail => self.links[tail as usize].next = i as u32,
+        }
+        self.tail = i as u32;
+    }
+
+    /// Takes slot `i`, which is in the list, out of it.
+    fn unlink(&mut self, i: usize) {
+        let Link { prev, next } = self.links[i];
+        match prev {
+            NIL => self.head = next,
+            prev => self.links[prev as usize].next = next,
+        }
+        match next {
+            NIL => self.tail = prev,
+            next => self.links[next as usize].prev = prev,
+        }
+    }
+
+    /// Moves slot `i`, which is in the list, to the back.
+    fn touch(&mut self, i: usize) {
+        self.unlink(i);
+        self.push_back(i);
+    }
+
+    /// Takes the least recently used slot out of the list.
+    fn pop_front(&mut self) -> Option<usize> {
+        if self.head == NIL {
+            return None;
+        }
+        let head = self.head as usize;
+        self.unlink(head);
+        Some(head)
+    }
 }
 
 /// Slots plus LRU bookkeeping, all behind one short-hold mutex. The mutex
 /// only guards pointer-sized bookkeeping — row computations run outside it.
 struct RowCacheState {
     slots: Vec<Slot>,
-    /// `tick -> source` ordered oldest-first; ticks are unique, so this is
-    /// an exact LRU queue with `O(log n)` touch and evict.
-    lru: BTreeMap<u64, usize>,
-    next_tick: u64,
+    /// The resident slots in exact LRU order, oldest first, with `O(1)`
+    /// touch and evict. Every store keeps it, bounded or not: 8 B per node.
+    lru: LruList,
     resident_bytes: usize,
     /// Slots holding a resident row; the store is *full* when this equals
     /// its node count.
@@ -773,8 +847,7 @@ impl LazyCompatibility {
             budget_bytes,
             state: Mutex::new(RowCacheState {
                 slots: (0..n).map(|_| Slot::Empty).collect(),
-                lru: BTreeMap::new(),
-                next_tick: 0,
+                lru: LruList::new(n),
                 resident_bytes: 0,
                 resident: 0,
                 closed: false,
@@ -791,26 +864,20 @@ impl LazyCompatibility {
     /// computed over the store's CSR, closed under symmetry (the SBPH/SBP
     /// rows become exact), moved into their slots and published as the row
     /// table. A fill counts as no row build, and it fills past the budget;
-    /// the next sweep or build enforces it.
+    /// the next sweep or build enforces it, evicting in source order.
     pub fn filled(mut self, threads: usize) -> Self {
         let view = self.view.get_mut();
         let rows = fill_rows(&view.graph, &view.csr, self.kind, &self.cfg, threads);
-        let bounded = self.budget_bytes.is_some();
         let st = self.state.get_mut();
         debug_assert_eq!(st.resident, 0, "only a fresh store is filled");
         for (source, row) in rows.into_iter().enumerate() {
             let bytes = row_bytes(&row);
-            st.next_tick += 1;
-            let tick = st.next_tick;
             st.slots[source] = Slot::Ready {
                 row: Arc::new(row),
                 bytes,
-                tick,
             };
             st.resident_bytes += bytes;
-            if bounded {
-                st.lru.insert(tick, source);
-            }
+            st.lru.push_back(source);
         }
         st.resident = self.nodes;
         st.closed = !per_source_symmetric(self.kind);
@@ -838,24 +905,13 @@ impl LazyCompatibility {
     /// computation — the hook serving layers use to attribute cache misses
     /// to the caller that actually built (not every caller that raced).
     pub fn source_tracked(&self, source: NodeId) -> RowFetch {
-        let bounded = self.budget_bytes.is_some();
         let (cell, claim_epoch) = {
             let mut st = self.state.lock();
-            st.next_tick += 1;
-            let tick = st.next_tick;
             let epoch = st.epoch;
             match &mut st.slots[source.index()] {
-                Slot::Ready { row, tick: t, .. } => {
+                Slot::Ready { row, .. } => {
                     let row = row.clone();
-                    // LRU order only matters when eviction can happen;
-                    // unbounded stores skip the BTreeMap churn on the hot
-                    // resident path.
-                    if bounded {
-                        let old = *t;
-                        *t = tick;
-                        st.lru.remove(&old);
-                        st.lru.insert(tick, source.index());
-                    }
+                    st.lru.touch(source.index());
                     return RowFetch {
                         row,
                         built: false,
@@ -915,18 +971,13 @@ impl LazyCompatibility {
                     wait_micros,
                 };
             }
-            st.next_tick += 1;
-            let tick = st.next_tick;
             st.slots[source.index()] = Slot::Ready {
                 row: row.clone(),
                 bytes,
-                tick,
             };
             st.resident_bytes += bytes;
             st.resident += 1;
-            if bounded {
-                st.lru.insert(tick, source.index());
-            }
+            st.lru.push_back(source.index());
             self.enforce_budget(&mut st);
             if st.resident == self.nodes {
                 // The last empty slot filled.
@@ -948,10 +999,9 @@ impl LazyCompatibility {
             return;
         };
         while st.resident_bytes > budget {
-            let Some((&oldest, &victim)) = st.lru.iter().next() else {
+            let Some(victim) = st.lru.pop_front() else {
                 break;
             };
-            st.lru.remove(&oldest);
             if let Slot::Ready { bytes, .. } = &st.slots[victim] {
                 st.resident_bytes -= *bytes;
                 st.resident -= 1;
@@ -966,10 +1016,10 @@ impl LazyCompatibility {
     /// rows exactly once. Rows no effect can touch stay resident verbatim;
     /// affected rows are handed to [`repair::repair_row`] (one
     /// [`repair::RepairScratch`] serves the whole sweep), which either
-    /// proves them unchanged, patches them in place (the repaired row is
-    /// republished under the same LRU tick, re-accounted if its side table
-    /// changed size, and the budget re-enforced after the sweep), or
-    /// demands a scratch recompute, in which case the slot is dropped.
+    /// proves them unchanged, patches them in place (the repaired row keeps
+    /// its place in the LRU order, is re-accounted if its side table changed
+    /// size, and the budget is re-enforced after the sweep), or demands a
+    /// scratch recompute, in which case the slot is dropped and unlinked.
     ///
     /// A full store whose sweep drops nothing republishes its row table
     /// with the repaired rows; one that drops a row (here or to the budget)
@@ -1003,17 +1053,17 @@ impl LazyCompatibility {
                 // epoch bump and skip publication; the next fetch re-claims
                 // against the new view.
                 Slot::Building(_) => {}
-                Slot::Ready { row, bytes, tick } => {
+                Slot::Ready { row, bytes } => {
                     let affected = effects
                         .iter()
                         .any(|e| e.changed() && row_affected_by_edge(&row, e.u, e.v));
                     if !affected {
-                        st.slots[idx] = Slot::Ready { row, bytes, tick };
+                        st.slots[idx] = Slot::Ready { row, bytes };
                         continue;
                     }
                     match repair::repair_row(&row, effects, &repair_csr, &mut scratch) {
                         repair::RepairOutcome::Unchanged => {
-                            st.slots[idx] = Slot::Ready { row, bytes, tick };
+                            st.slots[idx] = Slot::Ready { row, bytes };
                             repaired += 1;
                         }
                         repair::RepairOutcome::Repaired(patched) => {
@@ -1022,14 +1072,13 @@ impl LazyCompatibility {
                             st.slots[idx] = Slot::Ready {
                                 row: Arc::new(patched),
                                 bytes: patched_bytes,
-                                tick,
                             };
                             repaired += 1;
                         }
                         repair::RepairOutcome::MustRecompute => {
                             st.resident_bytes -= bytes;
                             st.resident -= 1;
-                            st.lru.remove(&tick);
+                            st.lru.unlink(idx);
                             invalidated += 1;
                         }
                     }
@@ -1857,6 +1906,67 @@ mod tests {
             }
         }
         assert_eq!(lazy.build_count(), builds_before, "repair avoided rebuilds");
+    }
+
+    #[test]
+    fn sweeps_keep_repaired_rows_in_lru_place_and_unlink_dropped_ones() {
+        use signed_graph::{EdgeMutation, Sign};
+        // The ring 0..8 and the pair (20, 21) of the tests above: every row
+        // packs 4-bit codes with no side entry, so a budget of three and a
+        // half estimated rows holds exactly three.
+        let mut edges: Vec<(usize, usize, Sign)> =
+            (0..8).map(|i| (i, (i + 1) % 8, Sign::Positive)).collect();
+        edges.push((20, 21, Sign::Positive));
+        let g = from_edge_triples(edges);
+        let row = estimated_row_bytes(g.node_count());
+        let mut mutated = g.clone();
+        let flip = mutated
+            .apply_mutation(&EdgeMutation::SetSign {
+                u: NodeId::new(0),
+                v: NodeId::new(1),
+                sign: Sign::Negative,
+            })
+            .unwrap();
+        let mutated = Arc::new(mutated);
+        let csr = Arc::new(CsrGraph::from_graph(&mutated));
+        let store = |kind| {
+            LazyCompatibility::with_budget(
+                Arc::new(g.clone()),
+                kind,
+                EngineConfig::default(),
+                Some(3 * row + row / 2),
+            )
+        };
+        let built = |lazy: &LazyCompatibility, sources: &[usize]| -> Vec<bool> {
+            sources
+                .iter()
+                .map(|&s| lazy.source_tracked(NodeId::new(s)).built)
+                .collect()
+        };
+
+        // NNE patches endpoint row 0 and proves ring row 4 unchanged: both
+        // keep their places, so LRU order stays 0, 4, 20 and the next two
+        // builds evict rows 0 and 4. Had the sweep moved either one to the
+        // back, row 20 would be evicted instead.
+        let nne = store(CompatibilityKind::Nne);
+        assert_eq!(built(&nne, &[0, 4, 20]), [true; 3]);
+        let sweep = nne.apply_mutations(mutated.clone(), csr.clone(), &[flip]);
+        assert_eq!((sweep.invalidated, sweep.repaired), (0, 2));
+        assert_eq!(built(&nne, &[21, 5, 20]), [true, true, false]);
+        assert_eq!(nne.eviction_count(), 2);
+
+        // SPM recomputes ring row 0: the sweep drops it from the order, and
+        // its rebuild joins at the back (20, 21, 0). Two builds then evict
+        // 20 and 21, never the rebuilt row.
+        let spm = store(CompatibilityKind::Spm);
+        assert_eq!(built(&spm, &[20, 0, 21]), [true; 3]);
+        let sweep = spm.apply_mutations(mutated, csr, &[flip]);
+        assert_eq!((sweep.invalidated, sweep.repaired), (1, 0));
+        assert_eq!(spm.cached_rows(), 2);
+        assert_eq!(built(&spm, &[0, 5]), [true, true]);
+        assert_eq!(spm.eviction_count(), 1);
+        assert_eq!(built(&spm, &[6, 0, 21]), [true, false, true]);
+        assert_eq!(spm.eviction_count(), 3);
     }
 
     #[test]

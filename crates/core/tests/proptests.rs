@@ -919,6 +919,64 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(oracle_cases()))]
+
+    /// The row store evicts in exact LRU order: a hit moves its row to the
+    /// back, a build appends it, and a store over its budget evicts from the
+    /// front. Dense graphs pack every row in 4-bit codes with no side entry,
+    /// so each row takes exactly `estimated_row_bytes(n)` and a budget of
+    /// `r` and a half rows holds `r` of them. Every fetch's `built` flag,
+    /// the resident row count and the eviction count must equal a
+    /// `VecDeque` model's.
+    #[test]
+    fn row_store_evicts_in_exact_lru_order(
+        g in arb_dense_graph(),
+        picks in prop::collection::vec(0usize..8, 1..64),
+        base in 0usize..1024,
+    ) {
+        use std::collections::VecDeque;
+        use std::sync::Arc;
+        use tfsn_core::compat::{estimated_row_bytes, row_bytes, LazyCompatibility};
+        let n = g.node_count();
+        let row = estimated_row_bytes(n);
+        let graph = Arc::new(g);
+        for kind in [CompatibilityKind::Spa, CompatibilityKind::Nne, CompatibilityKind::Dpe] {
+            for r in [1usize, 2, 3, 5] {
+                let lazy = LazyCompatibility::with_budget(
+                    graph.clone(),
+                    kind,
+                    EngineConfig::default(),
+                    Some(r * row + row / 2),
+                );
+                let mut model = VecDeque::new();
+                let mut evictions = 0;
+                for (step, &pick) in picks.iter().enumerate() {
+                    let source = (base + 7 * pick) % n;
+                    let fetch = lazy.source_tracked(NodeId::new(source));
+                    prop_assert_eq!(row_bytes(&fetch.row), row, "{} row {}", kind, source);
+                    let resident = model.iter().position(|&s| s == source);
+                    if let Some(at) = resident {
+                        model.remove(at);
+                    }
+                    model.push_back(source);
+                    while model.len() > r {
+                        model.pop_front();
+                        evictions += 1;
+                    }
+                    prop_assert_eq!(
+                        fetch.built,
+                        resident.is_none(),
+                        "{} r={} step {}: fetch of {}", kind, r, step, source
+                    );
+                }
+                prop_assert_eq!(lazy.cached_rows(), model.len(), "{} r={}", kind, r);
+                prop_assert_eq!(lazy.eviction_count(), evictions, "{} r={}", kind, r);
+            }
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Objective-pluggable dispatch vs the pre-objective solver paths.
 // ---------------------------------------------------------------------------

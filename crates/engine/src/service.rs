@@ -707,8 +707,17 @@ mod tests {
         let input = jsonl(23);
         // Chunked (size 4) vs one-shot (size 1024) on fresh services: the
         // JSONL out must be identical, and the chunk count must reflect the
-        // bound.
-        let chunked_service = two_deployment_service(4);
+        // bound. Each service fills SPA before it streams: otherwise
+        // whichever of its two batch workers reaches the fill first answers
+        // `cache_hit: false`, and the streams differ by that race.
+        let warmed = |service: Service| {
+            service
+                .engine(None)
+                .unwrap()
+                .warm(&[CompatibilityKind::Spa]);
+            service
+        };
+        let chunked_service = warmed(two_deployment_service(4));
         let mut chunked = Vec::new();
         let s1 = chunked_service
             .stream_batch(
@@ -720,7 +729,7 @@ mod tests {
             .unwrap();
         assert_eq!(s1.chunks, 6, "23 queries in chunks of 4");
         assert_eq!(s1.summary.queries, 23);
-        let oneshot_service = two_deployment_service(1024);
+        let oneshot_service = warmed(two_deployment_service(1024));
         let mut oneshot = Vec::new();
         let s2 = oneshot_service
             .stream_batch(
