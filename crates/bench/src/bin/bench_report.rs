@@ -1,10 +1,13 @@
-//! `bench-report` — the cross-PR perf tracker.
+//! `bench-report` — in-process timings of the pieces under the serving
+//! path, written as one JSON report.
 //!
-//! Criterion's output is human-oriented and vanishes with the terminal;
-//! this binary runs the repo's key measurements with plain `Instant`
-//! timing and writes one machine-readable JSON file with the median ns/op
-//! per group, so the perf trajectory is tracked across PRs (the committed
-//! `BENCH_PR3.json`) and CI uploads the smoke run as an artifact.
+//! Each measurement question has one home: the paper's tables and figures
+//! come from the `tfsn-experiments` binaries, end-to-end serving through
+//! real `tfsn serve-http` processes from perfbench (`perfbench/`), and the
+//! in-process timings below from this binary. Every loop-timed group runs
+//! its variants round-robin, one warm-up round and then 5 samples (11 in a
+//! full run), and reports the median and the interquartile range in ns per
+//! operation.
 //!
 //! Measured groups:
 //!
@@ -16,80 +19,50 @@
 //!   tasks) or `popular` (tasks over the most-held skills, the
 //!   growth-dominated regime). The derived `speedups` list is scalar ÷
 //!   masked: what the packed-row path gains over the live alternative,
-//!   below 1 where it loses. Reports up to schema v8 divided a
-//!   reconstructed pre-bit-packing layout by masked instead, so their
-//!   `speedups` are not comparable with v9's; up to v9 they also carried
-//!   that layout's `legacy` variant.
-//! * `row_mode` — a budgeted on-demand row store serving a batch: measured
-//!   resident rows and evictions under the byte budget, against the rows
-//!   the budget holds in the packed layout.
-//! * `service` — the transport-layer throughput: one `Service` with two
-//!   named deployments behind the hand-rolled HTTP/1.1 front-end, hammered
-//!   warm by 4 keep-alive client threads posting `/v1/batch` JSONL, against
-//!   the same streams through the in-process CLI transport
-//!   (`Service::stream_batch`). The `http_qps` figure is the PR 4
-//!   acceptance number.
-//! * `mutation` — live-update throughput. Since schema v8 each round is a
-//!   *window* of edge mutations applied through `Engine::mutate_batch`
-//!   (one write-order acquisition, one merged invalidation sweep, in-place
-//!   row repair for the deltas `compat::repair` can prove) followed by a
-//!   query burst against a single long-lived engine, against the naive
-//!   alternative of rebuilding a fresh engine (and re-warming every
-//!   relation) after every mutation — a server without incremental
-//!   updates must stay serveable after each acknowledged write, so it
-//!   cannot coalesce the window. The v3–v7 reports ran the same interleave
-//!   with one-mutation windows (the PR 5 ≥5× acceptance number); the
-//!   `speedup` figure is the PR 10 ≥8× one.
-//! * `repair` — the row-repair micro-contrast behind that speedup
-//!   (schema v8): a rows-mode engine with every `nne` row resident
-//!   absorbing batches of sign flips patched in place by
-//!   `compat::repair`, against recomputing the same rows from scratch.
-//!   Reported per row repaired vs per row rebuilt.
-//! * `replication_lag` — the follower-side win (schema v8): a WAL-backed
-//!   primary absorbs a flappy mutation storm, a rows-resident follower
-//!   replays it through batched `mutate_batch` windows, and the report
-//!   carries the follower's row builds against the same log folded one
-//!   record at a time with a read sweep after every record (what replay
-//!   cost before batched windows).
-//! * `objectives/<label>` — the objective-pluggable solver layer: one warm
-//!   engine serving the same query workload under every team objective
-//!   (`min_team` via the default objective-less path, `synergy`,
-//!   `constrained`). Since schema v5 the report's `objectives` section
-//!   carries each objective's solved count and a sample score — the PR 7
-//!   end-to-end acceptance evidence.
-//! * `durability/<policy>` — the WAL cost: the slashdot mutation
-//!   interleave re-run with a write-ahead log attached under each fsync
-//!   policy (`off`, `batch`, `always`), against the same interleave with no
-//!   log. Since schema v6 the `durability` section carries per-policy wall
-//!   clocks and overhead ratios vs the no-WAL baseline — the PR 8 `batch ≤
-//!   1.15×` acceptance figure.
-//! * `cluster` — the distributed-serving measurement (schema v7): the
-//!   same warm batch storm (a) direct at one memory-budgeted server,
-//!   (b) through `tfsn route` over one replica, and (c) through the
-//!   router over two replicas with `--affinity` content hashing, where
-//!   each replica's budgeted row cache holds only its share of the query
-//!   working set — the ≥1.7× two-replica acceptance figure. Plus a
-//!   mutation burst through the router measuring WAL-shipping replication
-//!   catch-up on two live followers.
+//!   below 1 where it loses.
+//! * `algo1/signed_bfs/<n>n` — one Algorithm 1 search ([`signed_bfs`])
+//!   from node 0 on a generated social network of `n` nodes and `5n`
+//!   edges, 20% negative: the kernel behind on-demand rows, repair
+//!   recomputes and the SPM fill. Same sizes in quick and full runs.
+//! * `engine_row_mode_batch` — a batch served from a fresh row store under
+//!   a 32 KiB budget per kind, the only timed eviction pressure (the
+//!   `mutate_mix` reader's rows all stay resident). The `row_mode` section
+//!   reports resident rows and evictions against the rows the budget holds.
+//! * `mutation_interleave` — live-update throughput: windows of edge sign
+//!   flips applied through `Engine::mutate_batch`, each followed by a query
+//!   burst, on one long-lived engine, against rebuilding a fresh engine
+//!   (and re-warming every relation) after every mutation — a server
+//!   without incremental updates must stay serveable after each
+//!   acknowledged write, so it cannot coalesce the window. The `speedup`
+//!   is rebuild ÷ live.
+//! * `repair` — what one resident `nne` row costs to patch in place under
+//!   a batch of sign flips (`compat::repair`) against recomputing it from
+//!   scratch.
+//! * `replication_lag` — a WAL-backed primary absorbs a flappy mutation
+//!   storm, a rows-resident follower replays it through batched
+//!   `mutate_batch` windows, and the report carries the follower's row
+//!   builds against the same log folded one record at a time with a read
+//!   sweep after every record. Timed once: what it checks is the row
+//!   counts.
+//! * `objectives/<label>` — one warm engine serving the same query
+//!   workload under every team objective (`min_team` via the default
+//!   objective-less path, `synergy`, `constrained`), with each objective's
+//!   solved count and a sample score.
+//! * `durability/<policy>` — the slashdot mutation interleave with a
+//!   write-ahead log attached under each fsync policy (`off`, `batch`,
+//!   `always`), against the same interleave with no log; the section
+//!   carries each policy's overhead ratio.
 //! * `telemetry_overhead` — the cost of one telemetry `record()` call
 //!   (three relaxed atomics), so the "histograms sit on the query hot path
 //!   without a measurable cost" claim in `docs/OBSERVABILITY.md` stays a
 //!   number, not an assertion.
 //!
-//! Since schema v4 each multi-sample group also carries p50/p95/p99 ns/op,
-//! computed by feeding the per-iteration samples through the engine's own
-//! log-bucketed [`LatencyHistogram`] (so the report eats the same ≤12.5%
-//! bucket error budget as production telemetry), and the `service` section
-//! carries the per-deployment warm query-latency summaries read back from
-//! the engines via the `telemetry` protocol operation.
-//!
 //! Usage: `bench-report [--quick] [--output PATH]` — the default output is
-//! `bench-report.local.json`; pass `--output BENCH_PR8.json` explicitly to
-//! refresh the committed cross-PR artifact.
+//! `bench-report.local.json`.
 //!
 //! [`CandidateMask`]: tfsn_core::team::CandidateMask
 //! [`ScalarOnly`]: tfsn_core::compat::ScalarOnly
-//! [`LatencyHistogram`]: tfsn_engine::telemetry::LatencyHistogram
+//! [`signed_bfs`]: tfsn_core::compat::sp::signed_bfs
 
 use std::io::Write;
 use std::time::Instant;
@@ -103,54 +76,55 @@ use tfsn_core::compat::{
 use tfsn_core::team::greedy::{solve_greedy, GreedyConfig};
 use tfsn_core::team::policies::TeamAlgorithm;
 use tfsn_core::team::{Solver, TfsnInstance};
-use tfsn_engine::telemetry::{HistogramStats, LatencyHistogram};
+use tfsn_engine::telemetry::LatencyHistogram;
 use tfsn_engine::{BatchOptions, Deployment, Engine, EngineOptions, StorePolicy, TeamQuery};
 use tfsn_skills::taskgen::random_coverable_tasks;
 
-/// One measured group: the median over `samples` timed iterations, each
-/// performing `ops_per_iter` operations. Since schema v4, groups also
-/// report ns/op percentiles where a finer-grained sampling exists —
-/// per-iteration samples for the interleaved groups, per-request client
-/// latencies for the HTTP storm — and `None` where only one aggregate
-/// timing exists (a percentile would just restate the median).
+/// One measured group: the median and interquartile range, in ns per
+/// operation, over `samples` timed runs of `ops_per_iter` operations each.
 #[derive(Debug, Serialize)]
 struct Group {
     name: String,
     median_ns_per_op: u64,
-    p50_ns_per_op: Option<u64>,
-    p95_ns_per_op: Option<u64>,
-    p99_ns_per_op: Option<u64>,
+    /// `None` for a group timed once.
+    iqr_ns_per_op: Option<u64>,
     ops_per_iter: u64,
     samples: usize,
 }
 
-/// One variant's timing out of [`measure_interleaved`]: the median plus
-/// histogram-derived percentiles, all ns/op.
+/// One variant's timing out of [`measure_interleaved`].
 #[derive(Debug, Clone, Copy)]
 struct Measured {
     median_ns_per_op: u64,
-    p50_ns_per_op: Option<u64>,
-    p95_ns_per_op: Option<u64>,
-    p99_ns_per_op: Option<u64>,
+    iqr_ns_per_op: u64,
+    samples: usize,
 }
 
-/// ns/op percentiles over per-iteration samples, computed through the
-/// engine's own log-bucketed [`LatencyHistogram`] rather than exact
-/// order statistics — deliberately, so the committed report carries the
-/// same ≤12.5% bucket error the production `/metrics` percentiles do.
-fn percentiles_ns(samples_ns_per_op: &[u64]) -> [Option<u64>; 3] {
-    if samples_ns_per_op.len() < 2 {
-        return [None; 3];
+impl Measured {
+    /// The order statistics at n/2 (median), n/4 and 3n/4 of the samples.
+    fn from_samples(mut ns_per_op: Vec<u64>) -> Measured {
+        ns_per_op.sort_unstable();
+        let n = ns_per_op.len();
+        Measured {
+            median_ns_per_op: ns_per_op[n / 2],
+            iqr_ns_per_op: ns_per_op[3 * n / 4] - ns_per_op[n / 4],
+            samples: n,
+        }
     }
-    let hist = LatencyHistogram::default();
-    for &s in samples_ns_per_op {
-        hist.record(s);
+
+    fn group(self, name: String, ops_per_iter: u64) -> Group {
+        Group {
+            name,
+            median_ns_per_op: self.median_ns_per_op,
+            iqr_ns_per_op: Some(self.iqr_ns_per_op),
+            ops_per_iter,
+            samples: self.samples,
+        }
     }
-    let snap = hist.snapshot();
-    [0.50, 0.95, 0.99].map(|q| Some(snap.quantile(q)))
 }
 
-/// The on-demand row store's residency under a fixed byte budget.
+/// The on-demand row store's residency under a fixed byte budget, read
+/// off the last sample's engine.
 #[derive(Debug, Serialize)]
 struct RowModeReport {
     memory_budget_bytes: u64,
@@ -158,38 +132,10 @@ struct RowModeReport {
     packed_row_bytes: u64,
     /// Rows the budget holds in the packed layout (budget / packed row).
     packed_capacity_rows: u64,
-    /// Rows actually resident after the measured batch.
+    /// Rows actually resident after the batch.
     resident_rows: u64,
     row_builds: u64,
     row_evictions: u64,
-}
-
-/// The service-layer throughput measurement (see the module docs).
-#[derive(Debug, Serialize)]
-struct ServiceReport {
-    /// The registry the one service instance served.
-    deployments: Vec<String>,
-    /// Concurrent HTTP client threads (each one keep-alive connection).
-    client_threads: u64,
-    /// `/v1/batch` requests per client.
-    requests_per_client: u64,
-    /// Queries per request body.
-    queries_per_request: u64,
-    /// Total queries answered over HTTP during the measured storm.
-    total_queries: u64,
-    /// Wall-clock seconds of the storm.
-    wall_seconds: f64,
-    /// Warm HTTP throughput, queries/second (the acceptance figure).
-    http_qps: f64,
-    /// The same per-client streams through `Service::stream_batch`
-    /// directly (the CLI transport), same thread count — the HTTP framing
-    /// overhead is the gap to this.
-    inprocess_qps: f64,
-    /// Per-deployment warm query-latency summaries (count, p50/p90/p99,
-    /// max — all µs) read back from the engines' own telemetry via the
-    /// `telemetry` protocol operation after both storms; covers every
-    /// query the storms answered.
-    query_stats: Vec<(String, HistogramStats)>,
 }
 
 /// The live-mutation throughput measurement (see the module docs).
@@ -199,33 +145,21 @@ struct MutationBenchReport {
     deployment: String,
     /// Relation kinds warmed and queried each round.
     kinds: Vec<String>,
-    /// Mutation rounds (one window of sign flips + one query burst each).
+    /// Rounds per sample (one window of sign flips + one query burst each).
     rounds: u64,
-    /// Sign flips per window (schema v8; v3–v7 interleaves used 1). The
-    /// live engine absorbs each window as one `mutate_batch`; the rebuild
-    /// baseline pays one full rebuild per flip.
+    /// Sign flips per window. The live engine absorbs each window as one
+    /// `mutate_batch`; the rebuild baseline pays one full rebuild per flip.
     mutations_per_round: u64,
     /// Queries answered after each window.
     queries_per_round: u64,
-    /// Wall-clock of the incremental interleave (one live engine,
-    /// per-kind invalidation).
-    incremental_wall_seconds: f64,
-    /// Mutate+query operations per second on the live engine.
-    incremental_ops_per_second: f64,
-    /// Wall-clock of the naive baseline: a fresh engine rebuilt and
-    /// re-warmed after every mutation, same queries.
-    rebuild_wall_seconds: f64,
-    /// The baseline's operations per second.
-    rebuild_ops_per_second: f64,
-    /// Mutations applied on the live engine (sanity: equals `rounds`).
+    /// Mutations applied on the live engine, over the warm-up and every
+    /// sample.
     mutations_applied: u64,
-    /// Rows invalidated across the interleave.
+    /// Rows the live engine invalidated over the same runs.
     rows_invalidated: u64,
-    /// Rows `compat::repair` patched in place instead of invalidating
-    /// (schema v8) — the mechanism behind the speedup moving past 8×.
+    /// Rows `compat::repair` patched in place instead of invalidating.
     rows_repaired: u64,
-    /// `rebuild_wall_seconds / incremental_wall_seconds` — the ≥5×
-    /// (PR 5) and ≥8× (PR 10) acceptance figure.
+    /// Rebuild median ÷ live median, ns per operation.
     speedup: f64,
 }
 
@@ -233,30 +167,34 @@ struct MutationBenchReport {
 struct Report {
     schema: &'static str,
     quick: bool,
+    /// CPU cores visible to this run.
+    host_cores: u64,
     groups: Vec<Group>,
     /// `figure2_greedy` speedup per (mix, kind, algorithm): scalar ÷ masked
     /// median ns/op.
     speedups: Vec<(String, f64)>,
     row_mode: RowModeReport,
-    service: ServiceReport,
     mutation: MutationBenchReport,
     repair: RepairBenchReport,
     replication_lag: ReplicationLagReport,
     objectives: ObjectiveBenchReport,
     durability: DurabilityBenchReport,
-    cluster: ClusterBenchReport,
 }
 
-fn median(mut xs: Vec<u64>) -> u64 {
-    xs.sort_unstable();
-    xs[xs.len() / 2]
+/// Timed samples per variant of every loop-timed group.
+fn samples(quick: bool) -> usize {
+    if quick {
+        5
+    } else {
+        11
+    }
 }
 
 /// Times the variants round-robin — one sample of each per round — so no
 /// variant is measured wholesale in the cache state its predecessor left
 /// behind (the matrices here are cache-sized; back-to-back blocks hand the
-/// first-measured variant the cold samples). Returns the median and
-/// percentile ns/op per variant.
+/// first-measured variant the cold samples). Returns the median and IQR
+/// ns/op per variant.
 fn measure_interleaved<const N: usize>(
     samples: usize,
     ops: u64,
@@ -273,15 +211,7 @@ fn measure_interleaved<const N: usize>(
             out.push(start.elapsed().as_nanos() as u64 / ops.max(1));
         }
     }
-    std::array::from_fn(|i| {
-        let [p50, p95, p99] = percentiles_ns(&per_variant[i]);
-        Measured {
-            median_ns_per_op: median(per_variant[i].clone()),
-            p50_ns_per_op: p50,
-            p95_ns_per_op: p95,
-            p99_ns_per_op: p99,
-        }
-    })
+    per_variant.map(Measured::from_samples)
 }
 
 /// Tasks over the most-held skills: the growth-dominated regime, where a
@@ -307,7 +237,6 @@ fn popular_tasks(
 }
 
 fn greedy_groups(quick: bool, groups: &mut Vec<Group>, speedups: &mut Vec<(String, f64)>) {
-    let samples = if quick { 5 } else { 11 };
     let dataset = tfsn_datasets::epinions(0.1);
     let instance = TfsnInstance::new(&dataset.graph, &dataset.skills);
     let engine_cfg = EngineConfig::default();
@@ -340,7 +269,7 @@ fn greedy_groups(quick: bool, groups: &mut Vec<Group>, speedups: &mut Vec<(Strin
                 };
                 let scalar_view = ScalarOnly(&comp);
                 let [masked, scalar] = measure_interleaved(
-                    samples,
+                    samples(quick),
                     tasks.len() as u64,
                     [&mut || solve_all(&comp), &mut || solve_all(&scalar_view)],
                 );
@@ -353,15 +282,10 @@ fn greedy_groups(quick: bool, groups: &mut Vec<Group>, speedups: &mut Vec<(Strin
                     masked.median_ns_per_op, scalar.median_ns_per_op,
                 );
                 for (variant, m) in [("masked", masked), ("scalar", scalar)] {
-                    groups.push(Group {
-                        name: format!("figure2_greedy/{label}/{variant}"),
-                        median_ns_per_op: m.median_ns_per_op,
-                        p50_ns_per_op: m.p50_ns_per_op,
-                        p95_ns_per_op: m.p95_ns_per_op,
-                        p99_ns_per_op: m.p99_ns_per_op,
-                        ops_per_iter: tasks.len() as u64,
-                        samples,
-                    });
+                    groups.push(m.group(
+                        format!("figure2_greedy/{label}/{variant}"),
+                        tasks.len() as u64,
+                    ));
                 }
                 speedups.push((label, speedup));
             }
@@ -369,20 +293,46 @@ fn greedy_groups(quick: bool, groups: &mut Vec<Group>, speedups: &mut Vec<(Strin
     }
 }
 
+fn algo1_groups(quick: bool, groups: &mut Vec<Group>) {
+    use signed_graph::csr::CsrGraph;
+    use signed_graph::generators::{social_network, SocialNetworkConfig};
+    use tfsn_core::compat::sp::signed_bfs;
+
+    const NODES: [usize; 3] = [1_000, 4_000, 16_000];
+    let graphs = NODES.map(|nodes| {
+        CsrGraph::from_graph(&social_network(&SocialNetworkConfig {
+            nodes,
+            edges: 5 * nodes,
+            negative_fraction: 0.2,
+            seed: 9,
+            ..Default::default()
+        }))
+    });
+    let mut searches = graphs.each_ref().map(|csr| {
+        move || {
+            std::hint::black_box(signed_bfs(csr, NodeId::new(0)));
+        }
+    });
+    let measured = measure_interleaved(
+        samples(quick),
+        1,
+        searches.each_mut().map(|f| f as &mut dyn FnMut()),
+    );
+    for (nodes, m) in NODES.into_iter().zip(measured) {
+        eprintln!(
+            "algo1/signed_bfs/{nodes}n: {} ns per search (IQR {} ns)",
+            m.median_ns_per_op, m.iqr_ns_per_op
+        );
+        groups.push(m.group(format!("algo1/signed_bfs/{nodes}n"), 1));
+    }
+}
+
 fn row_mode_report(quick: bool, groups: &mut Vec<Group>) -> RowModeReport {
     let deployment = Deployment::from_dataset(tfsn_datasets::epinions(0.05));
     let nodes = deployment.user_count();
-    let budget = 32 << 10; // 32 KiB per kind: a working set of ~10 packed rows
-    let engine = Engine::with_options(
-        deployment,
-        EngineOptions {
-            policy: StorePolicy::rows(Some(budget)),
-            ..Default::default()
-        },
-    );
+    let budget = 32 << 10; // 32 KiB per kind: a few dozen packed rows
     let n_queries = if quick { 64 } else { 256 };
-    // A bounded solver keeps the deliberately thrashing LRU measurable
-    // (mirrors the eviction-pressure one-shot in `engine_throughput`).
+    // A bounded solver keeps the deliberately thrashing LRU measurable.
     let bounded = Solver::Greedy {
         algorithm: TeamAlgorithm::LCMD,
         config: GreedyConfig {
@@ -399,20 +349,30 @@ fn row_mode_report(quick: bool, groups: &mut Vec<Group>) -> RowModeReport {
                 .with_solver(bounded.clone())
         })
         .collect();
-    let start = Instant::now();
-    std::hint::black_box(engine.batch(&queries, &BatchOptions::default()));
-    let elapsed = start.elapsed().as_nanos() as u64;
-    groups.push(Group {
-        name: "engine_row_mode_batch/SPA/32K-budget".to_string(),
-        median_ns_per_op: elapsed / n_queries as u64,
-        p50_ns_per_op: None,
-        p95_ns_per_op: None,
-        p99_ns_per_op: None,
-        ops_per_iter: n_queries as u64,
-        samples: 1,
-    });
+    // Every sample serves the batch on a fresh engine, so each starts from
+    // an empty store and pays the same builds and evictions.
+    let mut engine = None;
+    let [measured] = measure_interleaved(
+        samples(quick),
+        n_queries as u64,
+        [&mut || {
+            let fresh = Engine::with_options(
+                deployment.clone(),
+                EngineOptions {
+                    policy: StorePolicy::rows(Some(budget)),
+                    ..Default::default()
+                },
+            );
+            std::hint::black_box(fresh.batch(&queries, &BatchOptions::default()));
+            engine = Some(fresh);
+        }],
+    );
+    groups.push(measured.group(
+        "engine_row_mode_batch/SPA/32K-budget".to_string(),
+        n_queries as u64,
+    ));
 
-    let m = engine.metrics();
+    let m = engine.expect("the batch ran").metrics();
     let packed = estimated_row_bytes(nodes);
     let report = RowModeReport {
         memory_budget_bytes: budget as u64,
@@ -424,184 +384,11 @@ fn row_mode_report(quick: bool, groups: &mut Vec<Group>) -> RowModeReport {
         row_evictions: m.row_evictions,
     };
     eprintln!(
-        "row_mode: {} resident rows under {} bytes ({} packed rows fit)",
-        report.resident_rows, report.memory_budget_bytes, report.packed_capacity_rows,
-    );
-    report
-}
-
-fn service_report(quick: bool, groups: &mut Vec<Group>) -> ServiceReport {
-    use std::sync::Arc;
-    use tfsn_engine::registry::{DeploymentConfig, DeploymentRegistry, DeploymentSource};
-    use tfsn_engine::server::{HttpServer, ServerOptions};
-    use tfsn_engine::service::{Service, ServiceOptions, StreamOptions};
-    use tfsn_engine::{HttpClient, Request, RequestBody, Response};
-
-    let kinds = [
-        CompatibilityKind::Spa,
-        CompatibilityKind::Spo,
-        CompatibilityKind::Nne,
-    ];
-    let registry = DeploymentRegistry::new(vec![
-        DeploymentConfig::new("slashdot", DeploymentSource::Slashdot),
-        DeploymentConfig::new("epinions", DeploymentSource::Epinions { scale: 0.05 }),
-    ])
-    .expect("two named deployments");
-    let deployments: Vec<String> = registry.names().iter().map(|n| n.to_string()).collect();
-    let service = Arc::new(Service::with_options(
-        registry,
-        ServiceOptions {
-            chunk: 1024,
-            ..Default::default()
-        },
-    ));
-    let server = HttpServer::bind(
-        service.clone(),
-        "127.0.0.1:0",
-        ServerOptions {
-            threads: 4,
-            ..Default::default()
-        },
-    )
-    .expect("bind ephemeral port");
-    let addr = server.addr();
-    for deployment in &deployments {
-        let response = service.handle(
-            &Request::new(RequestBody::Warm {
-                kinds: kinds.to_vec(),
-            })
-            .on(deployment.clone()),
-        );
-        assert!(
-            matches!(response, Response::Warmed { .. }),
-            "warm-up failed: {response:?}"
-        );
-    }
-
-    let queries_per_request: usize = if quick { 100 } else { 500 };
-    let requests_per_client: usize = if quick { 4 } else { 16 };
-    let client_threads = 4usize;
-    let body: String = (0..queries_per_request)
-        .map(|i| {
-            format!(
-                "{{\"id\": {i}, \"kind\": \"{}\", \"task\": [{}, {}, {}]}}\n",
-                kinds[i % kinds.len()].label(),
-                i % 9,
-                (i * 3 + 1) % 9,
-                (i * 7 + 2) % 9
-            )
-        })
-        .collect();
-
-    // The HTTP storm: 4 keep-alive clients, split across the deployments.
-    // Per-request latencies land in one shared lock-free histogram, so the
-    // group's percentiles come out in ns per query below.
-    let request_hist = LatencyHistogram::default();
-    let start = Instant::now();
-    std::thread::scope(|scope| {
-        for t in 0..client_threads {
-            let body = &body;
-            let deployment = &deployments[t % deployments.len()];
-            let request_hist = &request_hist;
-            scope.spawn(move || {
-                let mut client = HttpClient::connect(addr).expect("connect to bench server");
-                let target = format!("/v1/batch?deployment={deployment}&timing=false");
-                for _ in 0..requests_per_client {
-                    let request_start = Instant::now();
-                    let reply = client.post(&target, body).expect("bench batch request");
-                    request_hist.record(
-                        request_start.elapsed().as_nanos() as u64 / queries_per_request as u64,
-                    );
-                    assert_eq!(reply.status, 200);
-                    assert!(!reply.body.is_empty());
-                    std::hint::black_box(reply.body);
-                }
-            });
-        }
-    });
-    let wall = start.elapsed().as_secs_f64();
-    let total_queries = (client_threads * requests_per_client * queries_per_request) as u64;
-    let http_qps = total_queries as f64 / wall.max(1e-9);
-
-    // The same streams through the CLI transport (no HTTP framing).
-    let inprocess_start = Instant::now();
-    std::thread::scope(|scope| {
-        for t in 0..client_threads {
-            let body = &body;
-            let service = &service;
-            let deployment = &deployments[t % deployments.len()];
-            scope.spawn(move || {
-                for _ in 0..requests_per_client {
-                    let mut sink = Vec::new();
-                    service
-                        .stream_batch(
-                            Some(deployment),
-                            std::io::Cursor::new(body.as_bytes()),
-                            &mut sink,
-                            StreamOptions::timing(false),
-                        )
-                        .expect("in-process stream");
-                    std::hint::black_box(sink);
-                }
-            });
-        }
-    });
-    let inprocess_wall = inprocess_start.elapsed().as_secs_f64();
-    let inprocess_qps = total_queries as f64 / inprocess_wall.max(1e-9);
-    server.shutdown();
-
-    // What the engines themselves saw: the per-deployment query-latency
-    // summaries the `telemetry` op reports, covering both storms.
-    let mut query_stats = Vec::new();
-    if let Response::Telemetry {
-        deployments: reports,
-    } = service.handle(&Request::new(RequestBody::Telemetry))
-    {
-        for d in reports {
-            if let Some(axis) = d.telemetry.ops.iter().find(|a| a.label == "query") {
-                query_stats.push((d.deployment, axis.stats.clone()));
-            }
-        }
-    }
-
-    // The median stays the wall-derived aggregate (comparable to the v3
-    // reports); the percentiles are client-observed per-request latency
-    // divided by queries per request, which under 4-way concurrency sits
-    // above that aggregate by roughly the client count.
-    let request_snapshot = request_hist.snapshot();
-    groups.push(Group {
-        name: "service_http_batch/2-deployments/4-clients".to_string(),
-        median_ns_per_op: (wall * 1e9) as u64 / total_queries.max(1),
-        p50_ns_per_op: Some(request_snapshot.quantile(0.50)),
-        p95_ns_per_op: Some(request_snapshot.quantile(0.95)),
-        p99_ns_per_op: Some(request_snapshot.quantile(0.99)),
-        ops_per_iter: total_queries,
-        samples: 1,
-    });
-    let report = ServiceReport {
-        deployments,
-        client_threads: client_threads as u64,
-        requests_per_client: requests_per_client as u64,
-        queries_per_request: queries_per_request as u64,
-        total_queries,
-        wall_seconds: wall,
-        http_qps,
-        inprocess_qps,
-        query_stats,
-    };
-    eprintln!(
-        "service: {} warm queries over HTTP in {:.3}s -> {:.0} q/s \
-         (in-process transport: {:.0} q/s; engine-side query p99 {})",
-        report.total_queries,
-        report.wall_seconds,
-        report.http_qps,
-        report.inprocess_qps,
-        report
-            .query_stats
-            .iter()
-            .map(|(name, s)| format!("{name} {}µs", s.p99_micros))
-            .collect::<Vec<_>>()
-            .join(", ")
+        "row_mode: {} ns/query; {} resident rows under {} bytes ({} packed rows fit)",
+        measured.median_ns_per_op,
+        report.resident_rows,
+        report.memory_budget_bytes,
+        report.packed_capacity_rows,
     );
     report
 }
@@ -647,16 +434,14 @@ fn mutation_report(quick: bool, groups: &mut Vec<Group>) -> MutationBenchReport 
         })
         .collect();
     let batch = BatchOptions::with_threads(4);
-    // The mutation sequence: flip the sign of edge (round mod |E|). Both
-    // sides apply the same flips, so both serve the same evolving graph.
     let base_edges: Vec<(NodeId, NodeId)> = {
         let d = dataset_deployment();
-        let g = d.graph();
-        g.edges().iter().map(|e| (e.u, e.v)).collect()
+        d.graph().edges().iter().map(|e| (e.u, e.v)).collect()
     };
     // The window for round `r`: flip the current sign of edges
-    // `r*W .. r*W + W` (mod |E|). Both sides apply the identical flips in
-    // the identical order, so both serve the same evolving graph.
+    // `r*W .. r*W + W` (mod |E|). Each side counts its own rounds across
+    // its runs, so both apply the identical flips in the identical order
+    // and serve the same evolving graph.
     let flip = |graph: &signed_graph::SignedGraph, index: usize| -> EdgeMutation {
         let (u, v) = base_edges[index % base_edges.len()];
         let sign = graph
@@ -669,21 +454,21 @@ fn mutation_report(quick: bool, groups: &mut Vec<Group>) -> MutationBenchReport 
     // Incremental: one live engine, each window lands as one batch.
     let live = Engine::new(dataset_deployment());
     live.warm(&kinds);
-    let incremental_start = Instant::now();
-    for round in 0..rounds {
-        let window: Vec<EdgeMutation> = (0..MUTATIONS_PER_ROUND)
-            // Flips compose within the window (an edge flipped twice in one
-            // batch must see its intermediate sign), so build against the
-            // live graph one at a time only if the window self-overlaps —
-            // the round-robin stride never revisits an edge inside one
-            // window, so building from the pre-window graph is exact.
-            .map(|j| flip(&live.graph(), round * MUTATIONS_PER_ROUND + j))
-            .collect();
-        live.mutate_batch(&window).expect("edges exist");
-        std::hint::black_box(live.batch(&queries, &batch));
-    }
-    let incremental_wall = incremental_start.elapsed().as_secs_f64();
-    let live_metrics = live.metrics();
+    let mut live_round = 0;
+    let mut incremental = || {
+        for _ in 0..rounds {
+            let window: Vec<EdgeMutation> = (0..MUTATIONS_PER_ROUND)
+                // Flips compose within the window (an edge flipped twice in
+                // one batch must see its intermediate sign), but the
+                // round-robin stride never revisits an edge inside one
+                // window, so building from the pre-window graph is exact.
+                .map(|j| flip(&live.graph(), live_round * MUTATIONS_PER_ROUND + j))
+                .collect();
+            live.mutate_batch(&window).expect("edges exist");
+            std::hint::black_box(live.batch(&queries, &batch));
+            live_round += 1;
+        }
+    };
 
     // Baseline: after every single mutation, rebuild a fresh engine from
     // the mutated graph and re-warm every kind the queries use (what
@@ -691,72 +476,57 @@ fn mutation_report(quick: bool, groups: &mut Vec<Group>) -> MutationBenchReport 
     // change means a full relation rebuild, and each write is acknowledged
     // — and must be serveable — before the next arrives).
     let mut rebuild_deployment = dataset_deployment();
-    let rebuild_start = Instant::now();
-    for round in 0..rounds {
-        let mut last: Option<Engine> = None;
-        for j in 0..MUTATIONS_PER_ROUND {
-            let graph = rebuild_deployment.graph();
-            let mutation = flip(graph, round * MUTATIONS_PER_ROUND + j);
-            let mut mutated = graph.clone();
-            mutated.apply_mutation(&mutation).expect("edge exists");
-            rebuild_deployment = Deployment::new(
-                "slashdot-rebuilt",
-                mutated,
-                rebuild_deployment.universe().clone(),
-                rebuild_deployment.skills().clone(),
-            )
-            .expect("shape unchanged");
-            let fresh = Engine::new(rebuild_deployment.clone());
-            fresh.warm(&kinds);
-            last = Some(fresh);
+    let mut rebuild_round = 0;
+    let mut rebuild = || {
+        for _ in 0..rounds {
+            let mut last: Option<Engine> = None;
+            for j in 0..MUTATIONS_PER_ROUND {
+                let graph = rebuild_deployment.graph();
+                let mutation = flip(graph, rebuild_round * MUTATIONS_PER_ROUND + j);
+                let mut mutated = graph.clone();
+                mutated.apply_mutation(&mutation).expect("edge exists");
+                rebuild_deployment = Deployment::new(
+                    "slashdot-rebuilt",
+                    mutated,
+                    rebuild_deployment.universe().clone(),
+                    rebuild_deployment.skills().clone(),
+                )
+                .expect("shape unchanged");
+                let fresh = Engine::new(rebuild_deployment.clone());
+                fresh.warm(&kinds);
+                last = Some(fresh);
+            }
+            let engine = last.expect("at least one mutation per round");
+            std::hint::black_box(engine.batch(&queries, &batch));
+            rebuild_round += 1;
         }
-        let engine = last.expect("at least one mutation per round");
-        std::hint::black_box(engine.batch(&queries, &batch));
-    }
-    let rebuild_wall = rebuild_start.elapsed().as_secs_f64();
+    };
 
     let ops = (rounds * (queries_per_round + MUTATIONS_PER_ROUND)) as u64;
-    groups.push(Group {
-        name: "mutation_interleave/slashdot/incremental".to_string(),
-        median_ns_per_op: (incremental_wall * 1e9) as u64 / ops.max(1),
-        p50_ns_per_op: None,
-        p95_ns_per_op: None,
-        p99_ns_per_op: None,
-        ops_per_iter: ops,
-        samples: 1,
-    });
-    groups.push(Group {
-        name: "mutation_interleave/slashdot/full-rebuild".to_string(),
-        median_ns_per_op: (rebuild_wall * 1e9) as u64 / ops.max(1),
-        p50_ns_per_op: None,
-        p95_ns_per_op: None,
-        p99_ns_per_op: None,
-        ops_per_iter: ops,
-        samples: 1,
-    });
+    let [incremental_m, rebuild_m] =
+        measure_interleaved(samples(quick), ops, [&mut incremental, &mut rebuild]);
+    groups.push(incremental_m.group("mutation_interleave/slashdot/incremental".to_string(), ops));
+    groups.push(rebuild_m.group("mutation_interleave/slashdot/full-rebuild".to_string(), ops));
+    let live_metrics = live.metrics();
     let report = MutationBenchReport {
         deployment: "slashdot".to_string(),
         kinds: kinds.iter().map(|k| k.label().to_string()).collect(),
         rounds: rounds as u64,
         mutations_per_round: MUTATIONS_PER_ROUND as u64,
         queries_per_round: queries_per_round as u64,
-        incremental_wall_seconds: incremental_wall,
-        incremental_ops_per_second: ops as f64 / incremental_wall.max(1e-9),
-        rebuild_wall_seconds: rebuild_wall,
-        rebuild_ops_per_second: ops as f64 / rebuild_wall.max(1e-9),
         mutations_applied: live_metrics.mutations_applied,
         rows_invalidated: live_metrics.rows_invalidated,
         rows_repaired: live.store().rows_repaired_count() as u64,
-        speedup: rebuild_wall / incremental_wall.max(1e-9),
+        speedup: rebuild_m.median_ns_per_op as f64 / incremental_m.median_ns_per_op.max(1) as f64,
     };
     eprintln!(
-        "mutation: {} rounds x ({}-mutation window + {} queries) in {:.3}s live vs \
-         {:.3}s rebuild-per-mutation -> {:.2}x ({} rows invalidated, {} repaired in place)",
+        "mutation: {} rounds x ({}-mutation window + {} queries): {} ns/op live vs \
+         {} ns/op rebuild-per-mutation -> {:.2}x ({} rows invalidated, {} repaired in place)",
         report.rounds,
         report.mutations_per_round,
         report.queries_per_round,
-        report.incremental_wall_seconds,
-        report.rebuild_wall_seconds,
+        incremental_m.median_ns_per_op,
+        rebuild_m.median_ns_per_op,
         report.speedup,
         report.rows_invalidated,
         report.rows_repaired
@@ -792,7 +562,6 @@ fn repair_report(quick: bool, groups: &mut Vec<Group>) -> RepairBenchReport {
     const SPEC: &str = "synthetic:nodes=600,edges=2400,skills=32,seed=7";
     const KIND: CompatibilityKind = CompatibilityKind::Nne;
     const FLIPS: usize = 8;
-    let samples = if quick { 5 } else { 11 };
     let rows_options = || EngineOptions {
         policy: StorePolicy::rows(None),
         ..Default::default()
@@ -840,7 +609,7 @@ fn repair_report(quick: bool, groups: &mut Vec<Group>) -> RepairBenchReport {
     let rows_rebuilt_per_batch = (live.store().row_build_count() - builds_before) as u64;
 
     let [repair_m] = measure_interleaved(
-        samples,
+        samples(quick),
         rows_repaired_per_batch.max(1),
         [&mut || {
             live.mutate_batch(&flip_batch(&live))
@@ -849,7 +618,7 @@ fn repair_report(quick: bool, groups: &mut Vec<Group>) -> RepairBenchReport {
         }],
     );
     let [rebuild_m] = measure_interleaved(
-        samples,
+        samples(quick),
         nodes as u64,
         [&mut || {
             let fresh = Engine::with_options(base.clone(), rows_options());
@@ -861,15 +630,7 @@ fn repair_report(quick: bool, groups: &mut Vec<Group>) -> RepairBenchReport {
         ("repair-in-place", repair_m, rows_repaired_per_batch.max(1)),
         ("rebuild-from-scratch", rebuild_m, nodes as u64),
     ] {
-        groups.push(Group {
-            name: format!("repair/nne_sign_flip/{variant}"),
-            median_ns_per_op: m.median_ns_per_op,
-            p50_ns_per_op: m.p50_ns_per_op,
-            p95_ns_per_op: m.p95_ns_per_op,
-            p99_ns_per_op: m.p99_ns_per_op,
-            ops_per_iter: ops,
-            samples,
-        });
+        groups.push(m.group(format!("repair/nne_sign_flip/{variant}"), ops));
     }
     let report = RepairBenchReport {
         deployment_spec: SPEC.to_string(),
@@ -1055,9 +816,7 @@ fn replication_lag_report(quick: bool, groups: &mut Vec<Group>) -> ReplicationLa
         groups.push(Group {
             name: format!("replication_lag/{variant}"),
             median_ns_per_op: (wall * 1e9) as u64 / (mutations_count as u64).max(1),
-            p50_ns_per_op: None,
-            p95_ns_per_op: None,
-            p99_ns_per_op: None,
+            iqr_ns_per_op: None,
             ops_per_iter: mutations_count as u64,
             samples: 1,
         });
@@ -1085,58 +844,16 @@ fn replication_lag_report(quick: bool, groups: &mut Vec<Group>) -> ReplicationLa
     report
 }
 
-/// The distributed-serving measurement (see the module docs).
-#[derive(Debug, Serialize)]
-struct ClusterBenchReport {
-    /// The synthetic deployment every backend serves.
-    deployment_spec: String,
-    /// Rows left resident by one storm pass on an unbudgeted engine — the
-    /// measured working set the byte budget below is calibrated against.
-    working_set_rows: u64,
-    /// Row-store byte budget per backend engine (the thrash lever: the
-    /// full query working set does not fit in one budget, half does).
-    row_budget_bytes: u64,
-    /// Distinct one-line batch bodies cycled by the storm.
-    distinct_queries: u64,
-    /// Timed passes over the distinct-query set per topology.
-    cycles: u64,
-    /// CPU cores visible to this run. On a single-core host the scaling
-    /// figure below measures aggregate-cache capacity (fewer row
-    /// rebuilds), not parallel solve throughput.
-    host_cores: u64,
-    /// Warm storm q/s direct at one budgeted server (no router).
-    single_qps: f64,
-    /// The same storm through the router over one replica.
-    router_one_replica_qps: f64,
-    /// The same storm through the router over two replicas with
-    /// content-affinity reads (each budgeted cache holds its share).
-    router_two_replicas_qps: f64,
-    /// `router_two_replicas_qps / single_qps` — the ≥1.7× acceptance.
-    scaling_two_replicas: f64,
-    /// Row builds observed during the timed single-server storm vs the
-    /// sum across both replicas in the two-replica storm (the mechanism
-    /// behind the scaling figure: affinity stops the rebuild churn).
-    single_row_builds: u64,
-    two_replica_row_builds: u64,
-    /// Mutations shipped through the router during the replication burst.
-    replication_mutations: u64,
-    /// Wall-clock from the last acknowledged mutation until both
-    /// followers reported `replicated_seq == end_seq` over their own
-    /// stats endpoints (includes one 25 ms poll interval).
-    replication_catchup_seconds: f64,
-}
-
 /// Measures the telemetry hot path itself: one `record()` call — three
 /// relaxed atomics — on values spread across the histogram's bucket range.
 /// This is the cost every instrumented operation pays per sample, so it is
 /// the number backing the "no measurable overhead on the query path" claim;
 /// compare it against any query group's ns/op to see the margin.
 fn telemetry_overhead_group(quick: bool, groups: &mut Vec<Group>) {
-    let samples = if quick { 5 } else { 11 };
     let ops: u64 = if quick { 200_000 } else { 2_000_000 };
     let hist = LatencyHistogram::default();
     let [measured] = measure_interleaved(
-        samples,
+        samples(quick),
         ops,
         [&mut || {
             for i in 0..ops {
@@ -1147,24 +864,15 @@ fn telemetry_overhead_group(quick: bool, groups: &mut Vec<Group>) {
         }],
     );
     eprintln!(
-        "telemetry_overhead: {} ns per record() (p99 {} ns)",
-        measured.median_ns_per_op,
-        measured.p99_ns_per_op.unwrap_or(0)
+        "telemetry_overhead: {} ns per record() (IQR {} ns)",
+        measured.median_ns_per_op, measured.iqr_ns_per_op
     );
-    groups.push(Group {
-        name: "telemetry_overhead".to_string(),
-        median_ns_per_op: measured.median_ns_per_op,
-        p50_ns_per_op: measured.p50_ns_per_op,
-        p95_ns_per_op: measured.p95_ns_per_op,
-        p99_ns_per_op: measured.p99_ns_per_op,
-        ops_per_iter: ops,
-        samples,
-    });
+    groups.push(measured.group("telemetry_overhead".to_string(), ops));
 }
 
 /// The per-objective serving measurement: one warm engine, the same query
-/// workload solved under every team objective. The committed per-objective
-/// solved counts and scores are the PR 7 end-to-end acceptance evidence.
+/// workload solved under every team objective, with each objective's
+/// solved count and a sample score.
 #[derive(Debug, Serialize)]
 struct ObjectiveBenchReport {
     deployment: String,
@@ -1188,7 +896,6 @@ struct ObjectiveResult {
 fn objectives_report(quick: bool, groups: &mut Vec<Group>) -> ObjectiveBenchReport {
     use tfsn_engine::Objective;
 
-    let samples = if quick { 5 } else { 11 };
     let ops: u64 = if quick { 200 } else { 1000 };
     let engine = Engine::new(Deployment::from_dataset(tfsn_datasets::slashdot()));
     let kind = CompatibilityKind::Spa;
@@ -1229,7 +936,7 @@ fn objectives_report(quick: bool, groups: &mut Vec<Group>) -> ObjectiveBenchRepo
     let mut run2 = || {
         std::hint::black_box(engine.batch(&workloads[2], &batch));
     };
-    let measured = measure_interleaved(samples, ops, [&mut run0, &mut run1, &mut run2]);
+    let measured = measure_interleaved(samples(quick), ops, [&mut run0, &mut run1, &mut run2]);
 
     let mut results = Vec::new();
     for ((label, _), (workload, m)) in variants.iter().zip(workloads.iter().zip(measured)) {
@@ -1246,15 +953,7 @@ fn objectives_report(quick: bool, groups: &mut Vec<Group>) -> ObjectiveBenchRepo
             "objectives/{label}: {} ns/op, {solved}/{ops} solved",
             m.median_ns_per_op
         );
-        groups.push(Group {
-            name: format!("objectives/{label}"),
-            median_ns_per_op: m.median_ns_per_op,
-            p50_ns_per_op: m.p50_ns_per_op,
-            p95_ns_per_op: m.p95_ns_per_op,
-            p99_ns_per_op: m.p99_ns_per_op,
-            ops_per_iter: ops,
-            samples,
-        });
+        groups.push(m.group(format!("objectives/{label}"), ops));
         results.push(ObjectiveResult {
             objective: label.to_string(),
             median_ns_per_op: m.median_ns_per_op,
@@ -1271,15 +970,14 @@ fn objectives_report(quick: bool, groups: &mut Vec<Group>) -> ObjectiveBenchRepo
 }
 
 /// The WAL durability-overhead measurement: the slashdot mutation
-/// interleave re-run with a write-ahead log attached under each fsync
-/// policy, against the same interleave with no log at all.
+/// interleave run with a write-ahead log attached under each fsync policy,
+/// against the same interleave with no log at all.
 #[derive(Debug, Serialize)]
 struct DurabilityBenchReport {
     deployment: String,
+    /// Sign flips per sample, each followed by a query burst.
     rounds: u64,
     queries_per_round: u64,
-    /// Wall-clock of the no-WAL interleave (the baseline).
-    baseline_wall_seconds: f64,
     policies: Vec<DurabilityPolicyResult>,
 }
 
@@ -1287,11 +985,10 @@ struct DurabilityBenchReport {
 #[derive(Debug, Serialize)]
 struct DurabilityPolicyResult {
     fsync: String,
-    wall_seconds: f64,
-    /// `wall_seconds / baseline_wall_seconds` — the `batch ≤ 1.15`
-    /// acceptance figure.
+    /// Median ns/op under this policy ÷ the no-WAL median — the
+    /// `batch ≤ 1.15` figure.
     overhead: f64,
-    /// Records appended (sanity: equals `rounds`).
+    /// Records appended over the warm-up and every sample (one per flip).
     wal_appends: u64,
     /// Bytes the log grew to.
     wal_bytes: u64,
@@ -1328,421 +1025,93 @@ fn durability_report(quick: bool, groups: &mut Vec<Group>) -> DurabilityBenchRep
     };
     let dir = std::env::temp_dir().join(format!("tfsn-bench-wal-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("create wal scratch dir");
+    let wal_path = |policy: FsyncPolicy| dir.join(format!("slashdot-{}.wal", policy.label()));
 
-    // One interleave run: a fresh warm engine, `rounds` sign flips each
+    // One warm engine per side, the log (if any) attached before the first
+    // flip. Every run applies the side's next `rounds` sign flips, each
     // followed by a query burst — identical work on every side; the log
     // appends (and their fsyncs) are the only difference.
-    let run = |policy: Option<FsyncPolicy>| -> (f64, u64, u64) {
+    let sides = [
+        None,
+        Some(FsyncPolicy::Always),
+        Some(FsyncPolicy::Batch),
+        Some(FsyncPolicy::Off),
+    ];
+    let engines = sides.map(|policy| {
         let engine = Engine::new(dataset_deployment());
         engine.warm(&kinds);
-        let wal_path = policy.map(|p| dir.join(format!("slashdot-{}.wal", p.label())));
-        if let (Some(policy), Some(path)) = (policy, &wal_path) {
-            std::fs::remove_file(path).ok();
-            let (wal, _) = Wal::open(path, policy).expect("open bench wal");
+        if let Some(policy) = policy {
+            let path = wal_path(policy);
+            std::fs::remove_file(&path).ok();
+            let (wal, _) = Wal::open(&path, policy).expect("open bench wal");
             engine
                 .attach_wal(wal)
                 .unwrap_or_else(|_| panic!("fresh engine has no wal"));
         }
-        let start = Instant::now();
-        for round in 0..rounds {
-            let (u, v) = base_edges[round % base_edges.len()];
-            let sign = engine
-                .graph()
-                .sign(u, v)
-                .expect("flipped edges never leave the graph")
-                .flip();
-            engine
-                .mutate(&EdgeMutation::SetSign { u, v, sign })
-                .expect("edge exists");
-            std::hint::black_box(engine.batch(&queries, &batch));
+        engine
+    });
+    let (base_edges, queries, batch) = (&base_edges, &queries, &batch);
+    let mut runs = engines.each_ref().map(|engine| {
+        let mut round = 0;
+        move || {
+            for _ in 0..rounds {
+                let (u, v) = base_edges[round % base_edges.len()];
+                round += 1;
+                let sign = engine
+                    .graph()
+                    .sign(u, v)
+                    .expect("flipped edges never leave the graph")
+                    .flip();
+                engine
+                    .mutate(&EdgeMutation::SetSign { u, v, sign })
+                    .expect("edge exists");
+                std::hint::black_box(engine.batch(queries, batch));
+            }
         }
-        let wall = start.elapsed().as_secs_f64();
-        let appends = engine.wal().map(|w| w.appends()).unwrap_or(0);
-        let bytes = wal_path
-            .as_ref()
-            .and_then(|p| std::fs::metadata(p).ok())
+    });
+    let ops = (rounds * (queries_per_round + 1)) as u64;
+    let measured = measure_interleaved(
+        samples(quick),
+        ops,
+        runs.each_mut().map(|f| f as &mut dyn FnMut()),
+    );
+
+    let baseline = measured[0];
+    let mut policies = Vec::new();
+    for ((policy, engine), m) in sides.iter().zip(&engines).zip(measured) {
+        let label = policy.map_or("no-wal", FsyncPolicy::label);
+        groups.push(m.group(format!("durability/slashdot/{label}"), ops));
+        let Some(policy) = *policy else { continue };
+        let overhead = m.median_ns_per_op as f64 / baseline.median_ns_per_op.max(1) as f64;
+        let wal_appends = engine.wal().map(|w| w.appends()).unwrap_or(0);
+        let wal_bytes = std::fs::metadata(wal_path(policy))
             .map(|m| m.len())
             .unwrap_or(0);
-        (wall, appends, bytes)
-    };
-
-    let ops = (rounds * (queries_per_round + 1)) as u64;
-    let mut push_group = |label: &str, wall: f64| {
-        groups.push(Group {
-            name: format!("durability/slashdot/{label}"),
-            median_ns_per_op: (wall * 1e9) as u64 / ops.max(1),
-            p50_ns_per_op: None,
-            p95_ns_per_op: None,
-            p99_ns_per_op: None,
-            ops_per_iter: ops,
-            samples: 1,
-        });
-    };
-    let (baseline_wall, _, _) = run(None);
-    push_group("no-wal", baseline_wall);
-    let mut policies = Vec::new();
-    for policy in FsyncPolicy::ALL {
-        let (wall, wal_appends, wal_bytes) = run(Some(policy));
-        push_group(policy.label(), wall);
-        let overhead = wall / baseline_wall.max(1e-9);
         eprintln!(
-            "durability/{}: {:.3}s vs {:.3}s no-wal -> {:.3}x ({} appends, {} bytes)",
-            policy.label(),
-            wall,
-            baseline_wall,
-            overhead,
-            wal_appends,
-            wal_bytes,
+            "durability/{label}: {} ns/op vs {} ns/op no-wal -> {overhead:.3}x \
+             ({wal_appends} appends, {wal_bytes} bytes)",
+            m.median_ns_per_op, baseline.median_ns_per_op,
         );
         policies.push(DurabilityPolicyResult {
-            fsync: policy.label().to_string(),
-            wall_seconds: wall,
+            fsync: label.to_string(),
             overhead,
             wal_appends,
             wal_bytes,
         });
     }
+    drop(engines);
     std::fs::remove_dir_all(&dir).ok();
     DurabilityBenchReport {
         deployment: "slashdot".to_string(),
         rounds: rounds as u64,
         queries_per_round: queries_per_round as u64,
-        baseline_wall_seconds: baseline_wall,
         policies,
     }
-}
-
-/// The distributed-serving measurement: one warm batch storm, served three
-/// ways. Every backend runs the same synthetic deployment under a row-store
-/// byte budget sized so the storm's full working set does not fit in one
-/// engine but half of it does. The lone server therefore churns its LRU —
-/// every cycle rebuilds the rows the previous queries evicted — while the
-/// two-replica topology behind `--affinity` content hashing pins each query
-/// to one replica, so each budgeted cache serves a stable, resident share.
-/// The scaling figure is real avoided work (row rebuilds), which is why it
-/// expresses even on a single-core host; on multi-core hosts the replicas'
-/// parallel solves add on top of it.
-fn cluster_report(quick: bool, groups: &mut Vec<Group>) -> ClusterBenchReport {
-    use std::sync::Arc;
-    use tfsn_engine::client::RetryPolicy;
-    use tfsn_engine::cluster::{replica, FollowerOptions, Router, RouterOptions, Topology};
-    use tfsn_engine::registry::{
-        DeploymentConfig, DeploymentRegistry, DeploymentSource, WalConfig,
-    };
-    use tfsn_engine::server::{HttpServer, ServerOptions};
-    use tfsn_engine::service::{Service, ServiceOptions};
-    use tfsn_engine::{HttpClient, Response};
-
-    const SPEC: &str = "synthetic:nodes=800,edges=3200,skills=64,seed=11";
-    const DEPLOYMENT: &str = "net";
-    const NODES: usize = 800;
-    let cycles: usize = if quick { 3 } else { 10 };
-
-    // The storm: 16 distinct two-skill tasks over the Zipf *tail* (skills
-    // 32..63). Tail skills have few, mostly disjoint holders, so each
-    // task's candidate rows barely overlap the others' — which is what
-    // lets an affinity split genuinely partition the row working set.
-    // (Head-skill tasks would not: a popular skill plants its holders in
-    // every share's union, and no budget separates the topologies.)
-    let tasks: Vec<[usize; 2]> = (0..16).map(|i| [32 + 2 * i, 33 + 2 * i]).collect();
-    // The bounded greedy config (same spirit as `row_mode_report`): seed
-    // expansion is capped so the solver's own CPU stays small next to the
-    // row-(re)build work — the quantity the topologies differ in.
-    let solver_fields = r#""max_seeds": 2, "skill_degree_cap": 8"#;
-    let bodies: Vec<String> = tasks
-        .iter()
-        .enumerate()
-        .map(|(i, t)| {
-            format!(
-                "{{\"id\": {i}, \"task\": [{}, {}], {solver_fields}}}\n",
-                t[0], t[1]
-            )
-        })
-        .collect();
-
-    // Calibrate the byte budget from the storm's *measured* working set:
-    // one pass on an unbudgeted engine, then cap every backend at 70% of
-    // the rows that pass left resident. One server cycling through 100%
-    // of the working set under a 70% LRU evicts every row every cycle
-    // (the sequential-scan worst case); each replica's affinity share
-    // (~half the rows) sits inside the budget and stays resident.
-    let calibration = DeploymentRegistry::new(vec![DeploymentConfig::new(
-        DEPLOYMENT,
-        DeploymentSource::parse(SPEC).expect("valid synthetic spec"),
-    )
-    // Row tier with no byte cap — nothing evicts, so `resident_rows`
-    // after the pass IS the storm's row working set. (The default
-    // materialized policy would build the full matrix and report no rows
-    // at all.)
-    .with_options(EngineOptions {
-        policy: StorePolicy::rows(None),
-        ..Default::default()
-    })])
-    .expect("calibration deployment");
-    let calib_engine = calibration.engine(None).expect("load calibration engine");
-    let calib_solver = tfsn_core::team::Solver::Greedy {
-        algorithm: tfsn_core::team::policies::TeamAlgorithm::LCMD,
-        config: tfsn_core::team::greedy::GreedyConfig {
-            max_seeds: Some(2),
-            skill_degree_cap: Some(8),
-            ..Default::default()
-        },
-    };
-    let calib_queries: Vec<tfsn_engine::TeamQuery> = tasks
-        .iter()
-        .enumerate()
-        .map(|(i, t)| {
-            tfsn_engine::TeamQuery::new(t.iter().copied())
-                .with_id(i as u64)
-                .with_solver(calib_solver.clone())
-        })
-        .collect();
-    std::hint::black_box(calib_engine.batch(&calib_queries, &BatchOptions::default()));
-    let working_set_rows = calib_engine.metrics().resident_rows.max(1);
-    drop(calibration);
-    let row_budget = estimated_row_bytes(NODES) * working_set_rows as usize * 7 / 10;
-
-    let service = |wal_dir: Option<&std::path::Path>| -> Arc<Service> {
-        let mut registry = DeploymentRegistry::new(vec![DeploymentConfig::new(
-            DEPLOYMENT,
-            DeploymentSource::parse(SPEC).expect("valid synthetic spec"),
-        )
-        .with_options(EngineOptions {
-            policy: StorePolicy::rows(Some(row_budget)),
-            ..Default::default()
-        })])
-        .expect("one deployment");
-        if let Some(dir) = wal_dir {
-            registry = registry.with_wal(WalConfig::new(dir));
-        }
-        Arc::new(Service::with_options(
-            registry,
-            ServiceOptions {
-                batch: BatchOptions::with_threads(1),
-                chunk: 64,
-                objective: None,
-            },
-        ))
-    };
-    let server = |svc: Arc<Service>| -> HttpServer {
-        svc.engine(None).expect("load deployment up front");
-        HttpServer::bind(
-            svc,
-            "127.0.0.1:0",
-            ServerOptions {
-                threads: 2,
-                keep_alive: std::time::Duration::from_secs(2),
-                ..Default::default()
-            },
-        )
-        .expect("bind backend")
-    };
-    let row_builds = |svc: &Arc<Service>| svc.engine(None).expect("loaded").metrics().row_builds;
-
-    let storm = |addr: std::net::SocketAddr, cycles: usize| -> f64 {
-        let mut client = HttpClient::connect_with(addr, RetryPolicy::none()).expect("connect");
-        let start = Instant::now();
-        for _ in 0..cycles {
-            for body in &bodies {
-                let reply = client
-                    .post("/v1/batch?timing=false", body)
-                    .expect("storm batch");
-                assert_eq!(reply.status, 200, "{}", reply.body);
-            }
-        }
-        start.elapsed().as_secs_f64()
-    };
-    let total_queries = (cycles * bodies.len()) as u64;
-
-    // (a) One budgeted server, storm straight at it.
-    let single_svc = service(None);
-    let single_srv = server(single_svc.clone());
-    storm(single_srv.addr(), 1); // reach LRU steady state
-    let builds_before = row_builds(&single_svc);
-    let single_wall = storm(single_srv.addr(), cycles);
-    let single_row_builds = row_builds(&single_svc) - builds_before;
-    single_srv.shutdown();
-    let single_qps = total_queries as f64 / single_wall.max(1e-9);
-
-    // (b)/(c) The same storm through the router over N affinity replicas.
-    // No replication here — identical unmutated snapshots serve the reads;
-    // the primary only backs the topology's write role.
-    let routed = |replica_count: usize| -> (f64, u64) {
-        let prim_svc = service(None);
-        let prim = server(prim_svc.clone());
-        let repl_svcs: Vec<Arc<Service>> = (0..replica_count).map(|_| service(None)).collect();
-        let repls: Vec<HttpServer> = repl_svcs.iter().map(|s| server(s.clone())).collect();
-        let mut specs = vec![format!("prim={},role=primary", prim.addr())];
-        for (i, r) in repls.iter().enumerate() {
-            specs.push(format!("r{i}={},role=replica", r.addr()));
-        }
-        let spec_refs: Vec<&str> = specs.iter().map(String::as_str).collect();
-        let topology = Topology::parse(&spec_refs).expect("bench topology");
-        let router = Router::bind(
-            &topology,
-            "127.0.0.1:0",
-            RouterOptions {
-                affinity: true,
-                ..Default::default()
-            },
-        )
-        .expect("bind router");
-        storm(router.addr(), 1);
-        let before: u64 = repl_svcs.iter().map(&row_builds).sum();
-        let wall = storm(router.addr(), cycles);
-        let builds = repl_svcs.iter().map(&row_builds).sum::<u64>() - before;
-        router.shutdown();
-        for r in repls {
-            r.shutdown();
-        }
-        prim.shutdown();
-        (wall, builds)
-    };
-    let (one_replica_wall, _) = routed(1);
-    let (two_replica_wall, two_replica_row_builds) = routed(2);
-    let router_one_replica_qps = total_queries as f64 / one_replica_wall.max(1e-9);
-    let router_two_replicas_qps = total_queries as f64 / two_replica_wall.max(1e-9);
-    let scaling = router_two_replicas_qps / single_qps.max(1e-9);
-
-    for (label, wall) in [
-        ("single", single_wall),
-        ("router-1-replica", one_replica_wall),
-        ("router-2-replicas-affinity", two_replica_wall),
-    ] {
-        groups.push(Group {
-            name: format!("cluster/{label}"),
-            median_ns_per_op: (wall * 1e9) as u64 / total_queries.max(1),
-            p50_ns_per_op: None,
-            p95_ns_per_op: None,
-            p99_ns_per_op: None,
-            ops_per_iter: total_queries,
-            samples: 1,
-        });
-    }
-
-    // Replication catch-up: a WAL-attached primary, two live followers,
-    // a mutation burst through the router, and the wall time until both
-    // followers report the primary's high-water mark.
-    let dir = std::env::temp_dir().join(format!("tfsn-bench-cluster-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("create wal scratch dir");
-    let prim_svc = service(Some(&dir));
-    let prim = server(prim_svc.clone());
-    let follower_svcs = [service(None), service(None)];
-    let follower_srvs: Vec<HttpServer> = follower_svcs.iter().map(|s| server(s.clone())).collect();
-    let followers: Vec<replica::FollowerHandle> = follower_svcs
-        .iter()
-        .map(|s| {
-            replica::start(
-                s.clone(),
-                FollowerOptions::new(prim.addr(), std::time::Duration::from_millis(25)),
-            )
-        })
-        .collect();
-    let specs = [
-        format!("prim={},role=primary", prim.addr()),
-        format!("r0={},role=replica", follower_srvs[0].addr()),
-        format!("r1={},role=replica", follower_srvs[1].addr()),
-    ];
-    let spec_refs: Vec<&str> = specs.iter().map(String::as_str).collect();
-    let topology = Topology::parse(&spec_refs).expect("replication topology");
-    let router = Router::bind(&topology, "127.0.0.1:0", RouterOptions::default())
-        .expect("bind replication router");
-    let mutations: u64 = if quick { 20 } else { 60 };
-    let mut client =
-        HttpClient::connect_with(router.addr(), RetryPolicy::none()).expect("connect router");
-    for i in 0..mutations / 2 {
-        // Remove-then-insert pairs: whichever of the pair the live graph
-        // rejects, both are WAL-logged (append-before-apply), so the log
-        // ends exactly at `mutations`.
-        for body in [
-            format!(r#"{{"op": "edge_remove", "u": {i}, "v": {}}}"#, i + 1),
-            format!(
-                r#"{{"op": "edge_insert", "u": {i}, "v": {}, "sign": "-"}}"#,
-                i + 1
-            ),
-        ] {
-            let reply = client.post("/v1/mutate", &body).expect("mutate");
-            assert!(
-                reply.status == 200 || reply.status == 400,
-                "mutation neither applied nor typed-rejected: {} {}",
-                reply.status,
-                reply.body
-            );
-        }
-    }
-    let replicated = |srv: &HttpServer| -> Option<u64> {
-        let mut c = HttpClient::connect_with(srv.addr(), RetryPolicy::none()).ok()?;
-        let reply = c.get("/v1/stats").ok()?;
-        match Response::parse_json(&reply.body).ok()? {
-            Response::Stats(stats) => stats.replicated_seq,
-            _ => None,
-        }
-    };
-    let catchup_start = Instant::now();
-    let deadline = catchup_start + std::time::Duration::from_secs(30);
-    while follower_srvs
-        .iter()
-        .any(|s| replicated(s) != Some(mutations))
-    {
-        assert!(
-            Instant::now() < deadline,
-            "followers failed to reach seq {mutations} within 30s"
-        );
-        std::thread::sleep(std::time::Duration::from_millis(5));
-    }
-    let catchup = catchup_start.elapsed().as_secs_f64();
-    router.shutdown();
-    for f in followers {
-        f.stop();
-    }
-    for s in follower_srvs {
-        s.shutdown();
-    }
-    prim.shutdown();
-    std::fs::remove_dir_all(&dir).ok();
-
-    let report = ClusterBenchReport {
-        deployment_spec: SPEC.to_string(),
-        working_set_rows,
-        row_budget_bytes: row_budget as u64,
-        distinct_queries: bodies.len() as u64,
-        cycles: cycles as u64,
-        host_cores: std::thread::available_parallelism()
-            .map(|n| n.get() as u64)
-            .unwrap_or(1),
-        single_qps,
-        router_one_replica_qps,
-        router_two_replicas_qps,
-        scaling_two_replicas: scaling,
-        single_row_builds,
-        two_replica_row_builds,
-        replication_mutations: mutations,
-        replication_catchup_seconds: catchup,
-    };
-    eprintln!(
-        "cluster: {} working-set rows under a {}-byte budget; single {:.0} q/s \
-         ({} row builds), router+1 {:.0} q/s, router+2 (affinity) {:.0} q/s \
-         ({} row builds) -> {:.2}x; {} mutations replicated to 2 followers in {:.3}s",
-        report.working_set_rows,
-        report.row_budget_bytes,
-        report.single_qps,
-        report.single_row_builds,
-        report.router_one_replica_qps,
-        report.router_two_replicas_qps,
-        report.two_replica_row_builds,
-        report.scaling_two_replicas,
-        report.replication_mutations,
-        report.replication_catchup_seconds,
-    );
-    report
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut quick = false;
-    // Deliberately NOT BENCH_PR8.json: the committed artifact holds the
-    // full-run acceptance numbers, and a casual local/CI run must not
-    // silently clobber it. Pass `--output BENCH_PR8.json` to refresh it.
     let mut output = String::from("bench-report.local.json");
     let mut i = 0;
     while i < args.len() {
@@ -1773,28 +1142,28 @@ fn main() {
     let mut groups = Vec::new();
     let mut speedups = Vec::new();
     greedy_groups(quick, &mut groups, &mut speedups);
+    algo1_groups(quick, &mut groups);
     let row_mode = row_mode_report(quick, &mut groups);
-    let service = service_report(quick, &mut groups);
     let mutation = mutation_report(quick, &mut groups);
     let repair = repair_report(quick, &mut groups);
     let replication_lag = replication_lag_report(quick, &mut groups);
     let objectives = objectives_report(quick, &mut groups);
     let durability = durability_report(quick, &mut groups);
-    let cluster = cluster_report(quick, &mut groups);
     telemetry_overhead_group(quick, &mut groups);
     let report = Report {
-        schema: "tfsn-bench-report/v10",
+        schema: "tfsn-bench-report/v11",
         quick,
+        host_cores: std::thread::available_parallelism()
+            .map(|n| n.get() as u64)
+            .unwrap_or(1),
         groups,
         speedups,
         row_mode,
-        service,
         mutation,
         repair,
         replication_lag,
         objectives,
         durability,
-        cluster,
     };
     let json = serde_json::to_string_pretty(&report).expect("report serialises");
     let mut file =

@@ -1,23 +1,12 @@
 //! Regenerates Figure 2 (team-formation experiments, all four panels) and
 //! the policy ablation.
 //!
-//! Usage: `cargo run --release -p tfsn-experiments --bin figure2 [-- --quick] [--out DIR]`
+//! Usage: `cargo run --release -p tfsn-experiments --bin figure2 -- [--quick] [--out DIR]`
 
-use tfsn_experiments::{figure2, report, ExperimentConfig};
+use tfsn_experiments::{figure2, report, Args};
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let config = if args.iter().any(|a| a == "--quick") {
-        ExperimentConfig::quick()
-    } else {
-        ExperimentConfig::default()
-    };
-    let out_dir = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .map(std::path::PathBuf::from)
-        .unwrap_or_else(|| std::path::PathBuf::from("results"));
+    let Args { config, out_dir } = Args::from_env("figure2", false);
 
     eprintln!(
         "[figure2] running team formation on the Epinions emulation (scale {}, {} tasks/size)…",

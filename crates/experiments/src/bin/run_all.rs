@@ -1,30 +1,14 @@
-//! Runs the whole experiment suite (Tables 1–3, Figure 2, and the
-//! engine-serving phase) and writes one JSON file per artefact — the inputs
-//! recorded in `EXPERIMENTS.md`.
+//! Runs the whole experiment suite (Tables 1–3 and Figure 2) and writes one
+//! JSON file per artefact, plus the configuration used.
 //!
-//! The team-formation workloads are executed through the `tfsn-engine`
-//! serving layer (matrices cached per relation, queries fanned out in
-//! parallel), not by looping over raw solver calls.
-//!
-//! Usage: `cargo run --release -p tfsn-experiments --bin run-all [-- --quick] [--out DIR]`
+//! Usage: `cargo run --release -p tfsn-experiments --bin run-all -- [--quick] [--out DIR]`
 
 use std::time::Instant;
 
-use tfsn_experiments::{figure2, report, serving, table1, table2, table3, ExperimentConfig};
+use tfsn_experiments::{figure2, report, table1, table2, table3, Args};
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let config = if args.iter().any(|a| a == "--quick") {
-        ExperimentConfig::quick()
-    } else {
-        ExperimentConfig::default()
-    };
-    let out_dir = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .map(std::path::PathBuf::from)
-        .unwrap_or_else(|| std::path::PathBuf::from("results"));
+    let Args { config, out_dir } = Args::from_env("run-all", false);
 
     let started = Instant::now();
 
@@ -46,20 +30,6 @@ fn main() {
     let f2 = figure2::run(&config);
     println!("Figure 2: Team formation\n{}", f2.render());
     write(&out_dir, "figure2", &f2);
-
-    let serving = serving::run(&config);
-    println!(
-        "Engine serving: warm-cache batch throughput\n{}",
-        serving.render()
-    );
-    write(&out_dir, "serving", &serving);
-
-    let budgeted = serving::run_budgeted(&config);
-    println!(
-        "Engine serving under memory budget: row-mode with LRU eviction\n{}",
-        budgeted.render()
-    );
-    write(&out_dir, "serving_budgeted", &budgeted);
 
     write(&out_dir, "config", &config);
     eprintln!(

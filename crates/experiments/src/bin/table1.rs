@@ -1,17 +1,11 @@
 //! Regenerates Table 1 (dataset statistics).
 //!
-//! Usage: `cargo run --release -p tfsn-experiments --bin table1 [-- --quick] [--out DIR]`
+//! Usage: `cargo run --release -p tfsn-experiments --bin table1 -- [--quick] [--out DIR]`
 
-use tfsn_experiments::{report, table1, ExperimentConfig};
+use tfsn_experiments::{report, table1, Args};
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let config = if args.iter().any(|a| a == "--quick") {
-        ExperimentConfig::quick()
-    } else {
-        ExperimentConfig::default()
-    };
-    let out_dir = out_dir(&args);
+    let Args { config, out_dir } = Args::from_env("table1", false);
 
     eprintln!("[table1] generating dataset emulations…");
     let result = table1::run(&config);
@@ -22,12 +16,4 @@ fn main() {
         Ok(path) => eprintln!("[table1] wrote {}", path.display()),
         Err(e) => eprintln!("[table1] could not write results: {e}"),
     }
-}
-
-fn out_dir(args: &[String]) -> std::path::PathBuf {
-    args.iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .map(std::path::PathBuf::from)
-        .unwrap_or_else(|| std::path::PathBuf::from("results"))
 }

@@ -1,25 +1,11 @@
 //! Regenerates Table 2 (comparison of compatibility relations).
 //!
-//! Usage: `cargo run --release -p tfsn-experiments --bin table2 [-- --quick] [--no-sbp] [--out DIR]`
+//! Usage: `cargo run --release -p tfsn-experiments --bin table2 -- [--quick] [--no-sbp] [--out DIR]`
 
-use tfsn_experiments::{report, table2, ExperimentConfig};
+use tfsn_experiments::{report, table2, Args};
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut config = if args.iter().any(|a| a == "--quick") {
-        ExperimentConfig::quick()
-    } else {
-        ExperimentConfig::default()
-    };
-    if args.iter().any(|a| a == "--no-sbp") {
-        config.sbp_exact_on_slashdot = false;
-    }
-    let out_dir = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .map(std::path::PathBuf::from)
-        .unwrap_or_else(|| std::path::PathBuf::from("results"));
+    let Args { config, out_dir } = Args::from_env("table2", true);
 
     eprintln!(
         "[table2] building compatibility relations (epinions scale {}, wikipedia scale {})…",

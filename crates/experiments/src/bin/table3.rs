@@ -1,22 +1,11 @@
 //! Regenerates Table 3 (comparison with unsigned team formation).
 //!
-//! Usage: `cargo run --release -p tfsn-experiments --bin table3 [-- --quick] [--out DIR]`
+//! Usage: `cargo run --release -p tfsn-experiments --bin table3 -- [--quick] [--out DIR]`
 
-use tfsn_experiments::{report, table3, ExperimentConfig};
+use tfsn_experiments::{report, table3, Args};
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let config = if args.iter().any(|a| a == "--quick") {
-        ExperimentConfig::quick()
-    } else {
-        ExperimentConfig::default()
-    };
-    let out_dir = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .map(std::path::PathBuf::from)
-        .unwrap_or_else(|| std::path::PathBuf::from("results"));
+    let Args { config, out_dir } = Args::from_env("table3", false);
 
     eprintln!(
         "[table3] running unsigned baselines on the Epinions emulation (scale {})…",

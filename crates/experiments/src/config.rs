@@ -1,4 +1,8 @@
-//! Configuration shared by all experiments.
+//! Configuration shared by all experiments, and the command line that
+//! selects it.
+
+use std::ffi::OsString;
+use std::path::PathBuf;
 
 use serde::{Deserialize, Serialize};
 use tfsn_core::compat::CompatibilityKind;
@@ -31,12 +35,6 @@ pub struct ExperimentConfig {
     pub skill_degree_cap: Option<usize>,
     /// Base seed for task generation and the RANDOM policy.
     pub seed: u64,
-    /// Users in the synthetic graph of the budget-serving scenario. Sized
-    /// so the full `O(|V|²)` matrix does **not** fit
-    /// `serving_budget_bytes`, forcing row-mode serving.
-    pub serving_scenario_users: usize,
-    /// Per-kind resident-byte budget for the budget-serving scenario.
-    pub serving_budget_bytes: usize,
 }
 
 impl Default for ExperimentConfig {
@@ -52,8 +50,6 @@ impl Default for ExperimentConfig {
             max_seeds: Some(40),
             skill_degree_cap: Some(64),
             seed: 0xEDB7_2020,
-            serving_scenario_users: 20_000,
-            serving_budget_bytes: 8 << 20,
         }
     }
 }
@@ -73,8 +69,6 @@ impl ExperimentConfig {
             max_seeds: Some(10),
             skill_degree_cap: Some(32),
             seed: 0xEDB7_2020,
-            serving_scenario_users: 2_500,
-            serving_budget_bytes: 512 << 10,
         }
     }
 
@@ -92,6 +86,61 @@ impl ExperimentConfig {
             skill_degree_cap: self.skill_degree_cap,
             random_seed: self.seed ^ 0xA1B2,
         }
+    }
+}
+
+/// The command line every experiment binary takes: `[--quick] [--out DIR]`,
+/// plus `--no-sbp` for the binaries that accept it (`table2`).
+#[derive(Debug, Clone, PartialEq)]
+pub struct Args {
+    /// [`ExperimentConfig::quick`] under `--quick`, else the default, with
+    /// exact SBP switched off under `--no-sbp`.
+    pub config: ExperimentConfig,
+    /// Directory the JSON artefacts are written to (`--out`, default
+    /// `results`).
+    pub out_dir: PathBuf,
+}
+
+impl Args {
+    /// Parses `args` (the program name excluded). `no_sbp` says whether
+    /// `--no-sbp` is accepted. An unknown argument, or an `--out` without a
+    /// directory after it, is an error naming the problem.
+    pub fn parse<I: IntoIterator<Item = OsString>>(args: I, no_sbp: bool) -> Result<Args, String> {
+        let mut quick = false;
+        let mut skip_sbp = false;
+        let mut out_dir = PathBuf::from("results");
+        let mut args = args.into_iter();
+        while let Some(arg) = args.next() {
+            match arg.to_str() {
+                Some("--quick") => quick = true,
+                Some("--no-sbp") if no_sbp => skip_sbp = true,
+                Some("--out") => match args.next() {
+                    Some(dir) if !dir.is_empty() && !dir.to_string_lossy().starts_with("--") => {
+                        out_dir = dir.into()
+                    }
+                    _ => return Err("`--out` needs a directory".to_string()),
+                },
+                _ => return Err(format!("unknown argument `{}`", arg.to_string_lossy())),
+            }
+        }
+        let mut config = if quick {
+            ExperimentConfig::quick()
+        } else {
+            ExperimentConfig::default()
+        };
+        config.sbp_exact_on_slashdot &= !skip_sbp;
+        Ok(Args { config, out_dir })
+    }
+
+    /// Parses the process arguments of the binary `bin`. On an error it
+    /// prints the error and the usage line to stderr and exits with
+    /// status 2.
+    pub fn from_env(bin: &str, no_sbp: bool) -> Args {
+        Args::parse(std::env::args_os().skip(1), no_sbp).unwrap_or_else(|e| {
+            let sbp = if no_sbp { " [--no-sbp]" } else { "" };
+            eprintln!("{bin}: {e}\nusage: {bin} [--quick]{sbp} [--out DIR]");
+            std::process::exit(2);
+        })
     }
 }
 
@@ -126,5 +175,59 @@ mod tests {
         assert!(quick.epinions_scale < full.epinions_scale);
         assert!(quick.tasks_per_size < full.tasks_per_size);
         assert!(quick.task_sizes.len() <= full.task_sizes.len());
+    }
+
+    fn parse(args: &[&str], no_sbp: bool) -> Result<Args, String> {
+        Args::parse(args.iter().map(OsString::from), no_sbp)
+    }
+
+    #[test]
+    fn args_default_to_the_full_config_and_results_dir() {
+        let args = parse(&[], true).unwrap();
+        assert_eq!(args.config, ExperimentConfig::default());
+        assert_eq!(args.out_dir, PathBuf::from("results"));
+    }
+
+    #[test]
+    fn args_parse_each_flag() {
+        assert_eq!(
+            parse(&["--quick"], false).unwrap().config,
+            ExperimentConfig::quick()
+        );
+        assert_eq!(
+            parse(&["--out", "/tmp/r"], false).unwrap().out_dir,
+            PathBuf::from("/tmp/r")
+        );
+        let args = parse(&["--no-sbp", "--quick", "--out", "r2"], true).unwrap();
+        assert!(!args.config.sbp_exact_on_slashdot);
+        assert_eq!(
+            args.config.tasks_per_size,
+            ExperimentConfig::quick().tasks_per_size
+        );
+        assert_eq!(args.out_dir, PathBuf::from("r2"));
+    }
+
+    #[test]
+    fn args_reject_typos_and_flags_the_binary_does_not_take() {
+        for (args, no_sbp) in [
+            (&["--quik"][..], true),
+            (&["--quick", "results"][..], true),
+            (&["--no-sbp"][..], false),
+        ] {
+            let err = parse(args, no_sbp).unwrap_err();
+            assert!(err.contains("unknown argument"), "{args:?}: {err}");
+        }
+    }
+
+    #[test]
+    fn args_reject_out_without_a_directory() {
+        for args in [
+            &["--quick", "--out"][..],
+            &["--out", "--quick"],
+            &["--out", ""],
+        ] {
+            let err = parse(args, true).unwrap_err();
+            assert!(err.contains("`--out` needs a directory"), "{args:?}: {err}");
+        }
     }
 }

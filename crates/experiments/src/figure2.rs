@@ -8,7 +8,7 @@
 //!   algorithm finds.
 //! * **Panels (c) / (d)** — the same two metrics for LCMD while sweeping the
 //!   task size k.
-//! * **Policy ablation** (extension, `policy_ablation` bench) — all four
+//! * **Policy ablation** (extension, [`Figure2Report::policy_ablation`]) — all four
 //!   skill × user policy combinations plus RANDOM, quantifying how much the
 //!   skill-selection policy matters relative to the user-selection policy.
 

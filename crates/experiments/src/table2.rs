@@ -4,7 +4,8 @@
 //! compatible user pairs, (b) the percentage of compatible skill pairs and
 //! (c) the average distance between compatible users. The exact SBP relation
 //! is computed only on Slashdot (as in the paper), alongside the SBP-vs-SBPH
-//! agreement figure quoted in the text (~2.5 % difference).
+//! agreement figure quoted in the text (~2.5 % difference) and, as an
+//! extension, the same figure for wider SBPH beams ([`SBPH_WIDTHS`]).
 
 use serde::{Deserialize, Serialize};
 use tfsn_core::compat::{CompatibilityKind, CompatibilityMatrix, EngineConfig};
@@ -30,6 +31,22 @@ pub struct Table2Entry {
     pub avg_distance: f64,
 }
 
+/// The SBPH beam widths swept against exact SBP on Slashdot. Width 1 is
+/// the paper's single-prefix heuristic, the SBPH of [`Table2Entry`].
+pub const SBPH_WIDTHS: [usize; 4] = [1, 2, 4, 8];
+
+/// SBPH at one beam width on Slashdot, against exact SBP.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+pub struct SbphWidthEntry {
+    /// Balanced path prefixes kept per node and path sign
+    /// (`EngineConfig::sbph_width`).
+    pub width: usize,
+    /// Percentage of compatible user pairs (0–100).
+    pub compatible_users_pct: f64,
+    /// [`disagreement_pct`] against the exact-SBP relation (0–100).
+    pub disagreement_pct: f64,
+}
+
 /// The regenerated Table 2.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Table2Report {
@@ -39,6 +56,9 @@ pub struct Table2Report {
     /// disagree on Slashdot (the paper reports ≈ 2.5 %). `None` when the
     /// exact relation was not computed.
     pub sbp_sbph_disagreement_pct: Option<f64>,
+    /// One entry per [`SBPH_WIDTHS`] width on Slashdot; empty when the
+    /// exact relation was not computed.
+    pub sbph_width_sweep: Vec<SbphWidthEntry>,
 }
 
 impl Table2Report {
@@ -109,24 +129,20 @@ impl Table2Report {
                 diff
             ));
         }
+        if !self.sbph_width_sweep.is_empty() {
+            out.push_str("\nSBPH width sweep on Slashdot, against exact SBP\n");
+            let mut t = TextTable::new(["width", "comp. users %", "disagreement %"]);
+            for w in &self.sbph_width_sweep {
+                t.row([
+                    w.width.to_string(),
+                    fmt_pct(w.compatible_users_pct),
+                    fmt_float(w.disagreement_pct, 3),
+                ]);
+            }
+            out.push_str(&t.render());
+        }
         out
     }
-}
-
-/// Computes the Table 2 entries for one dataset.
-pub fn analyze_dataset(
-    dataset: &Dataset,
-    kinds: &[CompatibilityKind],
-    engine: &EngineConfig,
-    threads: usize,
-) -> Vec<Table2Entry> {
-    kinds
-        .iter()
-        .map(|&kind| {
-            let matrix = CompatibilityMatrix::build_parallel(&dataset.graph, kind, engine, threads);
-            entry_from_matrix(dataset, kind, &matrix)
-        })
-        .collect()
 }
 
 fn entry_from_matrix(
@@ -147,34 +163,54 @@ fn entry_from_matrix(
 /// Runs the Table 2 experiment over all three dataset emulations.
 pub fn run(config: &ExperimentConfig) -> Table2Report {
     let engine = EngineConfig::default();
-    let kinds = config.evaluated_kinds();
     let mut entries = Vec::new();
-    let mut disagreement = None;
+    let mut sweep = Vec::new();
 
     for dataset in datasets(config) {
-        entries.extend(analyze_dataset(&dataset, &kinds, &engine, config.threads));
-        // Exact SBP (and the SBP-vs-SBPH comparison) on Slashdot only.
-        if dataset.name == "Slashdot" && config.sbp_exact_on_slashdot {
-            let sbp = CompatibilityMatrix::build_parallel(
-                &dataset.graph,
-                CompatibilityKind::Sbp,
-                &engine,
-                config.threads,
-            );
-            entries.push(entry_from_matrix(&dataset, CompatibilityKind::Sbp, &sbp));
-            let sbph = CompatibilityMatrix::build_parallel(
-                &dataset.graph,
-                CompatibilityKind::Sbph,
-                &engine,
-                config.threads,
-            );
-            disagreement = Some(disagreement_pct(&sbp, &sbph));
+        let build = |kind, engine: &EngineConfig| {
+            CompatibilityMatrix::build_parallel(&dataset.graph, kind, engine, config.threads)
+        };
+        // Exact SBP (and the SBPH comparison against it) on Slashdot only.
+        let sbp = (dataset.name == "Slashdot" && config.sbp_exact_on_slashdot)
+            .then(|| build(CompatibilityKind::Sbp, &engine));
+        for kind in config.evaluated_kinds() {
+            let matrix = build(kind, &engine);
+            entries.push(entry_from_matrix(&dataset, kind, &matrix));
+            if let (CompatibilityKind::Sbph, Some(sbp)) = (kind, &sbp) {
+                for width in SBPH_WIDTHS {
+                    let wider;
+                    let sbph = if width == engine.sbph_width {
+                        &matrix
+                    } else {
+                        wider = build(
+                            kind,
+                            &EngineConfig {
+                                sbph_width: width,
+                                ..engine.clone()
+                            },
+                        );
+                        &wider
+                    };
+                    sweep.push(SbphWidthEntry {
+                        width,
+                        compatible_users_pct: 100.0 * sbph.compatible_pair_fraction(),
+                        disagreement_pct: disagreement_pct(sbp, sbph),
+                    });
+                }
+            }
+        }
+        if let Some(sbp) = &sbp {
+            entries.push(entry_from_matrix(&dataset, CompatibilityKind::Sbp, sbp));
         }
     }
 
     Table2Report {
         entries,
-        sbp_sbph_disagreement_pct: disagreement,
+        sbp_sbph_disagreement_pct: sweep
+            .iter()
+            .find(|w| w.width == engine.sbph_width)
+            .map(|w| w.disagreement_pct),
+        sbph_width_sweep: sweep,
     }
 }
 
@@ -210,7 +246,15 @@ mod tests {
         let report = run(&cfg);
         // 3 datasets × 5 evaluated kinds + the Slashdot SBP row.
         assert_eq!(report.entries.len(), 3 * 5 + 1);
-        assert!(report.sbp_sbph_disagreement_pct.is_some());
+        let disagreement = report.sbp_sbph_disagreement_pct.unwrap();
+        let widths: Vec<usize> = report.sbph_width_sweep.iter().map(|w| w.width).collect();
+        assert_eq!(widths, SBPH_WIDTHS);
+        assert_eq!(report.sbph_width_sweep[0].disagreement_pct, disagreement);
+        for w in &report.sbph_width_sweep {
+            for pct in [w.compatible_users_pct, w.disagreement_pct] {
+                assert!((0.0..=100.0).contains(&pct), "width {}: {pct}", w.width);
+            }
+        }
         let slashdot_spa = report.entry("Slashdot", CompatibilityKind::Spa).unwrap();
         let slashdot_nne = report.entry("Slashdot", CompatibilityKind::Nne).unwrap();
         // Relaxing the relation can only increase the compatible fraction.
@@ -221,6 +265,7 @@ mod tests {
         assert!(rendered.contains("SPA"));
         assert!(rendered.contains("comp. users %"));
         assert!(rendered.contains("SBP vs SBPH"));
+        assert!(rendered.contains("SBPH width sweep"));
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! query user and inspect the positive / negative shortest-path counts that
 //! drive the SPA / SPM / SPO decisions, plus the SBP view of the same user.
 //!
-//! Run with: `cargo run -p tfsn-experiments --example compatibility_explorer [node]`
+//! Run with: `cargo run --example compatibility_explorer -- [node]`
 
 use signed_graph::csr::CsrGraph;
 use signed_graph::NodeId;

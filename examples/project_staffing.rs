@@ -2,7 +2,7 @@
 //! teams under every compatibility relation and algorithm, and compare the
 //! outcomes — the scenario that motivates the paper's introduction.
 //!
-//! Run with: `cargo run --release -p tfsn-experiments --example project_staffing`
+//! Run with: `cargo run --release --example project_staffing`
 
 use tfsn_core::compat::{CompatibilityKind, CompatibilityMatrix, EngineConfig};
 use tfsn_core::team::greedy::{solve_greedy_with_stats, GreedyConfig};

@@ -1,7 +1,7 @@
 //! Quickstart: build a small signed network, compute compatibility, and form
 //! a team for a task.
 //!
-//! Run with: `cargo run -p tfsn-experiments --example quickstart`
+//! Run with: `cargo run --example quickstart`
 
 use signed_graph::{GraphBuilder, NodeId, Sign};
 use tfsn_core::compat::{Compatibility, CompatibilityKind, CompatibilityMatrix};

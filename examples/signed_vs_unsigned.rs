@@ -7,7 +7,7 @@
 //! with the signed-aware greedy algorithm, which only ever returns
 //! compatible teams.
 //!
-//! Run with: `cargo run --release -p tfsn-experiments --example signed_vs_unsigned`
+//! Run with: `cargo run --release --example signed_vs_unsigned`
 
 use signed_graph::transform::UnsignedTransform;
 use tfsn_core::compat::{CompatibilityKind, CompatibilityMatrix, EngineConfig};

@@ -16,8 +16,6 @@ fn tiny_config(seed: u64) -> ExperimentConfig {
         max_seeds: Some(6),
         skill_degree_cap: Some(16),
         seed,
-        serving_scenario_users: 800,
-        serving_budget_bytes: 32 << 10,
     }
 }
 

@@ -17,8 +17,6 @@ fn smoke_config() -> ExperimentConfig {
         max_seeds: Some(8),
         skill_degree_cap: Some(16),
         seed: 123,
-        serving_scenario_users: 800,
-        serving_budget_bytes: 32 << 10,
     }
 }
 
@@ -46,6 +44,7 @@ fn table2_monotone_in_relation_relaxation() {
     // Without exact SBP: 3 datasets × 5 relations.
     assert_eq!(report_t2.entries.len(), 15);
     assert!(report_t2.sbp_sbph_disagreement_pct.is_none());
+    assert!(report_t2.sbph_width_sweep.is_empty());
     for dataset in ["Slashdot", "Epinions", "Wikipedia"] {
         let pct = |k| report_t2.entry(dataset, k).unwrap().compatible_users_pct;
         // The guaranteed chain SPA ⊆ SPM ⊆ SPO.
