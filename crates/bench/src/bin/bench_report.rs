@@ -236,6 +236,13 @@ fn popular_tasks(
         .collect()
 }
 
+/// Random coverable tasks solved per `figure2_greedy/random/*` sample, in
+/// quick and full runs alike. A task takes 2–10 µs, so a sample of 1,000
+/// lasts milliseconds, long enough for timer and scheduler noise to stay a
+/// small part of it (at 10 tasks, under 0.1 ms, IQRs reached a third of the
+/// median).
+const RANDOM_TASKS: usize = 1_000;
+
 fn greedy_groups(quick: bool, groups: &mut Vec<Group>, speedups: &mut Vec<(String, f64)>) {
     let dataset = tfsn_datasets::epinions(0.1);
     let instance = TfsnInstance::new(&dataset.graph, &dataset.skills);
@@ -248,7 +255,10 @@ fn greedy_groups(quick: bool, groups: &mut Vec<Group>, speedups: &mut Vec<(Strin
     // Two task mixes: the figure2-style random coverable tasks (k = 5), and
     // popular-skill tasks (k = 12) where candidate filtering dominates.
     let workloads: Vec<(&str, Vec<tfsn_skills::task::Task>)> = vec![
-        ("random", random_coverable_tasks(&dataset.skills, 5, 10, 21)),
+        (
+            "random",
+            random_coverable_tasks(&dataset.skills, 5, RANDOM_TASKS, 21),
+        ),
         ("popular", popular_tasks(&dataset.skills, 12, 10)),
     ];
     let kinds: &[CompatibilityKind] = if quick {

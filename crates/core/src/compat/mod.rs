@@ -1,26 +1,39 @@
 //! User-compatibility relations over signed networks (paper §3).
 //!
-//! Every relation is exposed through two complementary APIs:
+//! Every relation has one row layout, the bit-packed [`CompatRow`]: who is
+//! compatible with the row's source, and at what distance (1 bit per node
+//! each for the compatible set and the SP mixed flag, a 4-bit distance code
+//! per node, ~0.75 bytes per node in all; rows with many distances past 13
+//! take 8-bit codes). Each relation's scan packs its rows directly, and
+//! they are served two ways:
 //!
-//! * **Per-source computation** — [`compute_source`] runs the relation's
-//!   algorithm from one query node and returns a [`SourceCompatibility`]
-//!   (who is compatible with the query node and at what distance). This is
-//!   the paper's Algorithm 1 view and the right tool for large graphs where
-//!   the full `|V|²` relation cannot be materialised.
+//! * **One source** — [`compute_row`] runs the relation's algorithm from
+//!   one query node and returns its row. This is the paper's Algorithm 1
+//!   view and the right tool for large graphs where the full `|V|²`
+//!   relation cannot be materialised.
 //! * **Materialised relations** — [`CompatibilityMatrix`] precomputes every
 //!   source (optionally in parallel) and [`LazyCompatibility`] computes and
 //!   caches sources on demand, or fills all of them at once (the serving
 //!   engine's one store). Both implement the [`Compatibility`] trait
-//!   consumed by the team-formation algorithms.
+//!   consumed by the team-formation algorithms, and expose their rows
+//!   through [`Compatibility::packed_row`] to the solver's word-parallel
+//!   [`crate::team::CandidateMask`] fast path.
 //!
-//! Resident rows — matrix rows and cached lazy rows alike — use the
-//! bit-packed [`CompatRow`] layout (1 bit per node each for the compatible
-//! set and the SP mixed flag, a 4-bit distance code per node, ~0.75 bytes
-//! per node in all; rows with many distances past 13 take 8-bit codes),
-//! built straight from each relation's scan by [`compute_row`]: ~12×
-//! smaller than the unpacked [`SourceCompatibility`] and word-parallel for
-//! the solver's [`crate::team::CandidateMask`] fast path, exposed through
-//! [`Compatibility::packed_row`].
+//! # Distances
+//!
+//! The paper measures the communication cost of a team as the largest
+//! distance between any two members (§4), where the distance depends on the
+//! relation in force:
+//!
+//! * **DPE / SP family** — the length of the shortest path between the two
+//!   users (the `L(x)` of Algorithm 1).
+//! * **SBP / SBPH** — the length of the shortest structurally balanced
+//!   *positive* path found.
+//! * **NNE** — the length of the shortest path ignoring signs (there may be
+//!   no positive path at all between NNE-compatible users).
+//!
+//! SP and NNE rows record a distance for every reachable node, compatible
+//! or not; DPE, SBPH and SBP rows only for compatible ones.
 
 mod batch;
 pub mod repair;
@@ -43,8 +56,6 @@ use parking_lot::{Mutex, RwLock};
 use serde::{Deserialize, Serialize};
 use signed_graph::csr::CsrGraph;
 use signed_graph::{MutationEffect, NodeId, SignedGraph};
-
-use crate::distance;
 
 /// The seven compatibility relations defined by the paper, ordered from the
 /// strictest (DPE) to the most relaxed (NNE) as in Proposition 3.5.
@@ -136,8 +147,8 @@ pub struct EngineConfig {
     pub sbp_max_states: usize,
     /// Heuristic-SBP: number of balanced path prefixes retained per node and
     /// per path sign. Width 1 reproduces the paper's single-prefix
-    /// heuristic; larger widths trade time for recall (see the `sbph_width`
-    /// ablation bench).
+    /// heuristic; larger widths trade time for recall (see
+    /// `Table2Report::sbph_width_sweep` in `crates/experiments/src/table2.rs`).
     pub sbph_width: usize,
 }
 
@@ -151,80 +162,11 @@ impl Default for EngineConfig {
     }
 }
 
-/// The result of running a compatibility algorithm from one query node:
-/// for every node of the graph, whether it is compatible with the source and
-/// the relation-specific distance (see [`crate::distance`]).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct SourceCompatibility {
-    /// The query node.
-    pub source: NodeId,
-    /// The relation kind that produced this view.
-    pub kind: CompatibilityKind,
-    /// `compatible[v]` — is `(source, v)` in the relation?
-    pub compatible: Vec<bool>,
-    /// `distance[v]` — the relation's distance from `source` to `v`
-    /// (`None` when undefined/unreachable). Defined for compatible pairs;
-    /// may also be populated for incompatible ones when cheap.
-    pub distance: Vec<Option<u32>>,
-}
-
-impl SourceCompatibility {
-    /// Number of nodes compatible with the source (including the source
-    /// itself, which is always compatible by reflexivity).
-    pub fn compatible_count(&self) -> usize {
-        self.compatible.iter().filter(|&&c| c).count()
-    }
-
-    /// Mean distance over compatible nodes other than the source itself,
-    /// ignoring pairs with undefined distance.
-    pub fn mean_compatible_distance(&self) -> Option<f64> {
-        let mut total = 0u64;
-        let mut count = 0u64;
-        for (v, (&c, &d)) in self.compatible.iter().zip(&self.distance).enumerate() {
-            if c && v != self.source.index() {
-                if let Some(d) = d {
-                    total += d as u64;
-                    count += 1;
-                }
-            }
-        }
-        if count == 0 {
-            None
-        } else {
-            Some(total as f64 / count as f64)
-        }
-    }
-}
-
-/// Computes the compatibility of every node with `source` under `kind`.
-pub fn compute_source(
-    graph: &SignedGraph,
-    csr: &CsrGraph,
-    source: NodeId,
-    kind: CompatibilityKind,
-    cfg: &EngineConfig,
-) -> SourceCompatibility {
-    match kind {
-        CompatibilityKind::Dpe => trivial::dpe_source(graph, source),
-        CompatibilityKind::Nne => trivial::nne_source(graph, csr, source),
-        CompatibilityKind::Spa | CompatibilityKind::Spm | CompatibilityKind::Spo => {
-            let counts = sp::signed_bfs(csr, source);
-            sp::source_from_counts(source, kind, &counts)
-        }
-        CompatibilityKind::Sbph => sbph::sbph_source(graph, csr, source, cfg.sbph_width),
-        CompatibilityKind::Sbp => {
-            sbp::sbp_source(graph, source, cfg.sbp_max_path_len, cfg.sbp_max_states)
-        }
-    }
-}
-
 /// Computes `source`'s bit-packed row of `kind` straight from the
 /// relation's scan: SP rows from Algorithm 1's counts (mixed flags
-/// included), DPE and NNE rows from the source's adjacency and one BFS.
-/// Only the SBPH/SBP searches, which produce per-node vectors anyway, pack
-/// through a [`SourceCompatibility`]. Equal to
-/// `CompatRow::from_source(&compute_source(..))` up to the SP mixed flags,
-/// which only this path sets.
+/// included), DPE and NNE rows from the source's adjacency and one BFS,
+/// SBPH rows as the prefix search retains positive prefixes, and SBP rows
+/// from the exact search's shortest balanced path lengths.
 pub fn compute_row(
     graph: &SignedGraph,
     csr: &CsrGraph,
@@ -238,8 +180,9 @@ pub fn compute_row(
         CompatibilityKind::Spa | CompatibilityKind::Spm | CompatibilityKind::Spo => {
             sp::row_from_counts(source, kind, &sp::signed_bfs(csr, source))
         }
-        CompatibilityKind::Sbph | CompatibilityKind::Sbp => {
-            CompatRow::from_source(&compute_source(graph, csr, source, kind, cfg))
+        CompatibilityKind::Sbph => sbph::sbph_row(graph, csr, source, cfg.sbph_width),
+        CompatibilityKind::Sbp => {
+            sbp::sbp_row(graph, source, cfg.sbp_max_path_len, cfg.sbp_max_states).0
         }
     }
 }
@@ -250,7 +193,7 @@ pub fn compute_row(
 /// Implementations must be reflexive and symmetric, satisfy positive-edge
 /// compatibility and negative-edge incompatibility (paper §2), and report a
 /// distance for every compatible pair whenever one is defined by the
-/// relation (see [`crate::distance`]).
+/// relation (see the module docs' [distances](crate::compat#distances)).
 pub trait Compatibility: Sync {
     /// The relation kind.
     fn kind(&self) -> CompatibilityKind;
@@ -493,7 +436,7 @@ fn fill_rows(
 /// compatible set and the mixed flags, the lane (half a byte per node at
 /// 4-bit codes, a byte at 8-bit), and 8 bytes per side-table entry
 /// (distances past the lane's inline range), against the 9 bytes per node
-/// of the unpacked [`SourceCompatibility`] — ~12× more resident rows for
+/// of a `bool` and an `Option<u32>` per node — ~12× more resident rows for
 /// the same budget.
 pub fn row_bytes(row: &CompatRow) -> usize {
     std::mem::size_of::<CompatRow>()
@@ -1338,54 +1281,6 @@ impl Compatibility for RowTracker<'_> {
     }
 }
 
-/// A relation restricted to "always compatible, distance = unsigned shortest
-/// path" — the classic unsigned team-formation setting. Used by the Table 3
-/// baseline so that the same greedy machinery can run on unsigned graphs.
-#[derive(Debug, Clone)]
-pub struct UnsignedCompatibility {
-    node_count: usize,
-    distances: Vec<Vec<Option<u32>>>,
-}
-
-impl UnsignedCompatibility {
-    /// Precomputes all-pairs unsigned BFS distances over `graph`.
-    pub fn build(graph: &SignedGraph) -> Self {
-        let distances = graph
-            .nodes()
-            .map(|v| distance::unsigned_distances(graph, v))
-            .collect();
-        UnsignedCompatibility {
-            node_count: graph.node_count(),
-            distances,
-        }
-    }
-}
-
-impl Compatibility for UnsignedCompatibility {
-    fn kind(&self) -> CompatibilityKind {
-        // The closest analogue: every pair is "compatible"; distances ignore
-        // signs, as in NNE.
-        CompatibilityKind::Nne
-    }
-
-    fn node_count(&self) -> usize {
-        self.node_count
-    }
-
-    fn compatible(&self, _u: NodeId, _v: NodeId) -> bool {
-        true
-    }
-
-    fn distance(&self, u: NodeId, v: NodeId) -> Option<u32> {
-        if u == v {
-            return Some(0);
-        }
-        self.distances
-            .get(u.index())
-            .and_then(|row| row.get(v.index()).copied().flatten())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -2017,25 +1912,62 @@ mod tests {
     /// range (distance 14), which its rows keep in the side table.
     const SHORT_RING: usize = 28;
 
+    /// Every row of a ring reads back its definition, distances past the
+    /// inline range included. The ring's edge signs multiply to `+`, so a
+    /// node's shortest paths (its shorter arc, or both arcs at an even
+    /// ring's antipode) share one sign, and the SP rows mark it compatible
+    /// iff that sign is positive. So does the SBPH row: its width-1 search
+    /// retains each node's first-reached arc, the shorter one, and drops
+    /// the other, of the same sign, so no search passes the antipode.
     #[test]
     fn distances_past_the_inline_range_round_trip_exactly() {
         for (nodes, bits) in [(SHORT_RING, 4u32), (LONG_RING, 8)] {
             let g = ring_graph(nodes);
             let csr = CsrGraph::from_graph(&g);
             let cfg = EngineConfig::default();
+            let ring: Vec<NodeId> = g.nodes().chain([NodeId::new(0)]).collect();
+            assert_eq!(g.path_sign(&ring), Ok(Sign::Positive));
+            let s = 7;
+            // The BFS level of v, and whether its shorter arc is positive.
+            let level = |v: usize| {
+                let clockwise = (v + nodes - s) % nodes;
+                clockwise.min(nodes - clockwise)
+            };
+            let positive = |v: usize| {
+                let step = if (v + nodes - s) % nodes == level(v) {
+                    1
+                } else {
+                    nodes - 1
+                };
+                let arc: Vec<NodeId> = (0..=level(v))
+                    .map(|i| NodeId::new((s + i * step) % nodes))
+                    .collect();
+                g.path_sign(&arc) == Ok(Sign::Positive)
+            };
             for kind in CompatibilityKind::ALL {
                 if kind == CompatibilityKind::Sbp {
                     continue; // exponential search; its cap is 12 anyway
                 }
-                let source = NodeId::new(7);
-                let row = compute_row(&g, &csr, source, kind, &cfg);
-                let legacy = compute_source(&g, &csr, source, kind, &cfg);
-                assert_eq!(row.to_source(), legacy, "{kind}");
+                let expected = |v: usize| {
+                    let d = Some(level(v) as u32);
+                    match kind {
+                        CompatibilityKind::Dpe if level(v) == 0 => (true, d),
+                        CompatibilityKind::Dpe if level(v) == 1 && positive(v) => (true, d),
+                        CompatibilityKind::Dpe => (false, None),
+                        CompatibilityKind::Nne => (level(v) != 1 || positive(v), d),
+                        CompatibilityKind::Sbph if positive(v) => (true, d),
+                        CompatibilityKind::Sbph => (false, None),
+                        _ => (positive(v), d),
+                    }
+                };
+                let row = compute_row(&g, &csr, NodeId::new(s), kind, &cfg);
+                for v in 0..nodes {
+                    let got = (row.is_compatible(v), row.distance(v));
+                    assert_eq!(got, expected(v), "{kind} node {v} of {nodes}");
+                }
                 let max_inline = (1u32 << row.code_bits()) - 3;
-                let long = legacy
-                    .distance
-                    .iter()
-                    .filter(|d| d.is_some_and(|d| d > max_inline))
+                let long = (0..nodes)
+                    .filter(|&v| expected(v).1.is_some_and(|d| d > max_inline))
                     .count();
                 assert_eq!(row.side_table_len(), long, "{kind}");
                 let byte_lane = if row.code_bits() == 8 { nodes / 2 } else { 0 };
@@ -2096,11 +2028,8 @@ mod tests {
                 }
                 for source in g.nodes().step_by(n.div_ceil(16)) {
                     let row = compute_row(&g, &csr, source, kind, &cfg);
-                    let past_125 = row
-                        .to_source()
-                        .distance
-                        .iter()
-                        .filter(|d| d.is_some_and(|d| d > 125))
+                    let past_125 = (0..n)
+                        .filter(|&v| row.distance(v).is_some_and(|d| d > 125))
                         .count();
                     let byte_lane = std::mem::size_of::<ByteLaneRow>()
                         + bitset
@@ -2215,17 +2144,6 @@ mod tests {
             "the chord shrinks side tables"
         );
         assert_eq!(lazy.resident_bytes(), resident(&lazy));
-    }
-
-    #[test]
-    fn unsigned_compatibility_is_all_pairs() {
-        let g = paper_figure_1a();
-        let u = UnsignedCompatibility::build(&g);
-        assert_eq!(u.node_count(), g.node_count());
-        assert!(u.compatible(NodeId::new(0), NodeId::new(5)));
-        assert_eq!(u.distance(NodeId::new(0), NodeId::new(5)), Some(2));
-        assert_eq!(u.distance(NodeId::new(3), NodeId::new(3)), Some(0));
-        assert!(u.compatible_with_all(NodeId::new(0), &[NodeId::new(1), NodeId::new(2)]));
     }
 
     #[test]

@@ -1,9 +1,10 @@
 //! The bit-packed compatibility row: the resident representation every
 //! relation is served from.
 //!
-//! A [`super::SourceCompatibility`] (the unpacked output of the per-relation
-//! algorithms) stores one `bool` plus one `Option<u32>` per node — 9 bytes
-//! per node. [`CompatRow`] packs the same facts into
+//! A row says, for every node, whether it is compatible with the source and
+//! at what relation distance. Held unpacked, as one `bool` plus one
+//! `Option<u32>` per node, that is 9 bytes per node. [`CompatRow`] packs
+//! the same facts into
 //!
 //! * a `u64`-word **bitset** for the compatible set (1 bit per node),
 //! * a second bitset with the same word indexing for the SP **mixed** flag
@@ -40,7 +41,7 @@
 use serde::{Deserialize, Serialize};
 use signed_graph::NodeId;
 
-use super::{CompatibilityKind, SourceCompatibility};
+use super::CompatibilityKind;
 
 /// Sentinel value of [`CompatRow::raw_distance`]: no defined distance.
 pub const UNREACHABLE_DISTANCE: u16 = u16::MAX;
@@ -243,17 +244,6 @@ impl CompatRow {
         }
     }
 
-    /// Packs an unpacked per-source computation into the resident layout.
-    /// A [`SourceCompatibility`] carries no path-sign classes, so the mixed
-    /// flags stay clear.
-    pub fn from_source(sc: &SourceCompatibility) -> Self {
-        let nodes = sc.compatible.len();
-        let width = LaneWidth::fitting(nodes, sc.distance.iter().flatten().copied());
-        Self::pack(sc.source, sc.kind, width, nodes, |v| {
-            (sc.compatible[v], sc.distance[v], false)
-        })
-    }
-
     /// The query node this row was computed from.
     pub fn source(&self) -> NodeId {
         self.source
@@ -453,21 +443,12 @@ impl CompatRow {
         self.set_compatible(v, compatible);
         self.set_distance(v, raw_distance);
     }
-
-    /// Unpacks back into the legacy layout (tests and round-trip checks).
-    pub fn to_source(&self) -> SourceCompatibility {
-        SourceCompatibility {
-            source: self.source,
-            kind: self.kind,
-            compatible: (0..self.nodes).map(|v| self.is_compatible(v)).collect(),
-            distance: (0..self.nodes).map(|v| self.distance(v)).collect(),
-        }
-    }
 }
 
 /// A row packed in place while a search reaches its nodes, in any order:
 /// the bit-parallel fill ([`super::batch`]) writes each source's row this
-/// way as its BFS levels complete, with no per-node distance buffer. The
+/// way as its BFS levels complete, and the SBPH search ([`super::sbph`]) as
+/// it retains positive prefixes, with no per-node distance buffer. The
 /// row grows with 4-bit codes, and [`Self::finish`] applies the width rule
 /// from the distances it counted, so the finished row equals the one
 /// [`CompatRow::pack`] builds from the same facts, in every byte.
@@ -510,7 +491,12 @@ impl RowPacker {
     /// Records that the search reached `v` at `distance`: sets its code,
     /// and sets its bit and mixed flag where asked (a set bit stays set).
     /// Each node is reached at most once.
-    #[inline]
+    ///
+    /// Always inlined: the bit-parallel fill calls it once per reached
+    /// (source, node) pair, and with the SBPH search as a second caller a
+    /// plain `#[inline]` left it out of line, and perfbench `warm_query`
+    /// `setup_s` read ~8% slower (1 of 10 pairs faster).
+    #[inline(always)]
     pub(crate) fn reach(&mut self, v: usize, compatible: bool, distance: u32, mixed: bool) {
         let row = &mut self.row;
         row.bits[v / 64] |= u64::from(compatible) << (v % 64);
@@ -672,30 +658,52 @@ impl<C: super::Compatibility + ?Sized> super::Compatibility for ScalarOnly<'_, C
 mod tests {
     use super::*;
 
-    fn sample(nodes: usize) -> SourceCompatibility {
-        SourceCompatibility {
-            source: NodeId::new(1),
-            kind: CompatibilityKind::Spo,
-            compatible: (0..nodes).map(|v| v % 3 != 0 || v == 1).collect(),
-            distance: (0..nodes)
-                .map(|v| (v % 4 != 3).then_some(v as u32))
-                .collect(),
+    /// A row of `nodes` nodes, at the width the rule picks for the
+    /// distances `entry` gives.
+    fn packed(nodes: usize, entry: impl Fn(usize) -> (bool, Option<u32>, bool)) -> CompatRow {
+        let width = LaneWidth::fitting(nodes, (0..nodes).filter_map(|v| entry(v).1));
+        CompatRow::pack(NodeId::new(1), CompatibilityKind::Spo, width, nodes, entry)
+    }
+
+    /// The sample facts: node `v` is compatible unless `v % 3 == 0` (the
+    /// source, node 1, always is) and at distance `v` unless `v % 4 == 3`.
+    fn sample_entry(v: usize) -> (bool, Option<u32>, bool) {
+        (
+            !v.is_multiple_of(3) || v == 1,
+            (v % 4 != 3).then_some(v as u32),
+            false,
+        )
+    }
+
+    fn sample(nodes: usize) -> CompatRow {
+        packed(nodes, sample_entry)
+    }
+
+    /// Every node's bit and distance read back as `entry` gave them.
+    fn assert_facts(row: &CompatRow, entry: impl Fn(usize) -> (bool, Option<u32>, bool)) {
+        for v in 0..row.len() {
+            let (compatible, distance, _) = entry(v);
+            assert_eq!(
+                (row.is_compatible(v), row.distance(v)),
+                (compatible, distance),
+                "node {v} of {}",
+                row.len()
+            );
         }
     }
 
     #[test]
     fn pack_round_trips() {
         for nodes in [0usize, 1, 63, 64, 65, 130] {
-            let sc = sample(nodes);
-            let row = CompatRow::from_source(&sc);
+            let row = sample(nodes);
             assert_eq!(row.len(), nodes);
-            assert_eq!(row.to_source(), sc, "{nodes} nodes");
+            assert_facts(&row, sample_entry);
             // Past the row, including an odd 4-bit lane's spare slot.
             assert_eq!(row.raw_distance(nodes), UNREACHABLE_DISTANCE);
             assert_eq!(row.distance(nodes + 1), None);
             assert_eq!(
                 row.compatible_count(),
-                sc.compatible.iter().filter(|&&c| c).count()
+                (0..nodes).filter(|&v| sample_entry(v).0).count()
             );
             // Bits past `nodes` stay zero.
             if let Some(last) = row.words().last() {
@@ -709,7 +717,7 @@ mod tests {
 
     #[test]
     fn iter_compatible_matches_probes() {
-        let row = CompatRow::from_source(&sample(100));
+        let row = sample(100);
         let via_iter: Vec<usize> = row.iter_compatible().collect();
         let via_probe: Vec<usize> = (0..100).filter(|&v| row.is_compatible(v)).collect();
         assert_eq!(via_iter, via_probe);
@@ -717,13 +725,10 @@ mod tests {
 
     #[test]
     fn distances_saturate_and_sentinel() {
-        let sc = SourceCompatibility {
-            source: NodeId::new(0),
-            kind: CompatibilityKind::Nne,
-            compatible: vec![true, true, false],
-            distance: vec![Some(0), Some(u32::MAX), None],
-        };
-        let row = CompatRow::from_source(&sc);
+        let entries = [(true, Some(0), false), (true, Some(u32::MAX), false)];
+        let row = packed(3, |v| {
+            entries.get(v).copied().unwrap_or((false, None, false))
+        });
         assert_eq!(row.distance(0), Some(0));
         assert_eq!(row.distance(1), Some(MAX_PACKED_DISTANCE));
         assert_eq!(row.distance(2), None);
@@ -759,25 +764,21 @@ mod tests {
         // 4-bit: 13 is the last inline distance, 14 the first side entry;
         // 8-bit: 253 and 254. Odd node counts leave a padding nibble.
         for (nodes, inline, past) in [(31usize, 13u32, 14u32), (41, 253, 254)] {
-            let sc = SourceCompatibility {
-                source: NodeId::new(0),
-                kind: CompatibilityKind::Nne,
-                compatible: vec![true; nodes],
-                distance: (0..nodes)
-                    .map(|v| match v {
-                        0 => Some(0),
-                        1 => Some(past),
-                        2 => None,
-                        _ => Some(if v % 2 == 0 { inline } else { 1 }),
-                    })
-                    .collect(),
+            let entry = |v| {
+                let distance = match v {
+                    0 => Some(0),
+                    1 => Some(past),
+                    2 => None,
+                    _ => Some(if v % 2 == 0 { inline } else { 1 }),
+                };
+                (true, distance, false)
             };
-            let row = CompatRow::from_source(&sc);
+            let row = packed(nodes, entry);
             let bits = if inline == 13 { 4 } else { 8 };
             assert_eq!(row.code_bits(), bits, "{nodes} nodes");
             assert_eq!(row.lane_bytes(), (nodes * bits as usize).div_ceil(8));
             assert_eq!(row.side_table_len(), 1, "only {past} leaves the lane");
-            assert_eq!(row.to_source(), sc);
+            assert_facts(&row, entry);
             assert_eq!(row.raw_distance(nodes), UNREACHABLE_DISTANCE);
         }
     }
@@ -785,10 +786,13 @@ mod tests {
     #[test]
     fn set_distance_moves_entries_through_the_side_table() {
         for width in [LaneWidth::NIBBLE, LaneWidth::BYTE] {
-            let sc = sample(11);
-            let mut row = CompatRow::pack(sc.source, sc.kind, width, 11, |v| {
-                (sc.compatible[v], sc.distance[v], false)
-            });
+            let mut row = CompatRow::pack(
+                NodeId::new(1),
+                CompatibilityKind::Spo,
+                width,
+                11,
+                sample_entry,
+            );
             row.set_mixed(4, true);
             let max_inline = width.max_inline();
             let past_inline = max_inline + 1;
@@ -804,7 +808,7 @@ mod tests {
             ] {
                 row.set_distance(4, d);
                 assert_eq!(row.raw_distance(4), d);
-                assert_eq!(row.raw_distance(5), sc.distance[5].unwrap() as u16);
+                assert_eq!(row.raw_distance(5), 5);
                 assert!(row.is_mixed(4), "a move must keep the mixed flag");
                 assert!(!row.is_mixed(5));
                 let in_side = d > max_inline && d != UNREACHABLE_DISTANCE;
@@ -879,10 +883,10 @@ mod tests {
 
     #[test]
     fn rows_compare_by_facts_across_widths() {
-        let sc = sample(20);
         let pack = |width| {
-            CompatRow::pack(sc.source, sc.kind, width, 20, |v| {
-                (sc.compatible[v], sc.distance[v], v == 6)
+            CompatRow::pack(NodeId::new(1), CompatibilityKind::Spo, width, 20, |v| {
+                let (compatible, distance, _) = sample_entry(v);
+                (compatible, distance, v == 6)
             })
         };
         let (nibble, byte) = (pack(LaneWidth::NIBBLE), pack(LaneWidth::BYTE));
@@ -898,7 +902,7 @@ mod tests {
 
     #[test]
     fn intersection_count_and_mean_distance() {
-        let row = CompatRow::from_source(&sample(70));
+        let row = sample(70);
         let mut pool = vec![0u64; bitset_words(70)];
         for v in [1usize, 2, 4, 66] {
             pool[v / 64] |= 1 << (v % 64);
@@ -908,10 +912,12 @@ mod tests {
             .filter(|&&v| row.is_compatible(v))
             .count();
         assert_eq!(row.intersection_count(&pool), expected);
-        let sc = row.to_source();
-        assert_eq!(
-            row.mean_compatible_distance(),
-            sc.mean_compatible_distance()
-        );
+        // Compatible nodes other than the source with a distance: v ≡ 1 or 2
+        // (mod 3) with v % 4 != 3, less the source itself, node 1.
+        let counted: Vec<u32> = (2..70u32)
+            .filter(|v| !v.is_multiple_of(3) && v % 4 != 3)
+            .collect();
+        let mean = f64::from(counted.iter().sum::<u32>()) / counted.len() as f64;
+        assert_eq!(row.mean_compatible_distance(), Some(mean));
     }
 }

@@ -20,7 +20,8 @@
 
 use signed_graph::{NodeId, Sign, SignedGraph};
 
-use super::{CompatibilityKind, SourceCompatibility};
+use super::row::LaneWidth;
+use super::{CompatRow, CompatibilityKind};
 
 /// Outcome of one exact-SBP source computation, including search diagnostics.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -31,32 +32,23 @@ pub struct SbpSearchStats {
     pub budget_exhausted: bool,
 }
 
-/// Computes exact SBP compatibility from `source` to every node.
+/// The exact SBP row of `source`, and the search's statistics.
 ///
 /// `max_path_len` bounds the number of edges of explored paths (`None` means
 /// `|V| - 1`, i.e. unbounded simple paths); `max_states` bounds the total
-/// number of DFS expansions.
-pub fn sbp_source(
+/// number of DFS expansions. The search reaches a node once per balanced
+/// path, in depth-first order, so the row is packed once it is over.
+pub fn sbp_row(
     graph: &SignedGraph,
     source: NodeId,
     max_path_len: Option<usize>,
     max_states: usize,
-) -> SourceCompatibility {
-    sbp_source_with_stats(graph, source, max_path_len, max_states).0
-}
-
-/// Like [`sbp_source`] but also returns search statistics.
-pub fn sbp_source_with_stats(
-    graph: &SignedGraph,
-    source: NodeId,
-    max_path_len: Option<usize>,
-    max_states: usize,
-) -> (SourceCompatibility, SbpSearchStats) {
+) -> (CompatRow, SbpSearchStats) {
     let n = graph.node_count();
     let max_len = max_path_len.unwrap_or(n.saturating_sub(1));
-    let mut compatible = vec![false; n];
+    // best_len[v]: the shortest positive balanced path found to v; a node
+    // is compatible exactly when it has one.
     let mut best_len: Vec<Option<u32>> = vec![None; n];
-    compatible[source.index()] = true;
     best_len[source.index()] = Some(0);
 
     // DFS state.
@@ -78,21 +70,16 @@ pub fn sbp_source_with_stats(
         &mut path,
         &mut in_path,
         &mut camp,
-        &mut compatible,
         &mut best_len,
         max_len,
         max_states,
         &mut stats,
     );
-    (
-        SourceCompatibility {
-            source,
-            kind: CompatibilityKind::Sbp,
-            compatible,
-            distance: best_len,
-        },
-        stats,
-    )
+    let width = LaneWidth::fitting(n, best_len.iter().flatten().copied());
+    let row = CompatRow::pack(source, CompatibilityKind::Sbp, width, n, |v| {
+        (best_len[v].is_some(), best_len[v], false)
+    });
+    (row, stats)
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -101,7 +88,6 @@ fn dfs(
     path: &mut Vec<NodeId>,
     in_path: &mut [bool],
     camp: &mut [bool],
-    compatible: &mut [bool],
     best_len: &mut [Option<u32>],
     max_len: usize,
     max_states: usize,
@@ -159,7 +145,6 @@ fn dfs(
         // A positive path places w in the source's camp (false).
         let len = path.len() as u32;
         if !w_camp {
-            compatible[w.index()] = true;
             best_len[w.index()] = Some(match best_len[w.index()] {
                 Some(existing) => existing.min(len),
                 None => len,
@@ -170,7 +155,7 @@ fn dfs(
         camp[w.index()] = w_camp;
         path.push(w);
         dfs(
-            graph, path, in_path, camp, compatible, best_len, max_len, max_states, stats,
+            graph, path, in_path, camp, best_len, max_len, max_states, stats,
         );
         path.pop();
         in_path[w.index()] = false;
@@ -247,13 +232,18 @@ mod tests {
     #[test]
     fn figure_1a_u_v_are_sbp_compatible_at_distance_4() {
         let g = figure_1a();
-        let sc = sbp_source(&g, NodeId::new(0), None, 1_000_000);
-        assert!(sc.compatible[5]);
-        assert_eq!(sc.distance[5], Some(4));
+        let (row, _) = sbp_row(&g, NodeId::new(0), None, 1_000_000);
+        assert!(row.is_compatible(5));
+        assert_eq!(row.distance(5), Some(4));
         // x1 (node 1) is a foe of u on every positive path's induced graph:
         // the only paths to it are via the negative edge or via x2 whose
         // induced subgraph contains the unbalanced triangle → incompatible.
-        assert!(!sc.compatible[1]);
+        assert!(!row.is_compatible(1));
+        assert_eq!(row.kind(), CompatibilityKind::Sbp);
+        assert!(
+            (0..row.len()).all(|v| !row.is_mixed(v)),
+            "only SP rows mark mixed nodes"
+        );
     }
 
     #[test]
@@ -266,9 +256,9 @@ mod tests {
             (0, 2, Sign::Positive),
             (2, 1, Sign::Positive),
         ]);
-        let sc = sbp_source(&g, NodeId::new(0), None, 10_000);
-        assert!(!sc.compatible[1]);
-        assert!(sc.compatible[2]);
+        let (row, _) = sbp_row(&g, NodeId::new(0), None, 10_000);
+        assert!(!row.is_compatible(1));
+        assert!(row.is_compatible(2));
     }
 
     #[test]
@@ -276,18 +266,13 @@ mod tests {
         for seed in 0..8 {
             let g = erdos_renyi_signed(9, 16, 0.35, seed);
             for source in g.nodes() {
-                let fast = sbp_source(&g, source, None, 10_000_000);
+                let (fast, _) = sbp_row(&g, source, None, 10_000_000);
                 let brute = brute_force_sbp(&g, source);
-                for v in g.nodes() {
+                for (v, &expected) in brute.iter().enumerate() {
                     assert_eq!(
-                        fast.compatible[v.index()],
-                        brute[v.index()].0,
+                        (fast.is_compatible(v), fast.distance(v)),
+                        expected,
                         "seed {seed} source {source} node {v}"
-                    );
-                    assert_eq!(
-                        fast.distance[v.index()],
-                        brute[v.index()].1,
-                        "seed {seed} source {source} node {v} distance"
                     );
                 }
             }
@@ -303,19 +288,19 @@ mod tests {
             (2, 3, Sign::Positive),
             (3, 4, Sign::Positive),
         ]);
-        let sc = sbp_source(&g, NodeId::new(0), Some(2), 10_000);
-        assert!(sc.compatible[2]);
-        assert!(!sc.compatible[3]);
-        assert_eq!(sc.distance[3], None);
+        let (row, _) = sbp_row(&g, NodeId::new(0), Some(2), 10_000);
+        assert!(row.is_compatible(2));
+        assert!(!row.is_compatible(3));
+        assert_eq!(row.distance(3), None);
     }
 
     #[test]
     fn state_budget_is_reported() {
         let g = erdos_renyi_signed(20, 80, 0.2, 3);
-        let (_sc, stats) = sbp_source_with_stats(&g, NodeId::new(0), None, 10);
+        let (_, stats) = sbp_row(&g, NodeId::new(0), None, 10);
         assert!(stats.budget_exhausted);
         assert!(stats.states_expanded <= 11);
-        let (_sc, stats) = sbp_source_with_stats(&g, NodeId::new(0), Some(3), 1_000_000);
+        let (_, stats) = sbp_row(&g, NodeId::new(0), Some(3), 1_000_000);
         assert!(!stats.budget_exhausted);
     }
 
@@ -324,13 +309,12 @@ mod tests {
         for seed in 0..5 {
             let g = erdos_renyi_signed(12, 30, 0.5, seed);
             for source in g.nodes() {
-                let sc = sbp_source(&g, source, None, 1_000_000);
+                let (row, _) = sbp_row(&g, source, None, 1_000_000);
                 for nb in g.neighbors(source) {
-                    if nb.sign == Sign::Negative {
-                        assert!(!sc.compatible[nb.node.index()]);
-                    } else {
-                        assert!(sc.compatible[nb.node.index()]);
-                    }
+                    assert_eq!(
+                        row.is_compatible(nb.node.index()),
+                        nb.sign == Sign::Positive
+                    );
                 }
             }
         }

@@ -12,7 +12,13 @@
 //! (positive / negative), up to `width` balanced prefixes discovered in BFS
 //! order (so the retained prefixes are shortest-first). `width = 1` is the
 //! paper's heuristic; larger widths increase recall towards exact SBP at a
-//! proportional cost — the `sbph_width` bench quantifies the trade-off.
+//! proportional cost — `Table2Report::sbph_width_sweep` in
+//! `crates/experiments/src/table2.rs` quantifies the trade-off.
+//!
+//! The row is packed while the search runs (`RowPacker`). The search is
+//! FIFO, so prefixes leave the queue in order of length, and the first
+//! positive prefix retained at a node is its shortest: each compatible node
+//! is reached once, at its distance.
 //!
 //! **The saturation cut.** An extension to a neighbour `w` is retained only
 //! if it is balanced *and* `w` still has room in the slot of the extension's
@@ -31,7 +37,8 @@ use signed_graph::csr::CsrGraph;
 use signed_graph::graph::Neighbor;
 use signed_graph::{NodeId, Sign, SignedGraph};
 
-use super::{CompatibilityKind, SourceCompatibility};
+use super::row::RowPacker;
+use super::{CompatRow, CompatibilityKind};
 
 /// One retained balanced prefix: a range of the search's prefix pool
 /// holding the path's nodes with their two-colouring camp, relative to the
@@ -86,20 +93,18 @@ fn extension_camp(adjacency: &[Neighbor], path: &[(NodeId, bool)], w: NodeId) ->
     forced
 }
 
-/// Computes SBPH compatibility from `source` to every node, retaining at most
-/// `width` balanced prefixes per node and per path sign.
-pub fn sbph_source(
+/// The SBPH row of `source`, retaining at most `width` balanced prefixes
+/// per node and per path sign.
+pub(crate) fn sbph_row(
     graph: &SignedGraph,
     csr: &CsrGraph,
     source: NodeId,
     width: usize,
-) -> SourceCompatibility {
+) -> CompatRow {
     let n = graph.node_count();
     let width = width.max(1);
-    let mut compatible = vec![false; n];
-    let mut distance: Vec<Option<u32>> = vec![None; n];
-    compatible[source.index()] = true;
-    distance[source.index()] = Some(0);
+    let mut row = RowPacker::new(source, CompatibilityKind::Sbph, n, false);
+    row.reach(source.index(), true, 0, false);
 
     // stored[v][sign as usize] = number of prefixes retained at v with that sign.
     let mut stored = vec![[0usize; 2]; n];
@@ -132,31 +137,20 @@ pub fn sbph_source(
                 start,
                 end: pool.len(),
             };
-            if !w_camp {
-                // Positive balanced path found.
-                compatible[w.index()] = true;
-                let len = next.len();
-                distance[w.index()] = Some(match distance[w.index()] {
-                    Some(existing) => existing.min(len),
-                    None => len,
-                });
+            if !w_camp && stored[w.index()][0] == 1 {
+                // w's first positive balanced prefix, and so its shortest.
+                row.reach(w.index(), true, next.len(), false);
             }
             queue.push_back(next);
         }
     }
-
-    SourceCompatibility {
-        source,
-        kind: CompatibilityKind::Sbph,
-        compatible,
-        distance,
-    }
+    row.finish()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::compat::sbp::sbp_source;
+    use crate::compat::sbp::sbp_row;
     use signed_graph::builder::from_edge_triples;
     use signed_graph::generators::erdos_renyi_signed;
 
@@ -179,11 +173,15 @@ mod tests {
     #[test]
     fn heuristic_finds_the_figure_1a_balanced_path() {
         let g = figure_1a();
-        let sc = sbph_source(&g, &csr(&g), NodeId::new(0), 1);
-        assert!(sc.compatible[5]);
-        assert_eq!(sc.distance[5], Some(4));
-        assert!(!sc.compatible[1]);
-        assert_eq!(sc.kind, CompatibilityKind::Sbph);
+        let row = sbph_row(&g, &csr(&g), NodeId::new(0), 1);
+        assert!(row.is_compatible(5));
+        assert_eq!(row.distance(5), Some(4));
+        assert!(!row.is_compatible(1));
+        assert_eq!(row.kind(), CompatibilityKind::Sbph);
+        assert!(
+            (0..row.len()).all(|v| !row.is_mixed(v)),
+            "only SP rows mark mixed nodes"
+        );
     }
 
     #[test]
@@ -192,19 +190,19 @@ mod tests {
             let g = erdos_renyi_signed(12, 28, 0.35, seed);
             let c = csr(&g);
             for source in g.nodes() {
-                let exact = sbp_source(&g, source, None, 1_000_000);
+                let (exact, _) = sbp_row(&g, source, None, 1_000_000);
                 for width in [1usize, 2, 4] {
-                    let heur = sbph_source(&g, &c, source, width);
-                    for v in g.nodes() {
-                        if heur.compatible[v.index()] {
+                    let heur = sbph_row(&g, &c, source, width);
+                    for v in 0..g.node_count() {
+                        if heur.is_compatible(v) {
                             assert!(
-                                exact.compatible[v.index()],
+                                exact.is_compatible(v),
                                 "seed {seed} source {source} node {v} width {width}: \
                                  heuristic claims compatibility the exact relation denies"
                             );
                             // Heuristic distance can never beat the exact one.
                             assert!(
-                                heur.distance[v.index()] >= exact.distance[v.index()],
+                                heur.distance(v) >= exact.distance(v),
                                 "heuristic found a shorter balanced path than exact"
                             );
                         }
@@ -220,15 +218,10 @@ mod tests {
             let g = erdos_renyi_signed(14, 35, 0.3, seed);
             let c = csr(&g);
             for source in g.nodes().take(5) {
-                let narrow = sbph_source(&g, &c, source, 1);
-                let wide = sbph_source(&g, &c, source, 4);
-                for v in g.nodes() {
-                    if narrow.compatible[v.index()] {
-                        assert!(
-                            wide.compatible[v.index()],
-                            "widening lost a compatible pair"
-                        );
-                    }
+                let narrow = sbph_row(&g, &c, source, 1);
+                let wide = sbph_row(&g, &c, source, 4);
+                for v in narrow.iter_compatible() {
+                    assert!(wide.is_compatible(v), "widening lost a compatible pair");
                 }
             }
         }
@@ -240,11 +233,11 @@ mod tests {
             let g = erdos_renyi_signed(15, 40, 0.4, seed);
             let c = csr(&g);
             for source in g.nodes() {
-                let sc = sbph_source(&g, &c, source, 1);
+                let row = sbph_row(&g, &c, source, 1);
                 for nb in g.neighbors(source) {
                     match nb.sign {
-                        Sign::Positive => assert!(sc.compatible[nb.node.index()]),
-                        Sign::Negative => assert!(!sc.compatible[nb.node.index()]),
+                        Sign::Positive => assert!(row.is_compatible(nb.node.index())),
+                        Sign::Negative => assert!(!row.is_compatible(nb.node.index())),
                     }
                 }
             }
@@ -270,13 +263,11 @@ mod tests {
             (4, 5, Sign::Positive),
             (5, 6, Sign::Positive),
         ]);
-        let exact = sbp_source(&g, NodeId::new(0), None, 100_000);
-        assert!(exact.compatible[6]);
-        let heur = sbph_source(&g, &csr(&g), NodeId::new(0), 1);
-        for v in g.nodes() {
-            if heur.compatible[v.index()] {
-                assert!(exact.compatible[v.index()]);
-            }
+        let (exact, _) = sbp_row(&g, NodeId::new(0), None, 100_000);
+        assert!(exact.is_compatible(6));
+        let heur = sbph_row(&g, &csr(&g), NodeId::new(0), 1);
+        for v in heur.iter_compatible() {
+            assert!(exact.is_compatible(v));
         }
     }
 }

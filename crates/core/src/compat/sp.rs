@@ -26,7 +26,7 @@ use signed_graph::{NodeId, Sign};
 use std::collections::VecDeque;
 
 use super::row::LaneWidth;
-use super::{CompatRow, CompatibilityKind, SourceCompatibility};
+use super::{CompatRow, CompatibilityKind};
 
 /// Sentinel distance for unreachable nodes.
 pub const UNREACHABLE: u32 = u32::MAX;
@@ -98,52 +98,18 @@ pub fn signed_bfs(csr: &CsrGraph, source: NodeId) -> SignedBfsCounts {
     }
 }
 
-/// Derives an SP-family [`SourceCompatibility`] from Algorithm 1 counts.
+/// Packs Algorithm 1 counts straight into an SP-family [`CompatRow`]:
 ///
 /// * SPA: every shortest path is positive (`N⁻ = 0`, `N⁺ > 0`).
 /// * SPM: at least as many positive as negative shortest paths.
 /// * SPO: at least one positive shortest path.
 ///
 /// Nodes unreachable from the source are incompatible (the paper assumes a
-/// connected graph, so this only matters for defensive completeness).
-/// The relation distance is the shortest-path length `L(x)`.
-pub fn source_from_counts(
-    source: NodeId,
-    kind: CompatibilityKind,
-    counts: &SignedBfsCounts,
-) -> SourceCompatibility {
-    debug_assert!(matches!(
-        kind,
-        CompatibilityKind::Spa | CompatibilityKind::Spm | CompatibilityKind::Spo
-    ));
-    let n = counts.dist.len();
-    let mut compatible = vec![false; n];
-    let mut distance = vec![None; n];
-    for v in 0..n {
-        let d = counts.dist[v];
-        if d == UNREACHABLE {
-            continue;
-        }
-        distance[v] = Some(d);
-        if v == source.index() {
-            compatible[v] = true;
-            continue;
-        }
-        compatible[v] = sp_compatible(kind, counts.positive[v], counts.negative[v]);
-    }
-    SourceCompatibility {
-        source,
-        kind,
-        compatible,
-        distance,
-    }
-}
-
-/// Packs Algorithm 1 counts straight into an SP-family [`CompatRow`], with
-/// the same bits and distances as [`source_from_counts`] plus each node's
-/// mixed flag (both `N⁺ > 0` and `N⁻ > 0`). The flag and the compatibility
-/// bit together give the node's sign class, which SPA/SPO repair re-derives
-/// after a sign flip (see [`super::repair`]).
+/// connected graph, so this only matters for defensive completeness). Every
+/// reachable node, compatible or not, carries its shortest-path length
+/// `L(x)`, and its mixed flag says whether both `N⁺ > 0` and `N⁻ > 0`. The
+/// flag and the compatibility bit together give the node's sign class,
+/// which SPA/SPO repair re-derives after a sign flip (see [`super::repair`]).
 pub(crate) fn row_from_counts(
     source: NodeId,
     kind: CompatibilityKind,
@@ -181,7 +147,7 @@ fn sp_compatible(kind: CompatibilityKind, pos: u64, neg: u64) -> bool {
 
 /// Brute-force enumeration of all shortest paths between `source` and every
 /// node, returning `(positive, negative, length)` triples. Exponential; used
-/// only by tests to validate [`signed_bfs`] on small graphs.
+/// only by tests, to validate [`signed_bfs`] and the SP rows on small graphs.
 pub fn brute_force_shortest_path_counts(
     g: &signed_graph::SignedGraph,
     source: NodeId,
@@ -263,16 +229,20 @@ mod tests {
     fn relations_disagree_exactly_as_defined() {
         let g = two_path_square();
         let counts = signed_bfs(&csr(&g), NodeId::new(0));
-        let spa = source_from_counts(NodeId::new(0), CompatibilityKind::Spa, &counts);
-        let spm = source_from_counts(NodeId::new(0), CompatibilityKind::Spm, &counts);
-        let spo = source_from_counts(NodeId::new(0), CompatibilityKind::Spo, &counts);
+        let row = |kind| row_from_counts(NodeId::new(0), kind, &counts);
+        let (spa, spm, spo) = (
+            row(CompatibilityKind::Spa),
+            row(CompatibilityKind::Spm),
+            row(CompatibilityKind::Spo),
+        );
         // Node 3: one positive and one negative shortest path.
-        assert!(!spa.compatible[3]);
-        assert!(spm.compatible[3]); // tie counts as majority (≥)
-        assert!(spo.compatible[3]);
-        // Distances are the BFS level.
-        assert_eq!(spa.distance[3], Some(2));
-        assert_eq!(spo.distance[1], Some(1));
+        assert!(!spa.is_compatible(3));
+        assert!(spm.is_compatible(3)); // tie counts as majority (≥)
+        assert!(spo.is_compatible(3));
+        assert!(spa.is_mixed(3) && !spa.is_mixed(1));
+        // Distances are the BFS level, compatible or not.
+        assert_eq!(spa.distance(3), Some(2));
+        assert_eq!(spo.distance(1), Some(1));
     }
 
     #[test]
@@ -284,10 +254,10 @@ mod tests {
             CompatibilityKind::Spm,
             CompatibilityKind::Spo,
         ] {
-            let sc = source_from_counts(NodeId::new(0), kind, &counts);
-            assert!(!sc.compatible[2]);
-            assert!(!sc.compatible[3]);
-            assert_eq!(sc.distance[2], None);
+            let row = row_from_counts(NodeId::new(0), kind, &counts);
+            assert!(!row.is_compatible(2));
+            assert!(!row.is_compatible(3));
+            assert_eq!(row.distance(2), None);
         }
     }
 
@@ -300,8 +270,9 @@ mod tests {
             CompatibilityKind::Spm,
             CompatibilityKind::Spo,
         ] {
-            let sc = source_from_counts(NodeId::new(0), kind, &counts);
-            assert!(!sc.compatible[1], "{kind}");
+            let row = row_from_counts(NodeId::new(0), kind, &counts);
+            assert!(!row.is_compatible(1), "{kind}");
+            assert_eq!(row.distance(1), Some(1), "{kind}");
         }
     }
 
@@ -330,7 +301,7 @@ mod tests {
     fn mean_compatible_distance_helper() {
         let g = two_path_square();
         let counts = signed_bfs(&csr(&g), NodeId::new(0));
-        let spo = source_from_counts(NodeId::new(0), CompatibilityKind::Spo, &counts);
+        let spo = row_from_counts(NodeId::new(0), CompatibilityKind::Spo, &counts);
         // Compatible: 1 (d=1), 2 (d=1), 3 (d=2) → mean 4/3.
         assert_eq!(spo.compatible_count(), 4); // includes the source
         let mean = spo.mean_compatible_distance().unwrap();

@@ -12,52 +12,10 @@ use signed_graph::traversal::{bfs_distances_csr, UNREACHABLE};
 use signed_graph::{NodeId, Sign, SignedGraph};
 
 use super::row::LaneWidth;
-use super::{CompatRow, CompatibilityKind, SourceCompatibility};
-use crate::distance;
+use super::{CompatRow, CompatibilityKind};
 
-/// Direct Positive Edge compatibility from one source: compatible with the
-/// source's positive neighbours only; the distance of a compatible pair is 1.
-pub fn dpe_source(graph: &SignedGraph, source: NodeId) -> SourceCompatibility {
-    let n = graph.node_count();
-    let mut compatible = vec![false; n];
-    let mut dist = vec![None; n];
-    compatible[source.index()] = true;
-    dist[source.index()] = Some(0);
-    for nb in graph.neighbors(source) {
-        if nb.sign == Sign::Positive {
-            compatible[nb.node.index()] = true;
-            dist[nb.node.index()] = Some(1);
-        }
-    }
-    SourceCompatibility {
-        source,
-        kind: CompatibilityKind::Dpe,
-        compatible,
-        distance: dist,
-    }
-}
-
-/// No Negative Edge compatibility from one source: compatible with every
-/// node except the source's negative neighbours. The distance is the
-/// unsigned shortest-path length (the paper's NNE distance definition).
-pub fn nne_source(graph: &SignedGraph, csr: &CsrGraph, source: NodeId) -> SourceCompatibility {
-    let n = graph.node_count();
-    let mut compatible = vec![true; n];
-    for nb in graph.neighbors(source) {
-        if nb.sign == Sign::Negative {
-            compatible[nb.node.index()] = false;
-        }
-    }
-    let dist = distance::unsigned_distances_csr(csr, source);
-    SourceCompatibility {
-        source,
-        kind: CompatibilityKind::Nne,
-        compatible,
-        distance: dist,
-    }
-}
-
-/// The DPE row of `source`, packed straight from its adjacency.
+/// The DPE row of `source`, packed straight from its adjacency: compatible
+/// with the source's positive neighbours only, at distance 1.
 pub(crate) fn dpe_row(graph: &SignedGraph, source: NodeId) -> CompatRow {
     let s = source.index();
     // Distances 0 and 1 always fit 4-bit codes.
@@ -74,7 +32,9 @@ pub(crate) fn dpe_row(graph: &SignedGraph, source: NodeId) -> CompatRow {
 }
 
 /// The NNE row of `source`, packed straight from one unsigned BFS and the
-/// source's negative edges.
+/// source's negative edges: compatible with every node except the source's
+/// negative neighbours, at the unsigned shortest-path length (the paper's
+/// NNE distance).
 pub(crate) fn nne_row(graph: &SignedGraph, csr: &CsrGraph, source: NodeId) -> CompatRow {
     let dist = bfs_distances_csr(csr, source);
     let reached = dist.iter().copied().filter(|&d| d != UNREACHABLE);
@@ -94,7 +54,13 @@ pub(crate) fn nne_row(graph: &SignedGraph, csr: &CsrGraph, source: NodeId) -> Co
 mod tests {
     use super::*;
     use signed_graph::builder::from_edge_triples;
-    use signed_graph::csr::CsrGraph;
+
+    /// The row's compatibility bits and distances, node by node.
+    fn unpack(row: &CompatRow) -> (Vec<bool>, Vec<Option<u32>>) {
+        (0..row.len())
+            .map(|v| (row.is_compatible(v), row.distance(v)))
+            .unzip()
+    }
 
     fn star() -> SignedGraph {
         // 0 is the hub: +1 to 1, -1 to 2; 1-3 positive.
@@ -108,29 +74,47 @@ mod tests {
     #[test]
     fn dpe_only_positive_neighbors() {
         let g = star();
-        let sc = dpe_source(&g, NodeId::new(0));
-        assert_eq!(sc.kind, CompatibilityKind::Dpe);
-        assert_eq!(sc.compatible, vec![true, true, false, false]);
-        assert_eq!(sc.distance, vec![Some(0), Some(1), None, None]);
+        let row = dpe_row(&g, NodeId::new(0));
+        assert_eq!(row.kind(), CompatibilityKind::Dpe);
+        assert!(
+            (0..row.len()).all(|v| !row.is_mixed(v)),
+            "only SP rows mark mixed nodes"
+        );
+        assert_eq!(
+            unpack(&row),
+            (
+                vec![true, true, false, false],
+                vec![Some(0), Some(1), None, None]
+            )
+        );
     }
 
     #[test]
     fn nne_excludes_only_foes() {
         let g = star();
         let csr = CsrGraph::from_graph(&g);
-        let sc = nne_source(&g, &csr, NodeId::new(0));
-        assert_eq!(sc.kind, CompatibilityKind::Nne);
-        assert_eq!(sc.compatible, vec![true, true, false, true]);
+        let row = nne_row(&g, &csr, NodeId::new(0));
+        assert_eq!(row.kind(), CompatibilityKind::Nne);
+        assert!(
+            (0..row.len()).all(|v| !row.is_mixed(v)),
+            "only SP rows mark mixed nodes"
+        );
         // NNE distance ignores signs.
-        assert_eq!(sc.distance, vec![Some(0), Some(1), Some(1), Some(2)]);
+        assert_eq!(
+            unpack(&row),
+            (
+                vec![true, true, false, true],
+                vec![Some(0), Some(1), Some(1), Some(2)]
+            )
+        );
     }
 
     #[test]
     fn nne_from_leaf_sees_everyone() {
         let g = star();
         let csr = CsrGraph::from_graph(&g);
-        let sc = nne_source(&g, &csr, NodeId::new(3));
-        assert!(sc.compatible.iter().all(|&c| c));
-        assert_eq!(sc.distance[2], Some(3));
+        let row = nne_row(&g, &csr, NodeId::new(3));
+        assert_eq!(row.compatible_count(), 4);
+        assert_eq!(row.distance(2), Some(3));
     }
 }

@@ -84,7 +84,6 @@
 #![warn(missing_docs)]
 
 pub mod compat;
-pub mod distance;
 pub mod error;
 pub mod skill_compat;
 pub mod team;

@@ -36,7 +36,7 @@ fn arb_graph() -> impl Strategy<Value = SignedGraph> {
 /// legitimately need not hold, so those assertions are skipped.
 fn sbp_search_complete(g: &SignedGraph, cfg: &EngineConfig) -> bool {
     !g.nodes().any(|s| {
-        tfsn_core::compat::sbp::sbp_source_with_stats(g, s, None, cfg.sbp_max_states)
+        tfsn_core::compat::sbp::sbp_row(g, s, None, cfg.sbp_max_states)
             .1
             .budget_exhausted
     })
@@ -286,113 +286,102 @@ fn paper_figure_1a_example() {
 }
 
 // ---------------------------------------------------------------------------
-// Bit-packed rows (CompatRow) vs the legacy unpacked representation.
+// Bit-packed rows (CompatRow) read back node by node.
 // ---------------------------------------------------------------------------
 
+/// A row as the definition oracles below give it: each node's
+/// compatibility bit and distance.
+type Facts = Vec<(bool, Option<u32>)>;
+
+/// Reads a packed row back node by node.
+fn unpack(row: &tfsn_core::compat::CompatRow) -> Facts {
+    (0..row.len())
+        .map(|v| (row.is_compatible(v), row.distance(v)))
+        .collect()
+}
+
+/// The lane bytes of a row over `facts` at 4-bit and at 8-bit codes:
+/// `⌈n/2⌉ + 8·#{d > 13}` against `n + 8·#{d > 253}`.
+fn lane_costs(facts: &Facts) -> (usize, usize) {
+    let entry = std::mem::size_of::<(u32, u16)>();
+    let past = |inline: u32| {
+        facts
+            .iter()
+            .filter(|(_, d)| d.is_some_and(|d| d > inline))
+            .count()
+    };
+    let n = facts.len();
+    (n.div_ceil(2) + past(13) * entry, n + past(253) * entry)
+}
+
+/// The code width the width rule gives a row over `facts`: the one that
+/// packs it into fewer bytes, 4-bit on a tie.
+fn width_rule_bits(facts: &Facts) -> u32 {
+    let (nibble, byte) = lane_costs(facts);
+    if nibble <= byte {
+        4
+    } else {
+        8
+    }
+}
+
 /// The pre-bit-packing symmetric closure over unpacked rows, kept here as
-/// the reference the packed matrix must reproduce.
-fn legacy_symmetrize(rows: &mut [tfsn_core::compat::SourceCompatibility]) {
+/// the reference the packed closure must reproduce: a pair is compatible if
+/// either direction found it, at the smaller defined distance.
+fn legacy_symmetrize(rows: &mut [Facts]) {
     let n = rows.len();
-    for u in 0..n {
-        for v in (u + 1)..n {
-            let c = rows[u].compatible[v] || rows[v].compatible[u];
-            let d = match (rows[u].distance[v], rows[v].distance[u]) {
-                (Some(a), Some(b)) => Some(a.min(b)),
-                (a, b) => a.or(b),
-            };
-            rows[u].compatible[v] = c;
-            rows[u].distance[v] = d;
-            rows[v].compatible[u] = c;
-            rows[v].distance[u] = d;
-        }
+    for (u, v) in (0..n).flat_map(|u| (u + 1..n).map(move |v| (u, v))) {
+        let ((cu, du), (cv, dv)) = (rows[u][v], rows[v][u]);
+        let d = match (du, dv) {
+            (Some(a), Some(b)) => Some(a.min(b)),
+            (a, b) => a.or(b),
+        };
+        rows[u][v] = (cu || cv, d);
+        rows[v][u] = (cu || cv, d);
+    }
+}
+
+/// `source`'s row of `kind` from its definition oracle; the exact SBP
+/// oracle searches without a path-length bound or a state budget.
+fn oracle_row(g: &SignedGraph, source: NodeId, kind: CompatibilityKind) -> Facts {
+    let [dpe, nne] = definition_rows(g, source);
+    let [spa, spm, spo] = sp_definition_rows(g, source);
+    match kind {
+        CompatibilityKind::Dpe => dpe,
+        CompatibilityKind::Spa => spa,
+        CompatibilityKind::Spm => spm,
+        CompatibilityKind::Spo => spo,
+        CompatibilityKind::Sbph => reference_sbph(g, source, EngineConfig::default().sbph_width),
+        CompatibilityKind::Sbp => tfsn_core::compat::sbp::brute_force_sbp(g, source),
+        CompatibilityKind::Nne => nne,
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// One packed row answers exactly like the unpacked per-source
-    /// computation it was built from — compatibility bits, defined
-    /// distances, and the unreachable sentinel — for every evaluated kind,
-    /// and unpacks back to the identical legacy row.
-    #[test]
-    fn packed_row_matches_legacy_row(g in arb_graph()) {
-        use signed_graph::csr::CsrGraph;
-        use tfsn_core::compat::{compute_row, compute_source, CompatRow};
-        let csr = CsrGraph::from_graph(&g);
-        let cfg = EngineConfig::default();
-        for kind in CompatibilityKind::EVALUATED {
-            for source in g.nodes() {
-                let legacy = compute_source(&g, &csr, source, kind, &cfg);
-                let packed = CompatRow::from_source(&legacy);
-                prop_assert_eq!(packed.len(), g.node_count());
-                prop_assert_eq!(
-                    packed.compatible_count(),
-                    legacy.compatible.iter().filter(|&&c| c).count()
-                );
-                for v in 0..g.node_count() {
-                    prop_assert_eq!(
-                        packed.is_compatible(v),
-                        legacy.compatible[v],
-                        "{} bit({}, {})", kind, source, v
-                    );
-                    prop_assert_eq!(
-                        packed.distance(v),
-                        legacy.distance[v],
-                        "{} distance({}, {})", kind, source, v
-                    );
-                    if legacy.distance[v].is_none() {
-                        prop_assert_eq!(
-                            packed.raw_distance(v),
-                            tfsn_core::compat::UNREACHABLE_DISTANCE
-                        );
-                    }
-                }
-                // Out-of-range probes are incompatible/undefined, as before.
-                prop_assert!(!packed.is_compatible(g.node_count()));
-                prop_assert_eq!(packed.distance(g.node_count()), None);
-                prop_assert_eq!(packed.to_source(), legacy.clone());
-                // The direct row builders pack the same relation.
-                prop_assert_eq!(
-                    compute_row(&g, &csr, source, kind, &cfg).to_source(),
-                    legacy
-                );
-            }
-        }
-    }
-
     /// The packed matrix (which symmetrises only the asymmetric kinds and
-    /// stores bitset + `u16` rows) expresses exactly the relation the
-    /// legacy pipeline (unpack every row, symmetrise everything) produced.
+    /// stores bitset + distance-code rows) expresses exactly the relation
+    /// the legacy pipeline produced: every source's definition row, with
+    /// every kind symmetrised.
     #[test]
     fn packed_matrix_matches_legacy_closure(g in arb_graph()) {
-        use signed_graph::csr::CsrGraph;
-        use tfsn_core::compat::compute_source;
-        let csr = CsrGraph::from_graph(&g);
         let cfg = EngineConfig::default();
         for kind in CompatibilityKind::EVALUATED {
             let matrix = CompatibilityMatrix::build_with_config(&g, kind, &cfg);
-            let mut legacy: Vec<_> = g
-                .nodes()
-                .map(|v| compute_source(&g, &csr, v, kind, &cfg))
-                .collect();
-            legacy_symmetrize(&mut legacy);
+            let mut oracle: Vec<Facts> = g.nodes().map(|v| oracle_row(&g, v, kind)).collect();
+            legacy_symmetrize(&mut oracle);
             for u in g.nodes() {
                 for v in g.nodes() {
-                    let expected = u == v || legacy[u.index()].compatible[v.index()];
+                    let (c, d) = oracle[u.index()][v.index()];
                     prop_assert_eq!(
                         matrix.compatible(u, v),
-                        expected,
+                        u == v || c,
                         "{} compatible({}, {})", kind, u, v
                     );
-                    let expected_d = if u == v {
-                        Some(0)
-                    } else {
-                        legacy[u.index()].distance[v.index()]
-                    };
                     prop_assert_eq!(
                         matrix.distance(u, v),
-                        expected_d,
+                        if u == v { Some(0) } else { d },
                         "{} distance({}, {})", kind, u, v
                     );
                 }
@@ -470,17 +459,12 @@ fn row_bytes_matches_real_heap_footprint() {
                 "{nodes} nodes: accounted bytes must equal struct + heap payload"
             );
             assert_eq!(row.words().len(), nodes.div_ceil(64));
-            let distances = row.to_source().distance;
-            let past = |inline: u32| {
-                distances
-                    .iter()
-                    .filter(|d| d.is_some_and(|d| d > inline))
-                    .count()
-            };
-            let nibble = nodes.div_ceil(2) + past(13) * entry;
-            let byte = nodes + past(253) * entry;
-            assert_eq!(bits, if nibble <= byte { 4 } else { 8 }, "{nodes} nodes");
-            assert_eq!(row.side_table_len(), past(if bits == 4 { 13 } else { 253 }));
+            let facts = unpack(row);
+            assert_eq!(row.code_bits(), width_rule_bits(&facts), "{nodes} nodes");
+            let inline = if bits == 4 { 13 } else { 253 };
+            let past = facts.iter().filter(|(_, d)| d.is_some_and(|d| d > inline));
+            assert_eq!(row.side_table_len(), past.count());
+            let (nibble, byte) = lane_costs(&facts);
             assert_eq!(
                 row_bytes(row),
                 estimated_row_bytes(nodes) - nodes.div_ceil(2) + nibble.min(byte)
@@ -537,7 +521,7 @@ fn arb_long_tree() -> impl Strategy<Value = SignedGraph> {
 /// the source plus its positive neighbours, at distance 1. NNE: everyone
 /// but the source's negative neighbours, at the unsigned shortest-path
 /// distance, from a textbook BFS over the adjacency lists.
-fn definition_rows(g: &SignedGraph, source: NodeId) -> [tfsn_core::compat::SourceCompatibility; 2] {
+fn definition_rows(g: &SignedGraph, source: NodeId) -> [Facts; 2] {
     let n = g.node_count();
     let s = source.index();
     let mut dpe_compatible = vec![false; n];
@@ -567,33 +551,24 @@ fn definition_rows(g: &SignedGraph, source: NodeId) -> [tfsn_core::compat::Sourc
         }
     }
     [
-        tfsn_core::compat::SourceCompatibility {
-            source,
-            kind: CompatibilityKind::Dpe,
-            compatible: dpe_compatible,
-            distance: dpe_distance,
-        },
-        tfsn_core::compat::SourceCompatibility {
-            source,
-            kind: CompatibilityKind::Nne,
-            compatible: nne_compatible,
-            distance: nne_distance,
-        },
+        dpe_compatible.into_iter().zip(dpe_distance).collect(),
+        nne_compatible.into_iter().zip(nne_distance).collect(),
     ]
 }
 
 /// Checks every DPE and NNE row of `g` against [`definition_rows`]: the
-/// direct row builders, the packed layout of the definition itself, and
-/// rows fetched (and evicted) through a two-row-budget store. Returns the
+/// direct row builders, their code widths against the width rule, and rows
+/// fetched (and evicted) through a two-row-budget store. Returns the
 /// distance code widths the rows took.
 fn check_definition_oracles(g: &SignedGraph) -> std::collections::BTreeSet<u32> {
     use signed_graph::csr::CsrGraph;
     use std::sync::Arc;
-    use tfsn_core::compat::{compute_row, estimated_row_bytes, CompatRow, LazyCompatibility};
+    use tfsn_core::compat::{compute_row, estimated_row_bytes, LazyCompatibility};
     let csr = CsrGraph::from_graph(g);
     let cfg = EngineConfig::default();
     let n = g.node_count();
-    let stores = [CompatibilityKind::Dpe, CompatibilityKind::Nne].map(|kind| {
+    let kinds = [CompatibilityKind::Dpe, CompatibilityKind::Nne];
+    let stores = kinds.map(|kind| {
         LazyCompatibility::with_budget(
             Arc::new(g.clone()),
             kind,
@@ -603,18 +578,16 @@ fn check_definition_oracles(g: &SignedGraph) -> std::collections::BTreeSet<u32> 
     });
     let mut widths = std::collections::BTreeSet::new();
     for source in g.nodes() {
-        for (oracle, store) in definition_rows(g, source).into_iter().zip(&stores) {
-            let kind = oracle.kind;
+        let oracles = kinds.into_iter().zip(definition_rows(g, source));
+        for ((kind, oracle), store) in oracles.zip(&stores) {
             let row = compute_row(g, &csr, source, kind, &cfg);
-            assert_eq!(row.to_source(), oracle, "{kind} row {source}");
-            let packed = CompatRow::from_source(&oracle);
-            assert_eq!(row.code_bits(), packed.code_bits(), "{kind} row {source}");
-            assert_eq!(row, packed, "{kind} row {source}");
+            assert_eq!(unpack(&row), oracle, "{kind} row {source}");
             assert_eq!(
-                store.source(source).to_source(),
-                oracle,
-                "{kind} stored row {source}"
+                row.code_bits(),
+                width_rule_bits(&oracle),
+                "{kind} row {source}"
             );
+            assert_eq!(*store.source(source), row, "{kind} stored row {source}");
             widths.insert(row.code_bits());
         }
     }
@@ -641,6 +614,75 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
+// SPA, SPM and SPO against the enumerated shortest paths (§3).
+// ---------------------------------------------------------------------------
+
+/// The SPA, SPM and SPO rows of `source`, from the positive and negative
+/// shortest paths `sp::brute_force_shortest_path_counts` enumerates: SPA
+/// iff N⁻ = 0 and N⁺ > 0, SPM iff N⁺ ≥ N⁻ and N⁺ > 0, SPO iff N⁺ > 0. A
+/// reachable node, compatible or not, is at its BFS level; an unreachable
+/// node is incompatible and has no distance.
+fn sp_definition_rows(g: &SignedGraph, source: NodeId) -> [Facts; 3] {
+    let paths = tfsn_core::compat::sp::brute_force_shortest_path_counts(g, source);
+    let row = |compatible: fn(u64, u64) -> bool| -> Facts {
+        paths
+            .iter()
+            .map(|&(pos, neg, level)| match level {
+                u32::MAX => (false, None),
+                _ => (compatible(pos, neg), Some(level)),
+            })
+            .collect()
+    };
+    [
+        row(|pos, neg| neg == 0 && pos > 0),
+        row(|pos, neg| pos >= neg && pos > 0),
+        row(|pos, _| pos > 0),
+    ]
+}
+
+/// Checks every SPA, SPM and SPO row of `g` against
+/// [`sp_definition_rows`]: bits, distances, and the code width the width
+/// rule gives those distances. Returns the code widths the rows took.
+fn check_sp_definitions(g: &SignedGraph) -> std::collections::BTreeSet<u32> {
+    use signed_graph::csr::CsrGraph;
+    use tfsn_core::compat::compute_row;
+    let csr = CsrGraph::from_graph(g);
+    let cfg = EngineConfig::default();
+    let kinds = [
+        CompatibilityKind::Spa,
+        CompatibilityKind::Spm,
+        CompatibilityKind::Spo,
+    ];
+    let mut widths = std::collections::BTreeSet::new();
+    for source in g.nodes() {
+        for (kind, oracle) in kinds.into_iter().zip(sp_definition_rows(g, source)) {
+            let row = compute_row(g, &csr, source, kind, &cfg);
+            assert_eq!(unpack(&row), oracle, "{kind} row {source}");
+            assert_eq!(
+                row.code_bits(),
+                width_rule_bits(&oracle),
+                "{kind} row {source}"
+            );
+            widths.insert(row.code_bits());
+        }
+    }
+    widths
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(oracle_cases()))]
+
+    /// SPA, SPM and SPO rows equal their definitions over the enumerated
+    /// shortest paths, from every source of small connected graphs and of
+    /// long trees, where some rows pack 8-bit codes.
+    #[test]
+    fn sp_rows_match_their_definitions(g in arb_graph(), tree in arb_long_tree()) {
+        check_sp_definitions(&g);
+        prop_assert!(check_sp_definitions(&tree).contains(&8));
+    }
+}
+
+// ---------------------------------------------------------------------------
 // SBPH against a transcription of the paper's prefix search (§3).
 // ---------------------------------------------------------------------------
 
@@ -651,11 +693,7 @@ proptest! {
 /// `width` prefixes of its sign already end at its endpoint (the trivial
 /// prefix counts as the source's first positive one). A positive prefix
 /// makes its endpoint compatible at the prefix's length.
-fn reference_sbph(
-    g: &SignedGraph,
-    source: NodeId,
-    width: usize,
-) -> tfsn_core::compat::SourceCompatibility {
+fn reference_sbph(g: &SignedGraph, source: NodeId, width: usize) -> Facts {
     let n = g.node_count();
     let mut compatible = vec![false; n];
     let mut distance: Vec<Option<u32>> = vec![None; n];
@@ -691,20 +729,16 @@ fn reference_sbph(
             queue.push_back(path);
         }
     }
-    tfsn_core::compat::SourceCompatibility {
-        source,
-        kind: CompatibilityKind::Sbph,
-        compatible,
-        distance,
-    }
+    compatible.into_iter().zip(distance).collect()
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(oracle_cases()))]
 
-    /// `sbph_source` returns exactly the transcription's relation, at the
-    /// paper's width 1 and at width 2, on small connected graphs, dense
-    /// graphs and long trees.
+    /// SBPH rows hold exactly the transcription's relation, at the paper's
+    /// width 1 and at width 2, on small connected graphs, dense graphs and
+    /// long trees, each at the code width the width rule gives its
+    /// distances.
     #[test]
     fn sbph_matches_definition_oracle(
         g in arb_graph(),
@@ -712,16 +746,16 @@ proptest! {
         tree in arb_long_tree(),
     ) {
         use signed_graph::csr::CsrGraph;
-        use tfsn_core::compat::sbph::sbph_source;
+        use tfsn_core::compat::compute_row;
         for graph in [&g, &dense, &tree] {
             let csr = CsrGraph::from_graph(graph);
             for width in [1, 2] {
+                let cfg = EngineConfig { sbph_width: width, ..EngineConfig::default() };
                 for source in graph.nodes() {
-                    prop_assert_eq!(
-                        sbph_source(graph, &csr, source, width),
-                        reference_sbph(graph, source, width),
-                        "source {} width {}", source, width
-                    );
+                    let row = compute_row(graph, &csr, source, CompatibilityKind::Sbph, &cfg);
+                    let oracle = reference_sbph(graph, source, width);
+                    prop_assert_eq!(unpack(&row), oracle.clone(), "source {} width {}", source, width);
+                    prop_assert_eq!(row.code_bits(), width_rule_bits(&oracle));
                 }
             }
         }
@@ -789,7 +823,7 @@ fn check_filled_rows(g: &SignedGraph) {
             .nodes()
             .map(|s| compute_row(g, &csr, s, kind, &cfg))
             .collect();
-        let mut closed: Vec<_> = per_source.iter().map(CompatRow::to_source).collect();
+        let mut closed: Vec<Facts> = per_source.iter().map(unpack).collect();
         legacy_symmetrize(&mut closed);
         for threads in [1, 3] {
             let filled = CompatibilityMatrix::build_parallel(g, kind, &cfg, threads);
@@ -800,10 +834,13 @@ fn check_filled_rows(g: &SignedGraph) {
                 if per_source_symmetric(kind) {
                     assert_eq!(row, reference, "{at}");
                 }
-                assert_eq!(&row.to_source(), closed, "{at}");
+                assert_eq!(&unpack(row), closed, "{at}");
                 assert_eq!(row.code_bits(), reference.code_bits(), "{at}");
                 let inline = if row.code_bits() == 4 { 13 } else { 253 };
-                let side = closed.distance.iter().flatten().filter(|&&d| d > inline);
+                let side = closed
+                    .iter()
+                    .filter_map(|&(_, d)| d)
+                    .filter(|&d| d > inline);
                 let side = side.count();
                 assert_eq!(row.side_table_len(), side, "{at}");
                 assert_eq!(

@@ -7,7 +7,7 @@
 use signed_graph::csr::CsrGraph;
 use signed_graph::NodeId;
 use tfsn_core::compat::sp::signed_bfs;
-use tfsn_core::compat::{compute_source, CompatibilityKind, EngineConfig};
+use tfsn_core::compat::{compute_row, CompatibilityKind, EngineConfig};
 
 fn main() {
     let dataset = tfsn_datasets::slashdot();
@@ -46,12 +46,18 @@ fn main() {
         CompatibilityKind::Nne,
     ]
     .iter()
-    .map(|&k| (k, compute_source(graph, &csr, q, k, &engine)))
+    .map(|&k| (k, compute_row(graph, &csr, q, k, &engine)))
     .collect();
     for &v in order.iter().take(15) {
         let verdicts: Vec<String> = views
             .iter()
-            .map(|(k, sc)| format!("{}={}", k.label(), if sc.compatible[v] { "✓" } else { "✗" }))
+            .map(|(k, row)| {
+                format!(
+                    "{}={}",
+                    k.label(),
+                    if row.is_compatible(v) { "✓" } else { "✗" }
+                )
+            })
             .collect();
         println!(
             "{:>6} {:>5} {:>8} {:>8}  {}",
@@ -65,12 +71,12 @@ fn main() {
 
     // Summary per relation.
     println!("\nPer-relation summary from node {query}:");
-    for (kind, sc) in &views {
+    for (kind, row) in &views {
         println!(
             "  {:>4}: {:>3} compatible users, mean distance {}",
             kind.label(),
-            sc.compatible_count() - 1,
-            sc.mean_compatible_distance()
+            row.compatible_count() - 1,
+            row.mean_compatible_distance()
                 .map(|d| format!("{d:.2}"))
                 .unwrap_or_else(|| "–".into())
         );
