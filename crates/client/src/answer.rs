@@ -12,7 +12,7 @@
 //! the heuristic found none), `"uncoverable"` (some skill has no holder),
 //! or `"budget_exceeded"` (the exact solver refused the instance size).
 
-use serde::{Deserialize, Error as SerdeError, Serialize, Value};
+use serde::{Deserialize, Error as SerdeError, JsonWriter, Serialize, Value};
 use tfsn_core::compat::CompatibilityKind;
 use tfsn_core::TfsnError;
 
@@ -120,36 +120,27 @@ impl TeamAnswer {
 }
 
 impl Serialize for TeamAnswer {
-    fn to_value(&self) -> Value {
-        let mut m: Vec<(String, Value)> = Vec::new();
+    fn serialize(&self, w: &mut JsonWriter<'_>) {
+        let mut m = w.object();
         if let Some(id) = self.id {
-            m.push(("id".to_string(), Value::UInt(id)));
+            m.field("id", &id);
         }
-        m.push((
-            "status".to_string(),
-            Value::Str(self.status.label().to_string()),
-        ));
-        m.push((
-            "kind".to_string(),
-            Value::Str(self.kind.label().to_string()),
-        ));
-        m.push(("algorithm".to_string(), Value::Str(self.algorithm.clone())));
-        m.push(("members".to_string(), self.members.to_value()));
-        m.push((
-            "cardinality".to_string(),
-            Value::UInt(self.cardinality as u64),
-        ));
-        m.push(("diameter".to_string(), self.diameter.to_value()));
-        m.push(("micros".to_string(), Value::UInt(self.micros)));
-        m.push(("build_micros".to_string(), Value::UInt(self.build_micros)));
-        m.push(("cache_hit".to_string(), Value::Bool(self.cache_hit)));
+        m.field("status", self.status.label());
+        m.field("kind", self.kind.label());
+        m.field("algorithm", &self.algorithm);
+        m.field("members", &self.members);
+        m.field("cardinality", &self.cardinality);
+        m.field("diameter", &self.diameter);
+        m.field("micros", &self.micros);
+        m.field("build_micros", &self.build_micros);
+        m.field("cache_hit", &self.cache_hit);
         // Objective fields appear only for objective-carrying queries, so
         // legacy (no-objective) answers stay byte-identical.
         if let Some(objective) = &self.objective {
-            m.push(("objective".to_string(), Value::Str(objective.clone())));
-            m.push(("score".to_string(), self.score.to_value()));
+            m.field("objective", objective);
+            m.field("score", &self.score);
         }
-        Value::Map(m)
+        m.end();
     }
 }
 

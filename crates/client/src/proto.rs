@@ -34,7 +34,7 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Error as SerdeError, Serialize, Value};
+use serde::{Deserialize, Error as SerdeError, JsonWriter, Serialize, Value};
 use signed_graph::{EdgeMutation, NodeId, Sign};
 use tfsn_core::compat::CompatibilityKind;
 use tfsn_datasets::DatasetStats;
@@ -477,53 +477,64 @@ pub fn sign_label(sign: Sign) -> &'static str {
     }
 }
 
-/// The bare wire object of one mutation — the exact shape
+/// Writes the bare wire object of one mutation — the exact shape
 /// [`parse_mutation_value`] accepts, and therefore one `tfsn mutate` JSONL
 /// line or a `POST /v1/mutate` body. The engine's write-ahead log (its
 /// `wal` module) frames these same objects, so a WAL export *is* a
 /// replayable mutation stream.
-pub fn mutation_value(mutation: &EdgeMutation) -> Value {
-    let mut m: Vec<(String, Value)> =
-        vec![("op".to_string(), Value::Str(mutation.op().to_string()))];
+fn write_mutation(w: &mut JsonWriter<'_>, mutation: &EdgeMutation) {
+    let mut m = w.object();
+    m.field("op", mutation.op());
     let (u, v) = mutation.endpoints();
-    m.push(("u".to_string(), Value::UInt(u.index() as u64)));
-    m.push(("v".to_string(), Value::UInt(v.index() as u64)));
+    m.field("u", &u.index());
+    m.field("v", &v.index());
     match *mutation {
         EdgeMutation::Insert { sign, .. } | EdgeMutation::SetSign { sign, .. } => {
-            m.push(("sign".to_string(), Value::Str(sign_label(sign).to_string())));
+            m.field("sign", sign_label(sign));
         }
         EdgeMutation::Remove { .. } => {}
     }
-    Value::Map(m)
+    m.end();
 }
 
-/// [`mutation_value`] as compact JSON text (one JSONL line, no newline).
+/// Writes an array of mutation wire objects.
+fn write_mutations(w: &mut JsonWriter<'_>, mutations: &[EdgeMutation]) {
+    let mut a = w.array();
+    for mutation in mutations {
+        a.element_with(|w| write_mutation(w, mutation));
+    }
+    a.end();
+}
+
+/// One mutation's bare wire object as compact JSON text (one JSONL line,
+/// no newline).
 pub fn mutation_json(mutation: &EdgeMutation) -> String {
-    serde_json::to_string(&mutation_value(mutation))
-        .expect("mutation wire objects always serialize")
+    let mut out = String::new();
+    write_mutation(&mut JsonWriter::compact(&mut out), mutation);
+    out
 }
 
 /// The wire object of one mutation *group* — the payload of a batched
-/// write-ahead-log record:
+/// write-ahead-log record — as compact JSON text:
 ///
 /// ```json
 /// {"op": "mutate_batch", "mutations": [{"op": "edge_insert", "u": 1,
 ///  "v": 2, "sign": "+"}, {"op": "edge_remove", "u": 3, "v": 4}]}
 /// ```
-pub fn mutation_batch_value(mutations: &[EdgeMutation]) -> Value {
-    Value::Map(vec![
-        ("op".to_string(), Value::Str("mutate_batch".to_string())),
-        (
-            "mutations".to_string(),
-            Value::Seq(mutations.iter().map(mutation_value).collect()),
-        ),
-    ])
+pub fn mutation_batch_json(mutations: &[EdgeMutation]) -> String {
+    let mut out = String::new();
+    let mut w = JsonWriter::compact(&mut out);
+    let mut m = w.object();
+    m.field("op", "mutate_batch");
+    m.field_with("mutations", |w| write_mutations(w, mutations));
+    m.end();
+    out
 }
 
-/// [`mutation_batch_value`] as compact JSON text.
-pub fn mutation_batch_json(mutations: &[EdgeMutation]) -> String {
-    serde_json::to_string(&mutation_batch_value(mutations))
-        .expect("mutation wire objects always serialize")
+/// [`mutation_batch_json`] parsed back into a [`Value`] tree, for callers
+/// that edit the object before sending it.
+pub fn mutation_batch_value(mutations: &[EdgeMutation]) -> Value {
+    serde_json::parse_value(&mutation_batch_json(mutations)).expect("the encoder writes valid JSON")
 }
 
 /// Parses one write-ahead-log record payload: either a single bare
@@ -546,66 +557,54 @@ pub fn parse_mutation_group_json(json: &str) -> Result<Vec<EdgeMutation>, Servic
 }
 
 impl Serialize for Request {
-    fn to_value(&self) -> Value {
-        let mut m: Vec<(String, Value)> = vec![
-            (
-                "version".to_string(),
-                Value::UInt(u64::from(PROTOCOL_VERSION)),
-            ),
-            ("op".to_string(), Value::Str(self.body.op().to_string())),
-        ];
+    fn serialize(&self, w: &mut JsonWriter<'_>) {
+        let mut m = w.object();
+        m.field("version", &PROTOCOL_VERSION);
+        m.field("op", self.body.op());
         if let Some(d) = &self.deployment {
-            m.push(("deployment".to_string(), Value::Str(d.clone())));
+            m.field("deployment", d);
         }
         if let Some(ms) = self.deadline_ms {
-            m.push(("deadline_ms".to_string(), Value::UInt(ms)));
+            m.field("deadline_ms", &ms);
         }
         match &self.body {
             RequestBody::Query { query, timing } => {
                 if !timing {
-                    m.push(("timing".to_string(), Value::Bool(false)));
+                    m.field("timing", &false);
                 }
-                m.push(("query".to_string(), query.to_value()));
+                m.field("query", query);
             }
             RequestBody::Batch { queries, timing } => {
                 if !timing {
-                    m.push(("timing".to_string(), Value::Bool(false)));
+                    m.field("timing", &false);
                 }
-                m.push(("queries".to_string(), queries.to_value()));
+                m.field("queries", queries);
             }
-            RequestBody::Warm { kinds } => {
-                m.push(("kinds".to_string(), kinds_value(kinds)));
-            }
+            RequestBody::Warm { kinds } => m.field_with("kinds", |w| write_kinds(w, kinds)),
             RequestBody::Stats
             | RequestBody::Metrics
             | RequestBody::Telemetry
             | RequestBody::Deployments => {}
             RequestBody::WalPull { from_seq, max } => {
-                m.push(("from_seq".to_string(), Value::UInt(*from_seq)));
+                m.field("from_seq", from_seq);
                 if let Some(max) = max {
-                    m.push(("max".to_string(), Value::UInt(*max)));
+                    m.field("max", max);
                 }
             }
             RequestBody::EdgeInsert { u, v, sign } | RequestBody::EdgeSetSign { u, v, sign } => {
-                m.push(("u".to_string(), Value::UInt(*u as u64)));
-                m.push(("v".to_string(), Value::UInt(*v as u64)));
-                m.push((
-                    "sign".to_string(),
-                    Value::Str(sign_label(*sign).to_string()),
-                ));
+                m.field("u", u);
+                m.field("v", v);
+                m.field("sign", sign_label(*sign));
             }
             RequestBody::EdgeRemove { u, v } => {
-                m.push(("u".to_string(), Value::UInt(*u as u64)));
-                m.push(("v".to_string(), Value::UInt(*v as u64)));
+                m.field("u", u);
+                m.field("v", v);
             }
             RequestBody::MutateBatch { mutations } => {
-                m.push((
-                    "mutations".to_string(),
-                    Value::Seq(mutations.iter().map(mutation_value).collect()),
-                ));
+                m.field_with("mutations", |w| write_mutations(w, mutations));
             }
         }
-        Value::Map(m)
+        m.end();
     }
 }
 
@@ -727,16 +726,15 @@ pub struct MutationOutcome {
 }
 
 impl Serialize for MutationOutcome {
-    fn to_value(&self) -> Value {
-        let mut m: Vec<(String, Value)> = vec![
-            ("mutation".to_string(), Value::Str(self.mutation.clone())),
-            ("applied".to_string(), Value::Bool(self.applied)),
-            ("changed".to_string(), Value::Bool(self.changed)),
-        ];
+    fn serialize(&self, w: &mut JsonWriter<'_>) {
+        let mut m = w.object();
+        m.field("mutation", &self.mutation);
+        m.field("applied", &self.applied);
+        m.field("changed", &self.changed);
         if let Some(e) = &self.error {
-            m.push(("error".to_string(), e.to_value()));
+            m.field("error", e);
         }
-        Value::Map(m)
+        m.end();
     }
 }
 
@@ -936,41 +934,35 @@ impl Response {
 }
 
 impl Serialize for Response {
-    fn to_value(&self) -> Value {
-        let mut m: Vec<(String, Value)> = vec![
-            (
-                "version".to_string(),
-                Value::UInt(u64::from(PROTOCOL_VERSION)),
-            ),
-            ("op".to_string(), Value::Str(self.op().to_string())),
-        ];
+    fn serialize(&self, w: &mut JsonWriter<'_>) {
+        let mut m = w.object();
+        m.field("version", &PROTOCOL_VERSION);
+        m.field("op", self.op());
         match self {
-            Response::Answer(a) => m.push(("answer".to_string(), a.to_value())),
-            Response::Batch(answers) => m.push(("answers".to_string(), answers.to_value())),
+            Response::Answer(a) => m.field("answer", a),
+            Response::Batch(answers) => m.field("answers", answers),
             Response::Warmed {
                 deployment,
                 kinds,
                 micros,
             } => {
-                m.push(("deployment".to_string(), Value::Str(deployment.clone())));
-                m.push(("kinds".to_string(), kinds_value(kinds)));
-                m.push(("micros".to_string(), Value::UInt(*micros)));
+                m.field("deployment", deployment);
+                m.field_with("kinds", |w| write_kinds(w, kinds));
+                m.field("micros", micros);
             }
             Response::Stats(stats) => {
-                // Flatten the two stats sections into the envelope so the
+                // The stats sections sit in the envelope itself, so the
                 // payload matches the CLI `stats` output shape.
-                if let Value::Map(fields) = stats.to_value() {
-                    m.extend(fields);
-                }
+                m.field("dataset", &stats.dataset);
+                m.field("serving", &stats.serving);
+                m.field("replicated_seq", &stats.replicated_seq);
             }
             Response::Metrics { deployments, total } => {
-                m.push(("deployments".to_string(), deployments.to_value()));
-                m.push(("total".to_string(), total.to_value()));
+                m.field("deployments", deployments);
+                m.field("total", total);
             }
-            Response::Telemetry { deployments } => {
-                m.push(("deployments".to_string(), deployments.to_value()));
-            }
-            Response::Deployments(infos) => m.push(("deployments".to_string(), infos.to_value())),
+            Response::Telemetry { deployments } => m.field("deployments", deployments),
+            Response::Deployments(infos) => m.field("deployments", infos),
             Response::WalRecords {
                 deployment,
                 from_seq,
@@ -978,14 +970,11 @@ impl Serialize for Response {
                 end_seq,
                 records,
             } => {
-                m.push(("deployment".to_string(), Value::Str(deployment.clone())));
-                m.push(("from_seq".to_string(), Value::UInt(*from_seq)));
-                m.push(("next_seq".to_string(), Value::UInt(*next_seq)));
-                m.push(("end_seq".to_string(), Value::UInt(*end_seq)));
-                m.push((
-                    "records".to_string(),
-                    Value::Seq(records.iter().map(mutation_value).collect()),
-                ));
+                m.field("deployment", deployment);
+                m.field("from_seq", from_seq);
+                m.field("next_seq", next_seq);
+                m.field("end_seq", end_seq);
+                m.field_with("records", |w| write_mutations(w, records));
             }
             Response::Mutated {
                 deployment,
@@ -996,16 +985,13 @@ impl Serialize for Response {
                 edges,
                 micros,
             } => {
-                m.push(("deployment".to_string(), Value::Str(deployment.clone())));
-                m.push(("mutation".to_string(), Value::Str(mutation.clone())));
-                m.push(("changed".to_string(), Value::Bool(*changed)));
-                m.push((
-                    "rows_invalidated".to_string(),
-                    Value::UInt(*rows_invalidated),
-                ));
-                m.push(("downgraded".to_string(), kinds_value(downgraded)));
-                m.push(("edges".to_string(), Value::UInt(*edges)));
-                m.push(("micros".to_string(), Value::UInt(*micros)));
+                m.field("deployment", deployment);
+                m.field("mutation", mutation);
+                m.field("changed", changed);
+                m.field("rows_invalidated", rows_invalidated);
+                m.field_with("downgraded", |w| write_kinds(w, downgraded));
+                m.field("edges", edges);
+                m.field("micros", micros);
             }
             Response::MutatedBatch {
                 deployment,
@@ -1016,20 +1002,17 @@ impl Serialize for Response {
                 edges,
                 micros,
             } => {
-                m.push(("deployment".to_string(), Value::Str(deployment.clone())));
-                m.push(("outcomes".to_string(), outcomes.to_value()));
-                m.push((
-                    "rows_invalidated".to_string(),
-                    Value::UInt(*rows_invalidated),
-                ));
-                m.push(("rows_repaired".to_string(), Value::UInt(*rows_repaired)));
-                m.push(("downgraded".to_string(), kinds_value(downgraded)));
-                m.push(("edges".to_string(), Value::UInt(*edges)));
-                m.push(("micros".to_string(), Value::UInt(*micros)));
+                m.field("deployment", deployment);
+                m.field("outcomes", outcomes);
+                m.field("rows_invalidated", rows_invalidated);
+                m.field("rows_repaired", rows_repaired);
+                m.field_with("downgraded", |w| write_kinds(w, downgraded));
+                m.field("edges", edges);
+                m.field("micros", micros);
             }
-            Response::Error(e) => m.push(("error".to_string(), e.to_value())),
+            Response::Error(e) => m.field("error", e),
         }
-        Value::Map(m)
+        m.end();
     }
 }
 
@@ -1275,43 +1258,37 @@ impl ServiceError {
 }
 
 impl Serialize for ServiceError {
-    fn to_value(&self) -> Value {
-        let mut m: Vec<(String, Value)> =
-            vec![("code".to_string(), Value::Str(self.code().to_string()))];
+    fn serialize(&self, w: &mut JsonWriter<'_>) {
+        let mut m = w.object();
+        m.field("code", self.code());
         match self {
             ServiceError::UnsupportedVersion {
                 requested,
                 supported,
             } => {
-                m.push(("requested".to_string(), Value::UInt(*requested)));
-                m.push(("supported".to_string(), Value::UInt(u64::from(*supported))));
+                m.field("requested", requested);
+                m.field("supported", supported);
             }
             ServiceError::UnknownDeployment { name, available } => {
-                m.push(("deployment".to_string(), Value::Str(name.clone())));
-                m.push(("available".to_string(), available.to_value()));
+                m.field("deployment", name);
+                m.field("available", available);
             }
-            ServiceError::UnknownOp { op } => {
-                m.push(("op".to_string(), Value::Str(op.clone())));
-            }
-            ServiceError::TooLarge { limit_bytes } => {
-                m.push(("limit_bytes".to_string(), Value::UInt(*limit_bytes)));
-            }
+            ServiceError::UnknownOp { op } => m.field("op", op),
+            ServiceError::TooLarge { limit_bytes } => m.field("limit_bytes", limit_bytes),
             ServiceError::Overloaded { max_connections } => {
-                m.push(("max_connections".to_string(), Value::UInt(*max_connections)));
+                m.field("max_connections", max_connections);
             }
-            ServiceError::DeadlineExceeded { deadline_ms } => {
-                m.push(("deadline_ms".to_string(), Value::UInt(*deadline_ms)));
-            }
+            ServiceError::DeadlineExceeded { deadline_ms } => m.field("deadline_ms", deadline_ms),
             ServiceError::NoBackend { deployment, role } => {
-                m.push(("deployment".to_string(), Value::Str(deployment.clone())));
-                m.push(("role".to_string(), Value::Str(role.clone())));
+                m.field("deployment", deployment);
+                m.field("role", role);
             }
             // `message` (below) doubles as the detail for bad_request and
             // internal; for the other codes it is derived display text.
             ServiceError::BadRequest { .. } | ServiceError::Internal { .. } => {}
         }
-        m.push(("message".to_string(), Value::Str(self.to_string())));
-        Value::Map(m)
+        m.field("message", &self.to_string());
+        m.end();
     }
 }
 
@@ -1367,13 +1344,12 @@ impl fmt::Display for ServiceError {
 impl std::error::Error for ServiceError {}
 
 /// Kind lists travel as arrays of the paper's short labels (`"SPA"`, …).
-fn kinds_value(kinds: &[CompatibilityKind]) -> Value {
-    Value::Seq(
-        kinds
-            .iter()
-            .map(|k| Value::Str(k.label().to_string()))
-            .collect(),
-    )
+fn write_kinds(w: &mut JsonWriter<'_>, kinds: &[CompatibilityKind]) {
+    let mut a = w.array();
+    for kind in kinds {
+        a.element(kind.label());
+    }
+    a.end();
 }
 
 /// Parses an optional kind-label array; `name` is the field being parsed
@@ -1483,6 +1459,142 @@ mod tests {
             let json = serde_json::to_string(&resp).unwrap();
             assert!(json.contains(err.code()), "{json}");
             assert_eq!(Response::parse_json(&json).unwrap(), resp);
+            let bare = serde_json::to_string(&err).unwrap();
+            assert_eq!(serde_json::from_str::<ServiceError>(&bare).unwrap(), err);
+        }
+    }
+
+    #[test]
+    fn every_response_variant_round_trips() {
+        let answer = |id: u64, objective: Option<&str>| TeamAnswer {
+            id: Some(id),
+            status: crate::AnswerStatus::Ok,
+            kind: CompatibilityKind::Spa,
+            algorithm: "LCMD".to_string(),
+            members: vec![3, 17, 40],
+            cardinality: 3,
+            diameter: Some(2),
+            micros: 184,
+            build_micros: 9,
+            cache_hit: true,
+            objective: objective.map(str::to_string),
+            score: objective.map(|_| 1500),
+        };
+        let no_team = TeamAnswer {
+            id: None,
+            status: crate::AnswerStatus::NoTeam,
+            members: Vec::new(),
+            cardinality: 0,
+            diameter: None,
+            cache_hit: false,
+            score: None,
+            ..answer(0, Some("synergy"))
+        };
+        let stats = DeploymentStats {
+            dataset: DatasetStats {
+                name: "slashdot".to_string(),
+                users: 1443,
+                edges: 6892,
+                negative_edges: 1606,
+                negative_percentage: 23.3,
+                diameter: 9,
+                diameter_exact: true,
+                skills: 40,
+                mean_skills_per_user: 2.5,
+            },
+            serving: ServingPlan {
+                mode: "auto".to_string(),
+                memory_budget_bytes: Some(1 << 20),
+                tier: "rows".to_string(),
+                estimated_matrix_bytes: 1_734_486,
+                estimated_row_bytes: 1202,
+                budget_resident_rows: Some(872),
+            },
+            replicated_seq: Some(12),
+        };
+        let outcome = |error: Option<ServiceError>| MutationOutcome {
+            mutation: "edge_insert".to_string(),
+            applied: error.is_none(),
+            changed: error.is_none(),
+            error,
+        };
+        let responses = [
+            Response::Answer(answer(7, None)),
+            Response::Batch(vec![answer(1, Some("min_team")), no_team]),
+            Response::Warmed {
+                deployment: "sd".to_string(),
+                kinds: vec![CompatibilityKind::Spa, CompatibilityKind::Nne],
+                micros: 5,
+            },
+            Response::Stats(stats),
+            Response::Metrics {
+                deployments: vec![DeploymentMetrics {
+                    deployment: "sd".to_string(),
+                    metrics: MetricsSnapshot {
+                        queries_served: 4,
+                        query_p50_micros: Some(12),
+                        ..MetricsSnapshot::default()
+                    },
+                }],
+                total: MetricsSnapshot::default(),
+            },
+            Response::Telemetry {
+                deployments: Vec::new(),
+            },
+            Response::Deployments(vec![DeploymentInfo {
+                name: "sd".to_string(),
+                default: true,
+                loaded: false,
+                users: None,
+                edges: None,
+                skills: None,
+                tier: Some("rows".to_string()),
+            }]),
+            Response::WalRecords {
+                deployment: "sd".to_string(),
+                from_seq: 0,
+                next_seq: 1,
+                end_seq: 1,
+                records: vec![EdgeMutation::SetSign {
+                    u: NodeId::new(4),
+                    v: NodeId::new(5),
+                    sign: Sign::Positive,
+                }],
+            },
+            Response::Mutated {
+                deployment: "sd".to_string(),
+                mutation: "edge_remove".to_string(),
+                changed: true,
+                rows_invalidated: 3,
+                downgraded: vec![CompatibilityKind::Sbp],
+                edges: 6891,
+                micros: 41,
+            },
+            Response::MutatedBatch {
+                deployment: "sd".to_string(),
+                outcomes: vec![
+                    outcome(None),
+                    outcome(Some(ServiceError::BadRequest {
+                        detail: "edge (1, 2) already exists".to_string(),
+                    })),
+                ],
+                rows_invalidated: 0,
+                rows_repaired: 9,
+                downgraded: Vec::new(),
+                edges: 6893,
+                micros: 77,
+            },
+            Response::Error(ServiceError::Overloaded { max_connections: 8 }),
+        ];
+        let ops: std::collections::BTreeSet<_> = responses.iter().map(Response::op).collect();
+        assert_eq!(ops.len(), 11, "one fixture per variant");
+        for resp in responses {
+            for json in [
+                serde_json::to_string(&resp).unwrap(),
+                serde_json::to_string_pretty(&resp).unwrap(),
+            ] {
+                assert_eq!(Response::parse_json(&json).unwrap(), resp, "{json}");
+            }
         }
     }
 

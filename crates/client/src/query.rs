@@ -22,7 +22,7 @@
 //! The serde impls are hand-written (rather than derived) so the wire format
 //! uses the paper's short labels instead of Rust enum structure.
 
-use serde::{Deserialize, Error as SerdeError, Serialize, Value};
+use serde::{Deserialize, Error as SerdeError, JsonWriter, Serialize, Value};
 use tfsn_core::compat::CompatibilityKind;
 use tfsn_core::team::greedy::GreedyConfig;
 use tfsn_core::team::policies::TeamAlgorithm;
@@ -82,29 +82,29 @@ impl TeamQuery {
     }
 }
 
-/// Serializes an [`Objective`] to its wire form: a bare label for the
+/// Writes an [`Objective`] in its wire form: a bare label for the
 /// parameterless objectives, an object (`kind` + constraint fields, `None`s
 /// omitted) for the constrained one.
-pub fn objective_to_value(objective: &Objective) -> Value {
+fn write_objective(w: &mut JsonWriter<'_>, objective: &Objective) {
     match objective {
-        Objective::MinTeam | Objective::Synergy => Value::Str(objective.label().to_string()),
+        Objective::MinTeam | Objective::Synergy => w.str(objective.label()),
         Objective::Constrained {
             include,
             max_size,
             max_distance,
         } => {
-            let mut m: Vec<(String, Value)> =
-                vec![("kind".to_string(), Value::Str("constrained".to_string()))];
+            let mut m = w.object();
+            m.field("kind", "constrained");
             if !include.is_empty() {
-                m.push(("include".to_string(), include.to_value()));
+                m.field("include", include);
             }
             if let Some(k) = max_size {
-                m.push(("max_size".to_string(), Value::UInt(*k as u64)));
+                m.field("max_size", k);
             }
             if let Some(d) = max_distance {
-                m.push(("max_distance".to_string(), Value::UInt(u64::from(*d))));
+                m.field("max_distance", d);
             }
-            Value::Map(m)
+            m.end();
         }
     }
 }
@@ -189,47 +189,33 @@ pub fn objective_from_value(v: &Value) -> Result<Objective, SerdeError> {
 }
 
 impl Serialize for TeamQuery {
-    fn to_value(&self) -> Value {
-        let mut m: Vec<(String, Value)> = Vec::new();
+    fn serialize(&self, w: &mut JsonWriter<'_>) {
+        let mut m = w.object();
         if let Some(id) = self.id {
-            m.push(("id".to_string(), Value::UInt(id)));
+            m.field("id", &id);
         }
-        m.push((
-            "kind".to_string(),
-            Value::Str(self.kind.label().to_string()),
-        ));
+        m.field("kind", self.kind.label());
         match &self.solver {
             Solver::Greedy { algorithm, config } => {
-                m.push((
-                    "algorithm".to_string(),
-                    Value::Str(algorithm.label().to_string()),
-                ));
+                m.field("algorithm", algorithm.label());
                 let defaults = GreedyConfig::default();
                 if config.max_seeds != defaults.max_seeds {
-                    m.push(("max_seeds".to_string(), config.max_seeds.to_value()));
+                    m.field("max_seeds", &config.max_seeds);
                 }
                 if config.skill_degree_cap != defaults.skill_degree_cap {
-                    m.push((
-                        "skill_degree_cap".to_string(),
-                        config.skill_degree_cap.to_value(),
-                    ));
+                    m.field("skill_degree_cap", &config.skill_degree_cap);
                 }
                 if config.random_seed != defaults.random_seed {
-                    m.push(("random_seed".to_string(), Value::UInt(config.random_seed)));
+                    m.field("random_seed", &config.random_seed);
                 }
             }
-            Solver::Exhaustive => {
-                m.push((
-                    "algorithm".to_string(),
-                    Value::Str("EXHAUSTIVE".to_string()),
-                ));
-            }
+            Solver::Exhaustive => m.field("algorithm", "EXHAUSTIVE"),
         }
         if let Some(objective) = &self.objective {
-            m.push(("objective".to_string(), objective_to_value(objective)));
+            m.field_with("objective", |w| write_objective(w, objective));
         }
-        m.push(("task".to_string(), self.task.to_value()));
-        Value::Map(m)
+        m.field("task", &self.task);
+        m.end();
     }
 }
 

@@ -101,14 +101,7 @@ fn dfs(
         return;
     }
     let last = *path.last().expect("path is never empty");
-    // Collect neighbour candidates first to avoid holding the adjacency
-    // borrow across the recursive call.
-    let neighbors: Vec<(NodeId, Sign)> = graph
-        .neighbors(last)
-        .iter()
-        .map(|nb| (nb.node, nb.sign))
-        .collect();
-    for (w, _edge_sign) in neighbors {
+    for w in graph.neighbors(last).iter().map(|nb| nb.node) {
         if in_path[w.index()] {
             continue;
         }

@@ -595,8 +595,9 @@ fn acceptor_loop(listener: &TcpListener, core: &Arc<RouterCore>, stop: &Arc<Rout
         }
         let stream = match listener.accept() {
             Ok((stream, _)) => {
-                // Same reason as the server's acceptor: a proxied reply is
-                // relayed in small writes, and Nagle would stall each one
+                // Same reason as the server's acceptor: a relayed reply
+                // leaves in one write, but the `100 Continue` interim reply
+                // is a second small segment, and Nagle would stall it
                 // behind the client's delayed ACK.
                 let _ = stream.set_nodelay(true);
                 stream

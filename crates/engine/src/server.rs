@@ -65,7 +65,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use serde::Serialize;
+use serde::{JsonWriter, Serialize};
 
 use crate::failpoint;
 use crate::proto::{Request, RequestBody, Response, ServiceError};
@@ -442,9 +442,10 @@ fn worker_loop(
         let stream = match listener.accept() {
             Ok((stream, _)) => {
                 backoff.reset();
-                // Responses are written head-then-body; without nodelay,
-                // Nagle holds the second small segment until the client's
-                // delayed ACK (~40ms) — fatal for keep-alive round trips.
+                // A response leaves in one write, but the `100 Continue`
+                // interim reply and a multi-chunk batch stream still send
+                // several small segments per exchange; without nodelay,
+                // Nagle holds each until the client's delayed ACK (~40ms).
                 let _ = stream.set_nodelay(true);
                 stream
             }
@@ -530,7 +531,7 @@ fn read_head_line(reader: &mut BufReader<TcpStream>) -> std::io::Result<HeadLine
             return Ok(if line.is_empty() {
                 HeadLine::Eof
             } else {
-                HeadLine::Line(String::from_utf8_lossy(&line).into_owned())
+                HeadLine::Line(line_text(line))
             });
         }
         match buf.iter().position(|&b| b == b'\n') {
@@ -545,7 +546,7 @@ fn read_head_line(reader: &mut BufReader<TcpStream>) -> std::io::Result<HeadLine
                 if line.last() == Some(&b'\r') {
                     line.pop();
                 }
-                return Ok(HeadLine::Line(String::from_utf8_lossy(&line).into_owned()));
+                return Ok(HeadLine::Line(line_text(line)));
             }
             None => {
                 let take = buf.len();
@@ -558,6 +559,12 @@ fn read_head_line(reader: &mut BufReader<TcpStream>) -> std::io::Result<HeadLine
             }
         }
     }
+}
+
+/// A head line's bytes as text, converted in place when they are UTF-8
+/// (copied, with invalid bytes replaced, only when they are not).
+fn line_text(line: Vec<u8>) -> String {
+    String::from_utf8(line).unwrap_or_else(|e| String::from_utf8_lossy(e.as_bytes()).into_owned())
 }
 
 /// Decodes `%XX` escapes and `+`-as-space in one URL query component, so
@@ -760,14 +767,13 @@ impl HttpResponse {
     }
 
     pub(crate) fn json(status: u16, value: &impl Serialize) -> Self {
-        let mut body = serde_json::to_string(value)
-            .unwrap_or_else(|_| "{}".to_string())
-            .into_bytes();
-        body.push(b'\n');
+        let mut body = String::with_capacity(JSON_BODY_CAPACITY);
+        value.serialize(&mut JsonWriter::compact(&mut body));
+        body.push('\n');
         HttpResponse {
             status,
             content_type: "application/json",
-            body,
+            body: body.into_bytes(),
             headers: Vec::new(),
         }
     }
@@ -909,20 +915,36 @@ fn handle_connection(
 /// waste the wire on framing).
 const CHUNK_FLUSH_BYTES: usize = 32 << 10;
 
-/// A `Write` sink that frames everything written through it as HTTP/1.1
-/// chunked transfer coding. The response head is committed lazily, on the
-/// first flushed chunk — so an error *before any output* (say a bad query
-/// on line 1) can still become a clean status-coded response.
-struct ChunkedWriter<'a> {
-    inner: &'a mut TcpStream,
-    /// The response head, written ahead of the first chunk (`None` once
-    /// sent).
+/// Room for a response head (or a chunk's framing) beside its body in the
+/// one write.
+const HEAD_CAPACITY: usize = 160;
+
+/// Starting capacity of a JSON response body: one answer fits without a
+/// regrowth.
+const JSON_BODY_CAPACITY: usize = 256;
+
+/// A `Write` sink that frames everything written through it as an HTTP/1.1
+/// chunked `200` of JSONL. The response head is committed lazily, on the
+/// first sent chunk — so an error *before any output* (say a bad query on
+/// line 1) can still become a clean status-coded response. Each chunk
+/// leaves in one write of the socket, the pending head included, and
+/// [`ChunkedWriter::finish`] adds the terminal chunk to the last one: a
+/// body under [`CHUNK_FLUSH_BYTES`] is a single write.
+struct ChunkedWriter<W: Write> {
+    inner: W,
+    /// The response head, sent with the first chunk (`None` once sent).
     head: Option<String>,
+    /// The pending chunk's payload.
     buf: Vec<u8>,
 }
 
-impl<'a> ChunkedWriter<'a> {
-    fn new(inner: &'a mut TcpStream, head: String) -> Self {
+impl<W: Write> ChunkedWriter<W> {
+    fn new(inner: W, close: bool) -> Self {
+        let head = format!(
+            "HTTP/1.1 200 OK\r\nContent-Type: application/x-ndjson\r\n\
+             Transfer-Encoding: chunked\r\nConnection: {}\r\n\r\n",
+            if close { "close" } else { "keep-alive" },
+        );
         ChunkedWriter {
             inner,
             head: Some(head),
@@ -935,45 +957,50 @@ impl<'a> ChunkedWriter<'a> {
         self.head.is_none()
     }
 
-    fn flush_chunk(&mut self) -> std::io::Result<()> {
-        if self.buf.is_empty() {
+    /// Sends the pending chunk, preceded by the head while that is still
+    /// pending; `last` appends the terminal zero-length chunk. One write.
+    fn send(&mut self, last: bool) -> std::io::Result<()> {
+        if self.buf.is_empty() && !last {
             return Ok(());
         }
+        let mut frame = Vec::with_capacity(HEAD_CAPACITY + self.buf.len());
         if let Some(head) = self.head.take() {
-            self.inner.write_all(head.as_bytes())?;
+            frame.extend_from_slice(head.as_bytes());
         }
-        write!(self.inner, "{:x}\r\n", self.buf.len())?;
-        self.inner.write_all(&self.buf)?;
-        self.inner.write_all(b"\r\n")?;
-        self.buf.clear();
-        Ok(())
+        if !self.buf.is_empty() {
+            write!(frame, "{:x}\r\n", self.buf.len())?;
+            frame.extend_from_slice(&self.buf);
+            frame.extend_from_slice(b"\r\n");
+            self.buf.clear();
+        }
+        if last {
+            frame.extend_from_slice(b"0\r\n\r\n");
+        }
+        self.inner.write_all(&frame)
     }
 
-    /// Emits the head (even for an empty body) and the terminal
-    /// zero-length chunk. Skipping this (the mid-stream error path) leaves
-    /// the body visibly truncated to the client.
+    /// Sends the head (even for an empty body), the pending chunk and the
+    /// terminal zero-length chunk. Skipping this (the mid-stream error
+    /// path) leaves the body visibly truncated to the client.
     fn finish(mut self) -> std::io::Result<()> {
-        self.flush_chunk()?;
-        if let Some(head) = self.head.take() {
-            self.inner.write_all(head.as_bytes())?;
-        }
-        self.inner.write_all(b"0\r\n\r\n")?;
+        self.send(true)?;
         self.inner.flush()
     }
 }
 
-impl Write for ChunkedWriter<'_> {
+impl<W: Write> Write for ChunkedWriter<W> {
     fn write(&mut self, data: &[u8]) -> std::io::Result<usize> {
         self.buf.extend_from_slice(data);
         if self.buf.len() >= CHUNK_FLUSH_BYTES {
-            self.flush_chunk()?;
+            self.send(false)?;
         }
         Ok(data.len())
     }
 
+    /// Leaves the pending chunk buffered: it leaves with the terminal chunk
+    /// in [`ChunkedWriter::finish`]'s one write.
     fn flush(&mut self) -> std::io::Result<()> {
-        self.flush_chunk()?;
-        self.inner.flush()
+        Ok(())
     }
 }
 
@@ -1001,12 +1028,7 @@ fn respond_batch_streaming(
         )?;
         return Ok(!request.close);
     }
-    let head = format!(
-        "HTTP/1.1 200 OK\r\nContent-Type: application/x-ndjson\r\n\
-         Transfer-Encoding: chunked\r\nConnection: {}\r\n\r\n",
-        if request.close { "close" } else { "keep-alive" },
-    );
-    let mut chunked = ChunkedWriter::new(writer, head);
+    let mut chunked = ChunkedWriter::new(&mut *writer, request.close);
     match service.stream_batch(
         params.deployment.as_deref(),
         std::io::Cursor::new(&request.body),
@@ -1031,29 +1053,29 @@ fn respond_batch_streaming(
     }
 }
 
+/// Writes one response, head and body, in one write.
 pub(crate) fn write_response(
-    writer: &mut TcpStream,
+    mut writer: impl Write,
     response: &HttpResponse,
     close: bool,
 ) -> std::io::Result<()> {
     failpoint::hit("server.write")?;
-    let mut head = format!(
+    let mut frame = Vec::with_capacity(HEAD_CAPACITY + response.body.len());
+    write!(
+        frame,
         "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: {}\r\n",
         response.status,
         reason(response.status),
         response.content_type,
         response.body.len(),
         if close { "close" } else { "keep-alive" },
-    );
+    )?;
     for (name, value) in &response.headers {
-        head.push_str(name);
-        head.push_str(": ");
-        head.push_str(value);
-        head.push_str("\r\n");
+        write!(frame, "{name}: {value}\r\n")?;
     }
-    head.push_str("\r\n");
-    writer.write_all(head.as_bytes())?;
-    writer.write_all(&response.body)?;
+    frame.extend_from_slice(b"\r\n");
+    frame.extend_from_slice(&response.body);
+    writer.write_all(&frame)?;
     writer.flush()
 }
 
@@ -1345,6 +1367,91 @@ mod tests {
             "no slot frees, so the wait budget sheds"
         );
         assert!(started.elapsed() >= Duration::from_millis(20));
+    }
+
+    /// A sink that counts `write` calls and keeps the bytes.
+    #[derive(Default)]
+    struct Recorder {
+        writes: Vec<Vec<u8>>,
+    }
+
+    impl Write for Recorder {
+        fn write(&mut self, data: &[u8]) -> std::io::Result<usize> {
+            self.writes.push(data.to_vec());
+            Ok(data.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    fn written(response: &HttpResponse, close: bool) -> Vec<Vec<u8>> {
+        let mut sink = Recorder::default();
+        write_response(&mut sink, response, close).unwrap();
+        sink.writes
+    }
+
+    const CHUNKED_HEAD: &[u8] = b"HTTP/1.1 200 OK\r\nContent-Type: application/x-ndjson\r\n\
+        Transfer-Encoding: chunked\r\nConnection: keep-alive\r\n\r\n";
+
+    #[test]
+    fn a_response_leaves_in_one_write() {
+        let ok = HttpResponse::json(200, &vec![1u32, 2]);
+        assert_eq!(
+            written(&ok, false),
+            [b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n\
+                Content-Length: 6\r\nConnection: keep-alive\r\n\r\n[1,2]\n"]
+        );
+        let shed = HttpResponse::error(503, ServiceError::Overloaded { max_connections: 4 })
+            .with_retry_after(Duration::from_millis(1500));
+        let body = "{\"version\":1,\"op\":\"error\",\"error\":{\"code\":\"overloaded\",\
+            \"max_connections\":4,\"message\":\"server at its 4-connection capacity; \
+            retry later\"}}\n";
+        let head = format!(
+            "HTTP/1.1 503 Service Unavailable\r\nContent-Type: application/json\r\n\
+             Content-Length: {}\r\nConnection: close\r\nRetry-After: 2\r\n\r\n",
+            body.len()
+        );
+        assert_eq!(written(&shed, true), [format!("{head}{body}").into_bytes()]);
+    }
+
+    #[test]
+    fn a_small_chunked_body_leaves_in_one_write() {
+        let mut sink = Recorder::default();
+        ChunkedWriter::new(&mut sink, false).finish().unwrap();
+        assert_eq!(sink.writes, [[CHUNKED_HEAD, b"0\r\n\r\n"].concat()]);
+
+        let mut sink = Recorder::default();
+        let mut chunked = ChunkedWriter::new(&mut sink, false);
+        chunked.write_all(b"{\"id\":1}\n").unwrap();
+        chunked.write_all(b"{\"id\":2}\n").unwrap();
+        chunked.flush().unwrap();
+        assert!(!chunked.committed(), "nothing leaves before the body ends");
+        chunked.finish().unwrap();
+        assert_eq!(
+            sink.writes,
+            [[CHUNKED_HEAD, b"12\r\n{\"id\":1}\n{\"id\":2}\n\r\n0\r\n\r\n"].concat()]
+        );
+    }
+
+    #[test]
+    fn a_long_chunked_body_makes_one_write_per_chunk() {
+        let mut sink = Recorder::default();
+        let mut chunked = ChunkedWriter::new(&mut sink, false);
+        chunked.write_all(&[b'a'; CHUNK_FLUSH_BYTES]).unwrap();
+        assert!(chunked.committed());
+        chunked.write_all(b"tail").unwrap();
+        chunked.finish().unwrap();
+        let [first, last] = &sink.writes[..] else {
+            panic!("expected two writes, got {}", sink.writes.len());
+        };
+        let payload = [b'a'; CHUNK_FLUSH_BYTES];
+        assert_eq!(
+            first,
+            &[CHUNKED_HEAD, b"8000\r\n", &payload, b"\r\n"].concat()
+        );
+        assert_eq!(last, b"4\r\ntail\r\n0\r\n\r\n");
     }
 
     #[test]

@@ -19,6 +19,7 @@ use std::io::{BufRead, Write};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use serde::{JsonWriter, Serialize};
 use tfsn_core::compat::CompatibilityKind;
 
 use crate::batch::BatchSummary;
@@ -548,6 +549,8 @@ impl Service {
         // must not preallocate terabytes; the vec grows to what the input
         // actually holds.
         let mut chunk: Vec<TeamQuery> = Vec::with_capacity(self.options.chunk.clamp(1, 1024));
+        // One answer line at a time, in a buffer reused across the stream.
+        let mut line = String::new();
         loop {
             chunk.clear();
             while chunk.len() < self.options.chunk.max(1) {
@@ -581,10 +584,10 @@ impl Service {
                 if !options.timing {
                     answer.strip_timing();
                 }
-                let line = serde_json::to_string(answer).map_err(|e| {
-                    StreamError::Io(std::io::Error::other(format!("serialize answer: {e}")))
-                })?;
-                writeln!(sink, "{line}")?;
+                line.clear();
+                answer.serialize(&mut JsonWriter::compact(&mut line));
+                sink.write_all(line.as_bytes())?;
+                sink.write_all(b"\n")?;
             }
             // One serialize-phase sample per chunk: encoding plus the write
             // into the sink — the part of batch latency the solver phases

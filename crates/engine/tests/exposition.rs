@@ -190,7 +190,7 @@ fn sorted_by_seq(value: Value) -> Value {
 }
 
 fn json_section(response: Response) -> String {
-    let value = serde::Serialize::to_value(&ok(response));
+    let value = serde_json::parse_value(&serde_json::to_string(&ok(response)).unwrap()).unwrap();
     serde_json::to_string_pretty(&mask_json(value)).unwrap() + "\n"
 }
 
