@@ -911,7 +911,7 @@ fn objectives_report(quick: bool, groups: &mut Vec<Group>) -> ObjectiveBenchRepo
     let kind = CompatibilityKind::Spa;
     engine.warm(&[kind]);
     let variants: [(&str, Option<Objective>); 3] = [
-        // The default path: no objective on the query, the legacy solve.
+        // No objective on the query: the default `MinTeam` solve.
         ("min_team", None),
         ("synergy", Some(Objective::Synergy)),
         (

@@ -5,13 +5,15 @@
 //! heuristics in unit and property tests, and to illustrate the exponential
 //! search space the hardness proof implies.
 //!
-//! The solver enumerates teams over the *relevant* users (holders of at
-//! least one task skill) in order of increasing size and, among minimum-cost
-//! covering compatible teams, returns one with the smallest diameter.
+//! The solver enumerates the subsets of the *relevant* users (holders of a
+//! task skill, plus the objective's designated members) in bitmask order and
+//! returns the first covering compatible team the objective admits of least
+//! (cost, size).
 
 use signed_graph::NodeId;
 use tfsn_skills::task::Task;
 
+use super::objective::Objective;
 use super::{Team, TfsnInstance};
 use crate::compat::Compatibility;
 use crate::error::TfsnError;
@@ -20,28 +22,32 @@ use crate::error::TfsnError;
 /// accept; beyond this the subset enumeration is clearly intractable.
 pub const MAX_RELEVANT_USERS: usize = 24;
 
-/// Finds a minimum-diameter compatible covering team by exhaustive search.
+/// Finds a least-cost compatible covering team under `objective` by
+/// exhaustive search.
 ///
 /// Returns [`TfsnError::SearchBudgetExceeded`] when more than
-/// [`MAX_RELEVANT_USERS`] users hold task skills,
+/// [`MAX_RELEVANT_USERS`] users are relevant,
 /// [`TfsnError::UncoverableSkill`] when a skill has no holder, and
-/// [`TfsnError::NoCompatibleTeam`] when no compatible covering subset exists.
+/// [`TfsnError::NoCompatibleTeam`] when no qualifying subset exists.
 pub fn solve_exhaustive<C: Compatibility + ?Sized>(
     instance: &TfsnInstance<'_>,
     comp: &C,
     task: &Task,
+    objective: &Objective,
 ) -> Result<Team, TfsnError> {
-    if task.is_empty() {
+    let base = objective.designated_members(instance, comp)?;
+    if task.is_empty() && base.is_empty() {
         return Ok(Team::new([]));
     }
     instance.check_coverable(task)?;
     let skills = instance.skills();
 
-    // Relevant users: holders of at least one required skill.
+    // Relevant users: holders of a required skill, and designated members.
     let mut relevant: Vec<u32> = task
         .skills()
         .iter()
         .flat_map(|&s| skills.users_with_skill(s).iter().copied())
+        .chain(base.iter().map(|&u| u.index() as u32))
         .collect();
     relevant.sort_unstable();
     relevant.dedup();
@@ -57,10 +63,13 @@ pub fn solve_exhaustive<C: Compatibility + ?Sized>(
             .map(|i| NodeId::new(relevant[i] as usize))
             .collect();
         let team = Team::new(members);
-        if !team.covers(skills, task) || !team.is_compatible(comp) {
+        if !team.covers(skills, task)
+            || !team.is_compatible(comp)
+            || !objective.admits_team(comp, &team)
+        {
             continue;
         }
-        let cost = team.diameter(comp).map(u64::from).unwrap_or(u64::MAX);
+        let cost = objective.team_cost(comp, &team);
         let better = match &best {
             None => true,
             Some((b, c)) => cost < *c || (cost == *c && team.len() < b.len()),
@@ -103,7 +112,13 @@ mod tests {
         skills.grant(2, s(2));
         let inst = TfsnInstance::new(&g, &skills);
         let comp = CompatibilityMatrix::build(&g, CompatibilityKind::Spa);
-        let team = solve_exhaustive(&inst, &comp, &Task::new([s(0), s(1), s(2)])).unwrap();
+        let team = solve_exhaustive(
+            &inst,
+            &comp,
+            &Task::new([s(0), s(1), s(2)]),
+            &Objective::MinTeam,
+        )
+        .unwrap();
         assert_eq!(team.len(), 2);
         assert!(team.contains(NodeId::new(0)));
         assert!(team.contains(NodeId::new(2)));
@@ -125,7 +140,7 @@ mod tests {
             let task = Task::new([s(0), s(1), s(2)]);
             for kind in [CompatibilityKind::Spo, CompatibilityKind::Nne] {
                 let comp = CompatibilityMatrix::build(&g, kind);
-                let exact = solve_exhaustive(&inst, &comp, &task);
+                let exact = solve_exhaustive(&inst, &comp, &task, &Objective::MinTeam);
                 let greedy = solve_greedy(
                     &inst,
                     &comp,
@@ -162,18 +177,20 @@ mod tests {
         skills.grant(1, s(1));
         let inst = TfsnInstance::new(&g, &skills);
         let comp = CompatibilityMatrix::build(&g, CompatibilityKind::Nne);
-        assert!(solve_exhaustive(&inst, &comp, &Task::new([]))
-            .unwrap()
-            .is_empty());
+        assert!(
+            solve_exhaustive(&inst, &comp, &Task::new([]), &Objective::MinTeam)
+                .unwrap()
+                .is_empty()
+        );
         assert_eq!(
-            solve_exhaustive(&inst, &comp, &Task::new([s(0), s(1)])),
+            solve_exhaustive(&inst, &comp, &Task::new([s(0), s(1)]), &Objective::MinTeam),
             Err(TfsnError::NoCompatibleTeam)
         );
         let mut missing = SkillAssignment::new(3, 2);
         missing.grant(0, s(0));
         let inst2 = TfsnInstance::new(&g, &missing);
         assert_eq!(
-            solve_exhaustive(&inst2, &comp, &Task::new([s(2)])),
+            solve_exhaustive(&inst2, &comp, &Task::new([s(2)]), &Objective::MinTeam),
             Err(TfsnError::UncoverableSkill(s(2)))
         );
     }
@@ -188,7 +205,7 @@ mod tests {
         let inst = TfsnInstance::new(&g, &skills);
         let comp = CompatibilityMatrix::build(&g, CompatibilityKind::Nne);
         assert_eq!(
-            solve_exhaustive(&inst, &comp, &Task::new([s(0)])),
+            solve_exhaustive(&inst, &comp, &Task::new([s(0)]), &Objective::MinTeam),
             Err(TfsnError::SearchBudgetExceeded)
         );
     }

@@ -10,6 +10,7 @@
 //! stuck (no compatible candidate for some skill) are discarded; among the
 //! candidate teams that cover the task, the one with the smallest
 //! communication cost (diameter under the relation's distance) is returned.
+//! The same search answers every [`Objective`] (see `Rules`).
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -18,6 +19,7 @@ use signed_graph::NodeId;
 use tfsn_skills::task::Task;
 use tfsn_skills::SkillId;
 
+use super::objective::{pair_synergy, Objective};
 use super::policies::{SkillPolicy, TeamAlgorithm, UserPolicy};
 use super::{skills_covered_by, CandidateMask, NodeSet, SolveScratch, Team, TfsnInstance};
 use crate::compat::{Compatibility, RowHandle, UNREACHABLE_DISTANCE};
@@ -69,7 +71,8 @@ pub struct GreedyStats {
 }
 
 /// Solves the TFSN instance for `task` under compatibility relation `comp`
-/// using Algorithm 2 with the given policy combination.
+/// using Algorithm 2 with the given policy combination, for the paper's
+/// objective ([`Objective::MinTeam`]).
 ///
 /// Returns [`TfsnError::UncoverableSkill`] when some required skill has no
 /// holder at all, and [`TfsnError::NoCompatibleTeam`] when every seed gets
@@ -93,41 +96,53 @@ pub fn solve_greedy_with_stats<C: Compatibility + ?Sized>(
     config: &GreedyConfig,
 ) -> Result<(Team, GreedyStats), TfsnError> {
     let mut scratch = SolveScratch::new();
-    solve_greedy_with_scratch(instance, comp, task, algorithm, config, &mut scratch)
+    solve_greedy_with_scratch(
+        instance,
+        comp,
+        task,
+        algorithm,
+        &Objective::MinTeam,
+        config,
+        &mut scratch,
+    )
 }
 
-/// Like [`solve_greedy_with_stats`], but reuses the caller's
+/// Algorithm 2 under any [`Objective`], reusing the caller's
 /// [`SolveScratch`] instead of allocating a fresh candidate-mask buffer —
 /// the entry point for serving layers answering many queries per thread.
 /// The scratch carries capacity only, never query state, so results are
 /// identical to the allocating path.
 ///
-/// The seeds are searched branch-and-bound: under the MinDistance and
-/// MostCompatible user policies a seed is abandoned as soon as its partial
-/// diameter reaches the cost of the best team found so far. The partial
-/// diameter (the running max of each joining member's distance to the
-/// team) only grows, and a finished seed replaces the best team only when
-/// its cost is strictly smaller, so an abandoned seed could never have won
-/// and the answer is the one the exhaustive seed loop returns. RANDOM is
-/// never bounded: its single RNG stream must see every draw.
+/// Under [`Objective::MinTeam`] the seeds are searched branch-and-bound:
+/// under the MinDistance and MostCompatible user policies a seed is
+/// abandoned as soon as its partial diameter reaches the cost of the best
+/// team found so far. The partial diameter (the running max of each
+/// joining member's distance to the team) only grows, and a finished seed
+/// replaces the best team only when its cost is strictly smaller, so an
+/// abandoned seed could never have won and the answer is the one the
+/// exhaustive seed loop returns. RANDOM is never bounded: its single RNG
+/// stream must see every draw.
 pub fn solve_greedy_with_scratch<C: Compatibility + ?Sized>(
     instance: &TfsnInstance<'_>,
     comp: &C,
     task: &Task,
     algorithm: TeamAlgorithm,
+    objective: &Objective,
     config: &GreedyConfig,
     scratch: &mut SolveScratch,
 ) -> Result<(Team, GreedyStats), TfsnError> {
     let skills = instance.skills();
     let mut stats = GreedyStats::default();
-    if task.is_empty() {
+    let base = objective.designated_members(instance, comp)?;
+    if task.is_empty() && base.is_empty() {
         return Ok((Team::new([]), stats));
     }
     instance.check_coverable(task)?;
+    let rules = Rules::new(algorithm, objective);
 
     // The least-compatible-first policy ranks skills by their task-restricted
     // compatibility degree; compute it once per (task, relation).
-    let degrees = match algorithm.skill {
+    let degrees = match rules.skill {
         SkillPolicy::LeastCompatibleFirst => Some(TaskSkillDegrees::compute_capped(
             comp,
             skills,
@@ -137,7 +152,7 @@ pub fn solve_greedy_with_scratch<C: Compatibility + ?Sized>(
         SkillPolicy::RarestFirst => None,
     };
     let select_skill = |remaining: &[SkillId]| -> SkillId {
-        match algorithm.skill {
+        match rules.skill {
             SkillPolicy::RarestFirst => remaining
                 .iter()
                 .copied()
@@ -152,11 +167,6 @@ pub fn solve_greedy_with_scratch<C: Compatibility + ?Sized>(
     };
 
     let mut rng = StdRng::seed_from_u64(config.random_seed);
-    let bounded = algorithm.user != UserPolicy::Random;
-
-    // Seed the candidate teams from every holder of the first selected skill.
-    let first_skill = select_skill(task.skills());
-    let seed_limit = config.max_seeds.unwrap_or(usize::MAX);
 
     // One mask buffer shared by every seed (re-seeded in place) — and, via
     // the caller's scratch, across solves: the word-parallel fast path
@@ -164,34 +174,47 @@ pub fn solve_greedy_with_scratch<C: Compatibility + ?Sized>(
     // handles are likewise kept in one vector for the whole solve.
     let mut rows = Vec::new();
     let mut best: Option<(Team, u64)> = None;
-    for &seed in skills.users_with_skill(first_skill).iter().take(seed_limit) {
+    // Designated members are the one seed: every qualifying team holds all
+    // of them. Otherwise each holder of the first selected skill, up to
+    // `max_seeds`, seeds a team of its own.
+    let (holders, seed_count) = if base.is_empty() {
+        let holders = skills.users_with_skill(select_skill(task.skills()));
+        let seed_limit = config.max_seeds.unwrap_or(usize::MAX);
+        (holders, holders.len().min(seed_limit))
+    } else {
+        (&[][..], 1)
+    };
+    for i in 0..seed_count {
+        let lone = holders.get(i).map(|&u| [NodeId::new(u as usize)]);
+        let seed = lone.as_ref().map_or(&base[..], |lone| &lone[..]);
         stats.seeds_tried += 1;
         let bound = match &best {
-            Some((_, cost)) if bounded => *cost,
+            Some((_, cost)) if rules.bounded => *cost,
             _ => u64::MAX,
         };
-        let seed = [NodeId::new(seed as usize)];
         let growth = grow_team(
             instance,
             comp,
             task,
-            algorithm,
+            &rules,
             &select_skill,
             &mut rng,
             &mut stats,
-            GrowingTeam::new(comp, &seed, &mut scratch.mask, &mut rows),
+            GrowingTeam::new(comp, seed, &mut scratch.mask, &mut rows),
             bound,
         );
         match growth {
-            Growth::Covered(team, diameter) => {
+            Growth::Covered(team, diameter) if objective.admits_team(comp, &team) => {
                 stats.seeds_succeeded += 1;
-                let cost = diameter
-                    .unwrap_or_else(|| team.diameter(comp).map(u64::from).unwrap_or(u64::MAX));
-                if best.as_ref().is_none_or(|(_, best_cost)| cost < *best_cost) {
+                let cost = diameter.unwrap_or_else(|| objective.team_cost(comp, &team));
+                let better = best.as_ref().is_none_or(|(b, c)| {
+                    cost < *c || (rules.size_breaks_ties && cost == *c && team.len() < b.len())
+                });
+                if better {
                     best = Some((team, cost));
                 }
             }
-            Growth::Stuck => {}
+            Growth::Covered(..) | Growth::Stuck => {}
             Growth::Abandoned => stats.seeds_abandoned += 1,
         }
     }
@@ -202,13 +225,74 @@ pub fn solve_greedy_with_scratch<C: Compatibility + ?Sized>(
     }
 }
 
+/// The rules one greedy solve runs by, fixed once from the query's
+/// algorithm and objective. [`Objective::MinTeam`] runs the algorithm's
+/// policies; Synergy and Constrained take skills rarest first whatever the
+/// algorithm, Constrained adding the candidate closest to the team
+/// (MinDistance) and Synergy the one adding the most synergy.
+struct Rules {
+    skill: SkillPolicy,
+    choice: Choice,
+    /// Abandon a seed once its partial diameter reaches the best cost.
+    bounded: bool,
+    /// On equal cost, a smaller team replaces the best one.
+    size_breaks_ties: bool,
+    /// Constrained's size budget: a full team admits no joiner.
+    max_size: Option<usize>,
+    /// Constrained's bound on a joiner's distance to the team. Constrained
+    /// adds the closest candidate, so some candidate is within the bound
+    /// exactly when the closest one is.
+    max_distance: Option<u64>,
+}
+
+/// Which candidate joins the team.
+enum Choice {
+    /// The paper's user policy.
+    User(UserPolicy),
+    /// The largest incremental synergy (pair probes), ties to the lower id.
+    Synergy,
+}
+
+impl Rules {
+    fn new(algorithm: TeamAlgorithm, objective: &Objective) -> Self {
+        let rarest_first = |choice, max_size, max_distance: Option<u32>| Rules {
+            skill: SkillPolicy::RarestFirst,
+            choice,
+            bounded: false,
+            size_breaks_ties: true,
+            max_size,
+            max_distance: max_distance.map(u64::from),
+        };
+        match objective {
+            Objective::MinTeam => Rules {
+                skill: algorithm.skill,
+                choice: Choice::User(algorithm.user),
+                bounded: algorithm.user != UserPolicy::Random,
+                size_breaks_ties: false,
+                max_size: None,
+                max_distance: None,
+            },
+            Objective::Synergy => rarest_first(Choice::Synergy, None, None),
+            Objective::Constrained {
+                max_size,
+                max_distance,
+                ..
+            } => rarest_first(
+                Choice::User(UserPolicy::MinDistance),
+                *max_size,
+                *max_distance,
+            ),
+        }
+    }
+}
+
 /// How one seed's growth ended.
 enum Growth {
     /// The team covers the task. A bounded growth also returns the team's
     /// diameter: its partial diameter, which ended below the bound, so
     /// every pair distance was defined.
     Covered(Team, Option<u64>),
-    /// Some skill had no compatible candidate left.
+    /// Some skill had no compatible candidate the objective admits.
     Stuck,
     /// The partial diameter reached the bound: the seed cannot win.
     Abandoned,
@@ -221,8 +305,8 @@ fn grow_team<C: Compatibility + ?Sized>(
     instance: &TfsnInstance<'_>,
     comp: &C,
     task: &Task,
-    algorithm: TeamAlgorithm,
-    select_skill: &dyn Fn(&[SkillId]) -> SkillId,
+    rules: &Rules,
+    select_skill: &impl Fn(&[SkillId]) -> SkillId,
     rng: &mut StdRng,
     stats: &mut GreedyStats,
     mut team: GrowingTeam<'_, '_, C>,
@@ -235,6 +319,7 @@ fn grow_team<C: Compatibility + ?Sized>(
     let skills = instance.skills();
     let mut covered = skills_covered_by(skills, team.members());
     let mut diameter = 0u64;
+    let mut candidates: Vec<NodeId> = Vec::new();
 
     loop {
         let remaining = task.uncovered(&covered);
@@ -242,10 +327,13 @@ fn grow_team<C: Compatibility + ?Sized>(
             let diameter = (bound != u64::MAX).then_some(diameter);
             return Growth::Covered(team.into_team(), diameter);
         }
+        if rules.max_size.is_some_and(|k| team.members().len() >= k) {
+            return Growth::Stuck;
+        }
         let next_skill = select_skill(&remaining);
         // Candidates: holders of the skill, outside the team, compatible with
         // every member.
-        let mut candidates: Vec<NodeId> = Vec::new();
+        candidates.clear();
         for &u in skills.users_with_skill(next_skill) {
             let u = NodeId::new(u as usize);
             if team.contains(u) {
@@ -263,16 +351,19 @@ fn grow_team<C: Compatibility + ?Sized>(
         }
         // The chosen candidate, plus its distance to the team when the
         // policy already computed it.
-        let (chosen, distance) = match algorithm.user {
-            UserPolicy::MinDistance => {
+        let (chosen, distance) = match rules.choice {
+            Choice::User(UserPolicy::MinDistance) => {
                 let (distance, chosen) = candidates
                     .iter()
                     .map(|&c| (team.distance_to(c), c))
                     .min_by_key(|&(d, c)| (d, c.index()))
                     .expect("candidates non-empty");
+                if rules.max_distance.is_some_and(|bound| distance > bound) {
+                    return Growth::Stuck;
+                }
                 (chosen, Some(distance))
             }
-            UserPolicy::MostCompatible => {
+            Choice::User(UserPolicy::MostCompatible) => {
                 // Relevance pool: holders of any still-uncovered skill.
                 let pool = relevant_users(skills, &remaining);
                 // With exact packed rows and a large enough pool, the
@@ -312,7 +403,21 @@ fn grow_team<C: Compatibility + ?Sized>(
                     .expect("candidates non-empty");
                 (chosen, None)
             }
-            UserPolicy::Random => (candidates[rng.gen_range(0..candidates.len())], None),
+            Choice::User(UserPolicy::Random) => {
+                (candidates[rng.gen_range(0..candidates.len())], None)
+            }
+            Choice::Synergy => {
+                // Pair probes, not member lanes: on a lazy SBPH/SBP store a
+                // member's row is only a forward-direction bound.
+                let gain = |c: NodeId| -> u64 {
+                    let members = team.members().iter();
+                    members.map(|&m| pair_synergy(comp.distance(c, m))).sum()
+                };
+                let chosen = candidates
+                    .iter()
+                    .max_by_key(|&&c| (gain(c), std::cmp::Reverse(c.index())));
+                (*chosen.expect("candidates non-empty"), None)
+            }
         };
         if bound != u64::MAX {
             diameter = diameter.max(distance.unwrap_or_else(|| team.distance_to(chosen)));
@@ -325,8 +430,7 @@ fn grow_team<C: Compatibility + ?Sized>(
     }
 }
 
-/// A candidate team under construction, shared by the default greedy
-/// growth and the objective-driven one in [`super::objective`].
+/// A candidate team under construction.
 ///
 /// With packed rows it keeps the [`CandidateMask`] (the AND of the member
 /// rows) together with the member row handles themselves. The two
@@ -334,7 +438,7 @@ fn grow_team<C: Compatibility + ?Sized>(
 /// compatible with every member?") and one distance-lane load per member
 /// row ("how far is it from the team?"). A relation probe would instead
 /// fetch the *candidate's* row, which a store that is not full may build.
-pub(crate) struct GrowingTeam<'s, 'c, C: ?Sized> {
+struct GrowingTeam<'s, 'c, C: ?Sized> {
     comp: &'c C,
     members: Vec<NodeId>,
     /// The mask and the member rows, in member order; `None` once some
@@ -345,7 +449,7 @@ pub(crate) struct GrowingTeam<'s, 'c, C: ?Sized> {
 impl<'s, 'c, C: Compatibility + ?Sized> GrowingTeam<'s, 'c, C> {
     /// A team of the (non-empty) `seed` members. `mask_buf` and `rows` are
     /// the solve's reusable buffers; their previous contents are discarded.
-    pub(crate) fn new(
+    fn new(
         comp: &'c C,
         seed: &[NodeId],
         mask_buf: &'s mut Option<CandidateMask>,
@@ -370,25 +474,20 @@ impl<'s, 'c, C: Compatibility + ?Sized> GrowingTeam<'s, 'c, C> {
         team
     }
 
-    /// The relation the team is grown under.
-    pub(crate) fn comp(&self) -> &'c C {
-        self.comp
-    }
-
     /// The current members, in joining order.
-    pub(crate) fn members(&self) -> &[NodeId] {
+    fn members(&self) -> &[NodeId] {
         &self.members
     }
 
     /// `true` if `u` is already a member.
-    pub(crate) fn contains(&self, u: NodeId) -> bool {
+    fn contains(&self, u: NodeId) -> bool {
         self.members.contains(&u)
     }
 
     /// `true` iff `u` is compatible with every member. A set mask bit is
     /// sound; a clear one is only authoritative when every member row was
     /// exact, otherwise the pair probes decide.
-    pub(crate) fn admits(&self, u: NodeId) -> bool {
+    fn admits(&self, u: NodeId) -> bool {
         match &self.packed {
             Some((mask, _)) if mask.allows(u) => true,
             Some((mask, _)) if mask.is_exact() => false,
@@ -398,7 +497,7 @@ impl<'s, 'c, C: Compatibility + ?Sized> GrowingTeam<'s, 'c, C> {
 
     /// `u`'s distance to the team (see [`distance_to_team`]), read from the
     /// member rows when they are all exact.
-    pub(crate) fn distance_to(&self, u: NodeId) -> u64 {
+    fn distance_to(&self, u: NodeId) -> u64 {
         let exact_rows = match &self.packed {
             Some((mask, rows)) if mask.is_exact() => Some(rows.as_slice()),
             _ => None,
@@ -407,7 +506,7 @@ impl<'s, 'c, C: Compatibility + ?Sized> GrowingTeam<'s, 'c, C> {
     }
 
     /// Adds `u` as a member, intersecting its row into the mask.
-    pub(crate) fn push(&mut self, u: NodeId) {
+    fn push(&mut self, u: NodeId) {
         self.members.push(u);
         if self.packed.is_none() {
             return;
@@ -424,20 +523,19 @@ impl<'s, 'c, C: Compatibility + ?Sized> GrowingTeam<'s, 'c, C> {
     }
 
     /// The finished team.
-    pub(crate) fn into_team(self) -> Team {
+    fn into_team(self) -> Team {
         Team::new(self.members)
     }
 }
 
 /// The candidate's distance to the team under the relation's distance:
 /// its largest distance to any member (matching the diameter cost).
-/// Missing distances are treated as effectively infinite. Shared with the
-/// objective-driven growth in [`super::objective`].
+/// Missing distances are treated as effectively infinite.
 ///
 /// `exact_rows`, when given, holds one exact packed row per member: the
 /// distances are then read from the members' distance lanes, which for a
 /// symmetric relation equal the pair probes `comp.distance(candidate, m)`.
-pub(crate) fn distance_to_team<C: Compatibility + ?Sized>(
+fn distance_to_team<C: Compatibility + ?Sized>(
     comp: &C,
     candidate: NodeId,
     team: &[NodeId],

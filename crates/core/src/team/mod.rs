@@ -38,7 +38,7 @@ use tfsn_skills::SkillSet;
 
 pub use crate::compat::NodeSet;
 
-use crate::compat::{Compatibility, RowHandle};
+use crate::compat::{Compatibility, RowHandle, UNREACHABLE_DISTANCE};
 use crate::error::TfsnError;
 
 /// The word-parallel candidate filter of the greedy solver: the AND of the
@@ -115,11 +115,11 @@ impl CandidateMask {
 ///
 /// Serving layers that answer many queries per thread (the engine's batch
 /// workers) hold one `SolveScratch` per worker thread and pass it to
-/// [`Solver::solve_with_scratch`](solver::Solver::solve_with_scratch); the
-/// mask buffer is then reseeded in place instead of reallocated. The scratch
-/// carries no query state between solves — only capacity — so reusing it
-/// never changes answers, and a buffer sized for one graph resizes itself
-/// when the next solve targets a differently-sized deployment.
+/// [`Solver::solve_objective_with_scratch`]; the mask buffer is then
+/// reseeded in place instead of reallocated. The scratch carries no query
+/// state between solves — only capacity — so reusing it never changes
+/// answers, and a buffer sized for one graph resizes itself when the next
+/// solve targets a differently-sized deployment.
 #[derive(Debug, Default)]
 pub struct SolveScratch {
     /// The candidate-mask buffer (`None` until the first packed-row solve).
@@ -256,70 +256,36 @@ impl Team {
     /// distance (paper §4). Returns `None` if some pair has no defined
     /// distance (e.g. an incompatible or disconnected pair); single-member
     /// and empty teams have cost 0.
-    ///
-    /// With packed rows available, each member's row is fetched once and the
-    /// pair scan is direct `u16` loads (the symmetric-closure minimum over
-    /// both directions — a no-op for exact rows) instead of one relation
-    /// probe per pair per direction.
     pub fn diameter<C: Compatibility + ?Sized>(&self, comp: &C) -> Option<u32> {
-        if self.members.len() < 2 {
-            return Some(0);
-        }
-        if let Some(result) = self.diameter_packed(comp) {
-            return result;
-        }
-        let mut best = 0u32;
-        for (i, &u) in self.members.iter().enumerate() {
-            for &v in &self.members[i + 1..] {
-                match comp.distance(u, v) {
-                    Some(d) => best = best.max(d),
-                    None => return None,
-                }
-            }
-        }
-        Some(best)
+        self.pair_distances(comp)
+            .try_fold(0, |diameter, d| Some(diameter.max(d?)))
     }
 
-    /// The packed-row diameter (outer `None`: some member has no packed row,
-    /// fall back to scalar probes). Sound for inexact rows too: with both
-    /// endpoints' rows in hand, the minimum of the two raw distances *is*
-    /// the symmetric-closure distance ([`UNREACHABLE_DISTANCE`] is
-    /// `u16::MAX`, so `min` carries the sentinel through).
-    ///
-    /// [`UNREACHABLE_DISTANCE`]: crate::compat::UNREACHABLE_DISTANCE
-    fn diameter_packed<C: Compatibility + ?Sized>(&self, comp: &C) -> Option<Option<u32>> {
-        let rows: Vec<crate::compat::RowHandle<'_>> = self
-            .members
-            .iter()
-            .map(|&m| comp.packed_row(m))
-            .collect::<Option<_>>()?;
-        let mut best = 0u16;
-        for (i, &u) in self.members.iter().enumerate() {
-            for (j, &v) in self.members.iter().enumerate().skip(i + 1) {
-                let raw = rows[i]
-                    .row()
-                    .raw_distance(v.index())
-                    .min(rows[j].row().raw_distance(u.index()));
-                if raw == crate::compat::UNREACHABLE_DISTANCE {
-                    return Some(None);
-                }
-                best = best.max(raw);
+    /// The relation's distance of every member pair (`None` where a pair
+    /// has none). With packed rows available, each member's row is fetched
+    /// once and a pair reads the smaller of its two lanes (the
+    /// symmetric-closure distance, so sound for inexact rows too) instead
+    /// of one relation probe per pair; a team of fewer than two fetches
+    /// nothing.
+    pub(crate) fn pair_distances<'a, C: Compatibility + ?Sized>(
+        &'a self,
+        comp: &'a C,
+    ) -> impl Iterator<Item = Option<u32>> + 'a {
+        let members = &self.members;
+        let rows: Option<Vec<RowHandle<'a>>> = match members.len() {
+            0 | 1 => None,
+            _ => members.iter().map(|&m| comp.packed_row(m)).collect(),
+        };
+        let pairs =
+            (0..members.len()).flat_map(move |i| (i + 1..members.len()).map(move |j| (i, j)));
+        pairs.map(move |(i, j)| match &rows {
+            Some(rows) => {
+                let raw = rows[i].row().raw_distance(members[j].index());
+                let raw = raw.min(rows[j].row().raw_distance(members[i].index()));
+                (raw != UNREACHABLE_DISTANCE).then_some(u32::from(raw))
             }
-        }
-        Some(Some(u32::from(best)))
-    }
-
-    /// Sum of pairwise distances — an alternative communication cost
-    /// discussed in the team-formation literature; exposed for the ablation
-    /// benches. `None` if any pair has no defined distance.
-    pub fn distance_sum<C: Compatibility + ?Sized>(&self, comp: &C) -> Option<u64> {
-        let mut total = 0u64;
-        for (i, &u) in self.members.iter().enumerate() {
-            for &v in &self.members[i + 1..] {
-                total += comp.distance(u, v)? as u64;
-            }
-        }
-        Some(total)
+            None => comp.distance(members[i], members[j]),
+        })
     }
 
     /// Full validity check: covers the task and is pairwise compatible.
@@ -442,14 +408,12 @@ mod tests {
         let comp = CompatibilityMatrix::build(&g, CompatibilityKind::Spa);
         let t = Team::new([n(0), n(1), n(2)]);
         assert_eq!(t.diameter(&comp), Some(2));
-        assert_eq!(t.distance_sum(&comp), Some(1 + 1 + 2));
         assert_eq!(Team::new([n(0)]).diameter(&comp), Some(0));
         assert_eq!(Team::new([]).diameter(&comp), Some(0));
         // A pair with no defined SPA distance in a disconnected graph.
         let g2 = from_edge_triples(vec![(0, 1, Sign::Positive), (2, 3, Sign::Positive)]);
         let comp2 = CompatibilityMatrix::build(&g2, CompatibilityKind::Spa);
         assert_eq!(Team::new([n(0), n(2)]).diameter(&comp2), None);
-        assert_eq!(Team::new([n(0), n(2)]).distance_sum(&comp2), None);
     }
 
     #[test]

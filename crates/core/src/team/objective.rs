@@ -2,8 +2,7 @@
 //! better than another.
 //!
 //! The paper optimises exactly one thing — the diameter of a compatible
-//! covering team ([`Objective::MinTeam`], the default and the only
-//! objective the solvers knew before this module existed). The
+//! covering team ([`Objective::MinTeam`], the default). The
 //! team-formation literature asks for more, and two of those workloads are
 //! first-class here:
 //!
@@ -21,25 +20,17 @@
 //! Every objective composes with every [`CompatibilityKind`], with both
 //! serving tiers (full matrices and row-LRU caches expose the same
 //! [`Compatibility`] oracle), with the [`CandidateMask`] word-parallel
-//! candidate filter, and with [`SolveScratch`] buffer reuse. Dispatch lives
-//! on [`Solver::solve_objective_with_scratch`](super::Solver::solve_objective_with_scratch):
-//! the default objective routes through the *unchanged* paper solvers, so
-//! legacy callers are byte-identical; the new objectives get their own
-//! greedy growth and exhaustive enumeration below.
+//! candidate filter, and with [`SolveScratch`] buffer reuse: an objective
+//! is a parameter of the paper's solvers, not a solver of its own.
 //!
 //! [`CompatibilityKind`]: crate::compat::CompatibilityKind
 //! [`CandidateMask`]: crate::team::CandidateMask
+//! [`SolveScratch`]: crate::team::SolveScratch
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 use signed_graph::NodeId;
-use tfsn_skills::task::Task;
-use tfsn_skills::SkillId;
 
-use super::exhaustive::MAX_RELEVANT_USERS;
-use super::greedy::{distance_to_team, GreedyConfig, GrowingTeam};
-use super::{skills_covered_by, SolveScratch, Team, TfsnInstance};
+use super::{Team, TfsnInstance};
 use crate::compat::Compatibility;
 use crate::error::TfsnError;
 
@@ -54,8 +45,7 @@ pub const SYNERGY_SCALE: u64 = 1000;
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Objective {
     /// The paper's objective: minimise the diameter of a compatible
-    /// covering team. The default; solvers answer it through the exact
-    /// pre-objective code paths.
+    /// covering team. The default.
     #[default]
     MinTeam,
     /// Maximise pairwise synergy: the sum over member pairs of
@@ -95,48 +85,6 @@ impl Objective {
         }
     }
 
-    /// `true` for the paper's default objective (parameterless `MinTeam`),
-    /// which answers through the unchanged legacy solver paths.
-    pub fn is_default(&self) -> bool {
-        matches!(self, Objective::MinTeam)
-    }
-
-    /// Incremental candidate evaluation: may `candidate` still join a team
-    /// currently consisting of `members` without violating this objective's
-    /// feasibility constraints? Unconstrained objectives admit everyone;
-    /// [`Objective::Constrained`] enforces the size budget and the distance
-    /// bound against every current member, which is what lets its greedy
-    /// growth prune candidates before the scoring step.
-    pub fn admits_candidate<C: Compatibility + ?Sized>(
-        &self,
-        comp: &C,
-        candidate: NodeId,
-        members: &[NodeId],
-    ) -> bool {
-        self.admits_joiner(members.len(), || {
-            distance_to_team(comp, candidate, members, None)
-        })
-    }
-
-    /// [`Objective::admits_candidate`] for a team of `team_size` members,
-    /// with the candidate's distance to the team computed only if a
-    /// distance bound asks for it.
-    fn admits_joiner(&self, team_size: usize, distance: impl FnOnce() -> u64) -> bool {
-        match self {
-            Objective::MinTeam | Objective::Synergy => true,
-            Objective::Constrained {
-                max_size,
-                max_distance,
-                ..
-            } => {
-                if max_size.is_some_and(|k| team_size >= k) {
-                    return false;
-                }
-                max_distance.is_none_or(|bound| distance() <= u64::from(bound))
-            }
-        }
-    }
-
     /// Final feasibility: does a completed `team` satisfy this objective's
     /// constraints? (Coverage and pairwise compatibility are checked by the
     /// solvers; this adds only the objective-specific constraints.)
@@ -160,6 +108,60 @@ impl Objective {
                 }
             }
         }
+    }
+
+    /// The cost the solvers minimise for a covering compatible team:
+    /// `u64::MAX − team_synergy` for [`Objective::Synergy`] (so larger
+    /// synergy ranks first), the diameter otherwise (`u64::MAX` when some
+    /// pair has no distance).
+    pub(crate) fn team_cost<C: Compatibility + ?Sized>(&self, comp: &C, team: &Team) -> u64 {
+        match self {
+            Objective::Synergy => u64::MAX - team_synergy(comp, team),
+            _ => team.diameter(comp).map_or(u64::MAX, u64::from),
+        }
+    }
+
+    /// The designated members every qualifying team must hold,
+    /// deduplicated in ascending order (none outside
+    /// [`Objective::Constrained`]). Out-of-range members, more members
+    /// than the size budget, and pairwise-incompatible or too-distant
+    /// members all mean no qualifying team exists.
+    pub(crate) fn designated_members<C: Compatibility + ?Sized>(
+        &self,
+        instance: &TfsnInstance<'_>,
+        comp: &C,
+    ) -> Result<Vec<NodeId>, TfsnError> {
+        let Objective::Constrained {
+            include,
+            max_size,
+            max_distance,
+        } = self
+        else {
+            return Ok(Vec::new());
+        };
+        let mut base: Vec<NodeId> = include.iter().map(|&u| NodeId::new(u)).collect();
+        base.sort_unstable();
+        base.dedup();
+        if base.iter().any(|&u| u.index() >= instance.user_count()) {
+            return Err(TfsnError::NoCompatibleTeam);
+        }
+        if max_size.is_some_and(|k| base.len() > k) {
+            return Err(TfsnError::NoCompatibleTeam);
+        }
+        for (i, &u) in base.iter().enumerate() {
+            for &v in &base[i + 1..] {
+                if !comp.compatible(u, v) {
+                    return Err(TfsnError::NoCompatibleTeam);
+                }
+                if let Some(bound) = max_distance {
+                    let within = comp.distance(u, v).is_some_and(|d| d <= *bound);
+                    if !within {
+                        return Err(TfsnError::NoCompatibleTeam);
+                    }
+                }
+            }
+        }
+        Ok(base)
     }
 
     /// The score this objective reports for a team on the wire. `None` for
@@ -188,327 +190,46 @@ pub fn pair_synergy(distance: Option<u32>) -> u64 {
 }
 
 /// The team's total synergy: the sum of [`pair_synergy`] over all member
-/// pairs. With packed rows available each member's row is fetched once and
-/// the pair scan reads the packed distance lanes directly (taking the
-/// symmetric-closure minimum over both directions); relations without
-/// packed rows fall back to per-pair distance probes.
+/// pairs, read from packed rows when the relation has them (the smaller of
+/// each pair's two lanes, as in [`Team::diameter`]).
 pub fn team_synergy<C: Compatibility + ?Sized>(comp: &C, team: &Team) -> u64 {
-    let members = team.members();
-    if members.len() < 2 {
-        return 0;
-    }
-    let rows: Option<Vec<crate::compat::RowHandle<'_>>> =
-        members.iter().map(|&m| comp.packed_row(m)).collect();
-    let mut total = 0u64;
-    match rows {
-        Some(rows) => {
-            for (i, &u) in members.iter().enumerate() {
-                for (j, &v) in members.iter().enumerate().skip(i + 1) {
-                    let raw = rows[i]
-                        .row()
-                        .raw_distance(v.index())
-                        .min(rows[j].row().raw_distance(u.index()));
-                    let distance =
-                        (raw != crate::compat::UNREACHABLE_DISTANCE).then_some(u32::from(raw));
-                    total += pair_synergy(distance);
-                }
-            }
-        }
-        None => {
-            for (i, &u) in members.iter().enumerate() {
-                for &v in &members[i + 1..] {
-                    total += pair_synergy(comp.distance(u, v));
-                }
-            }
-        }
-    }
-    total
-}
-
-/// The candidate's incremental synergy: what it would add to the team's
-/// total if it joined now.
-fn incremental_synergy<C: Compatibility + ?Sized>(
-    comp: &C,
-    candidate: NodeId,
-    members: &[NodeId],
-) -> u64 {
-    members
-        .iter()
-        .map(|&m| pair_synergy(comp.distance(candidate, m)))
-        .sum()
-}
-
-/// Greedy solve under a non-default objective: the same seeding/growth
-/// skeleton as the paper's Algorithm 2 (seed a candidate team from every
-/// holder of the rarest required skill, grow until covered), but candidate
-/// selection and seed ranking follow the objective:
-///
-/// * [`Objective::Synergy`] grows by maximum incremental synergy and keeps
-///   the seed team with the largest total synergy (ties: smaller team).
-/// * [`Objective::Constrained`] starts every team from the designated
-///   members, prunes candidates through
-///   [`Objective::admits_candidate`] (size budget, distance bound), grows
-///   by minimum distance-to-team, and keeps the smallest-diameter team.
-///
-/// `config.max_seeds` bounds the seeds tried, exactly as in the default
-/// greedy. The [`CandidateMask`](super::CandidateMask) word-parallel
-/// filter, the member-row distances and the caller's [`SolveScratch`] are
-/// reused the same way.
-pub fn solve_objective_greedy<C: Compatibility + ?Sized>(
-    instance: &TfsnInstance<'_>,
-    comp: &C,
-    task: &Task,
-    objective: &Objective,
-    config: &GreedyConfig,
-    scratch: &mut SolveScratch,
-) -> Result<Team, TfsnError> {
-    debug_assert!(
-        !objective.is_default(),
-        "default objective routes to solve_greedy"
-    );
-    let skills = instance.skills();
-    let base = constrained_base(instance, comp, objective)?;
-    if task.is_empty() && base.is_empty() {
-        return Ok(Team::new([]));
-    }
-    instance.check_coverable(task)?;
-    // The RANDOM user policy does not apply to objective-driven growth, but
-    // keep the RNG plumbed so future policies can join without re-threading.
-    let _rng = StdRng::seed_from_u64(config.random_seed);
-
-    let rarest_skill = |remaining: &[SkillId]| -> SkillId {
-        remaining
-            .iter()
-            .copied()
-            .min_by_key(|&s| (skills.skill_frequency(s), s.index()))
-            .expect("remaining skills is non-empty")
-    };
-
-    let seeds: Vec<Vec<NodeId>> = if base.is_empty() {
-        // No designated members: seed from every holder of the rarest
-        // required skill, like Algorithm 2.
-        let first_skill = rarest_skill(task.skills());
-        let seed_limit = config.max_seeds.unwrap_or(usize::MAX);
-        skills
-            .users_with_skill(first_skill)
-            .iter()
-            .take(seed_limit)
-            .map(|&u| vec![NodeId::new(u as usize)])
-            .collect()
-    } else {
-        // Designated members are the one seed: every qualifying team must
-        // contain all of them anyway.
-        vec![base]
-    };
-
-    let mut rows = Vec::new();
-    let mut best: Option<(Team, u64)> = None;
-    for seed in seeds {
-        let Some(team) = grow_objective_team(
-            instance,
-            task,
-            objective,
-            &rarest_skill,
-            GrowingTeam::new(comp, &seed, &mut scratch.mask, &mut rows),
-        ) else {
-            continue;
-        };
-        if !objective.admits_team(comp, &team) {
-            continue;
-        }
-        // Rank: synergy maximises (stored negated so smaller-is-better
-        // stays uniform), everything else minimises the diameter.
-        let cost = match objective {
-            Objective::Synergy => u64::MAX - team_synergy(comp, &team),
-            _ => team.diameter(comp).map(u64::from).unwrap_or(u64::MAX),
-        };
-        let better = match &best {
-            None => true,
-            Some((b, c)) => cost < *c || (cost == *c && team.len() < b.len()),
-        };
-        if better {
-            best = Some((team, cost));
-        }
-    }
-    best.map(|(t, _)| t).ok_or(TfsnError::NoCompatibleTeam)
-}
-
-/// Validates and returns the constrained objective's designated-member
-/// base team (empty for other objectives). Out-of-range members, a base
-/// larger than the size budget, and pairwise-incompatible or too-distant
-/// designated members all mean no qualifying team exists.
-fn constrained_base<C: Compatibility + ?Sized>(
-    instance: &TfsnInstance<'_>,
-    comp: &C,
-    objective: &Objective,
-) -> Result<Vec<NodeId>, TfsnError> {
-    let Objective::Constrained {
-        include,
-        max_size,
-        max_distance,
-    } = objective
-    else {
-        return Ok(Vec::new());
-    };
-    let mut base: Vec<NodeId> = include.iter().map(|&u| NodeId::new(u)).collect();
-    base.sort_unstable();
-    base.dedup();
-    if base.iter().any(|&u| u.index() >= instance.user_count()) {
-        return Err(TfsnError::NoCompatibleTeam);
-    }
-    if max_size.is_some_and(|k| base.len() > k) {
-        return Err(TfsnError::NoCompatibleTeam);
-    }
-    for (i, &u) in base.iter().enumerate() {
-        for &v in &base[i + 1..] {
-            if !comp.compatible(u, v) {
-                return Err(TfsnError::NoCompatibleTeam);
-            }
-            if let Some(bound) = max_distance {
-                let within = comp.distance(u, v).is_some_and(|d| d <= *bound);
-                if !within {
-                    return Err(TfsnError::NoCompatibleTeam);
-                }
-            }
-        }
-    }
-    Ok(base)
-}
-
-/// Grows one seeded candidate team under `objective`, returning `None` if
-/// it gets stuck. Mirrors the default greedy growth through the same
-/// [`GrowingTeam`]: the candidate mask answers "compatible with every
-/// member?" with one bit probe; the objective's constraints then prune
-/// violations; the objective's selection rule picks among survivors.
-fn grow_objective_team<C: Compatibility + ?Sized>(
-    instance: &TfsnInstance<'_>,
-    task: &Task,
-    objective: &Objective,
-    rarest_skill: &dyn Fn(&[SkillId]) -> SkillId,
-    mut team: GrowingTeam<'_, '_, C>,
-) -> Option<Team> {
-    let skills = instance.skills();
-    let mut covered = skills_covered_by(skills, team.members());
-
-    loop {
-        let remaining = task.uncovered(&covered);
-        if remaining.is_empty() {
-            return Some(team.into_team());
-        }
-        let next_skill = rarest_skill(&remaining);
-        let mut candidates: Vec<NodeId> = Vec::new();
-        for &u in skills.users_with_skill(next_skill) {
-            let u = NodeId::new(u as usize);
-            if team.contains(u) {
-                continue;
-            }
-            if team.admits(u)
-                && objective.admits_joiner(team.members().len(), || team.distance_to(u))
-            {
-                candidates.push(u);
-            }
-        }
-        if candidates.is_empty() {
-            return None;
-        }
-        let chosen = match objective {
-            Objective::Synergy => *candidates
-                .iter()
-                .max_by_key(|&&c| {
-                    (
-                        incremental_synergy(team.comp(), c, team.members()),
-                        std::cmp::Reverse(c.index()),
-                    )
-                })
-                .expect("candidates non-empty"),
-            _ => *candidates
-                .iter()
-                .min_by_key(|&&c| (team.distance_to(c), c.index()))
-                .expect("candidates non-empty"),
-        };
-        covered.union_with(skills.skills_of(chosen.index()));
-        team.push(chosen);
-    }
-}
-
-/// Exact solve under a non-default objective by subset enumeration over the
-/// relevant users (task-skill holders plus any designated members), bounded
-/// by [`MAX_RELEVANT_USERS`] exactly like the default exhaustive solver.
-/// Synergy keeps the highest-synergy covering compatible subset; the
-/// constrained objective keeps the smallest-diameter subset among those
-/// satisfying its constraints.
-pub fn solve_objective_exhaustive<C: Compatibility + ?Sized>(
-    instance: &TfsnInstance<'_>,
-    comp: &C,
-    task: &Task,
-    objective: &Objective,
-) -> Result<Team, TfsnError> {
-    debug_assert!(
-        !objective.is_default(),
-        "default objective routes to solve_exhaustive"
-    );
-    let skills = instance.skills();
-    let base = constrained_base(instance, comp, objective)?;
-    if task.is_empty() && base.is_empty() {
-        return Ok(Team::new([]));
-    }
-    instance.check_coverable(task)?;
-
-    let mut relevant: Vec<u32> = task
-        .skills()
-        .iter()
-        .flat_map(|&s| skills.users_with_skill(s).iter().copied())
-        .chain(base.iter().map(|&u| u.index() as u32))
-        .collect();
-    relevant.sort_unstable();
-    relevant.dedup();
-    if relevant.len() > MAX_RELEVANT_USERS {
-        return Err(TfsnError::SearchBudgetExceeded);
-    }
-
-    let mut best: Option<(Team, u64)> = None;
-    let n = relevant.len();
-    for mask in 1u32..(1u32 << n) {
-        let members: Vec<NodeId> = (0..n)
-            .filter(|&i| mask & (1 << i) != 0)
-            .map(|i| NodeId::new(relevant[i] as usize))
-            .collect();
-        let team = Team::new(members);
-        if !team.covers(skills, task) || !team.is_compatible(comp) {
-            continue;
-        }
-        if !objective.admits_team(comp, &team) {
-            continue;
-        }
-        let cost = match objective {
-            Objective::Synergy => u64::MAX - team_synergy(comp, &team),
-            _ => team.diameter(comp).map(u64::from).unwrap_or(u64::MAX),
-        };
-        let better = match &best {
-            None => true,
-            Some((b, c)) => cost < *c || (cost == *c && team.len() < b.len()),
-        };
-        if better {
-            best = Some((team, cost));
-        }
-    }
-    best.map(|(t, _)| t).ok_or(TfsnError::NoCompatibleTeam)
+    team.pair_distances(comp).map(pair_synergy).sum()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::compat::{CompatibilityKind, CompatibilityMatrix};
-    use crate::team::Solver;
+    use crate::team::exhaustive::solve_exhaustive;
+    use crate::team::{SolveScratch, Solver};
     use signed_graph::builder::from_edge_triples;
     use signed_graph::Sign;
     use tfsn_skills::assignment::SkillAssignment;
+    use tfsn_skills::task::Task;
+    use tfsn_skills::SkillId;
 
     fn n(i: usize) -> NodeId {
         NodeId::new(i)
     }
     fn s(i: usize) -> SkillId {
         SkillId::new(i)
+    }
+
+    /// The default greedy (LCMD) under `objective`.
+    fn greedy<C: Compatibility>(
+        inst: &TfsnInstance<'_>,
+        comp: &C,
+        task: &Task,
+        objective: &Objective,
+    ) -> Result<Team, TfsnError> {
+        let mut scratch = SolveScratch::new();
+        Solver::default_greedy().solve_objective_with_scratch(
+            inst,
+            comp,
+            task,
+            objective,
+            &mut scratch,
+        )
     }
 
     /// Skill 0 is held by 0; skill 1 by 1, 3 and 4. User 1 is adjacent to
@@ -531,8 +252,6 @@ mod tests {
     #[test]
     fn labels_index_and_default() {
         assert_eq!(Objective::default(), Objective::MinTeam);
-        assert!(Objective::MinTeam.is_default());
-        assert!(!Objective::Synergy.is_default());
         for (i, label) in Objective::ALL_LABELS.iter().enumerate() {
             let objective = match i {
                 0 => Objective::MinTeam,
@@ -557,16 +276,7 @@ mod tests {
         let (g, skills) = setup();
         let inst = TfsnInstance::new(&g, &skills);
         let comp = CompatibilityMatrix::build(&g, CompatibilityKind::Nne);
-        let mut scratch = SolveScratch::new();
-        let team = solve_objective_greedy(
-            &inst,
-            &comp,
-            &Task::new([s(0), s(1)]),
-            &Objective::Synergy,
-            &GreedyConfig::default(),
-            &mut scratch,
-        )
-        .unwrap();
+        let team = greedy(&inst, &comp, &Task::new([s(0), s(1)]), &Objective::Synergy).unwrap();
         // The adjacent holder of skill 1 maximises synergy.
         assert_eq!(team.members(), &[n(0), n(1)]);
         assert_eq!(team_synergy(&comp, &team), SYNERGY_SCALE);
@@ -581,76 +291,26 @@ mod tests {
         let inst = TfsnInstance::new(&g, &skills);
         let comp = CompatibilityMatrix::build(&g, CompatibilityKind::Nne);
         let task = Task::new([s(0), s(1)]);
-        let mut scratch = SolveScratch::new();
-        // Designating user 3 forces the distant holder of skill 1.
-        let objective = Objective::Constrained {
-            include: vec![3],
-            max_size: None,
-            max_distance: None,
+        let constrained = |include: &[usize], max_size, max_distance| Objective::Constrained {
+            include: include.to_vec(),
+            max_size,
+            max_distance,
         };
-        let team = solve_objective_greedy(
-            &inst,
-            &comp,
-            &task,
-            &objective,
-            &GreedyConfig::default(),
-            &mut scratch,
-        )
-        .unwrap();
+        // Designating user 3 forces the distant holder of skill 1.
+        let team = greedy(&inst, &comp, &task, &constrained(&[3], None, None)).unwrap();
         assert!(team.contains(n(3)));
         assert!(team.covers(&skills, &task));
-        // A distance bound of 1 rules out every covering team: the only
-        // skill-0 holder (user 0) is 3 hops from user 3.
-        let bounded = Objective::Constrained {
-            include: vec![3],
-            max_size: None,
-            max_distance: Some(1),
-        };
-        assert_eq!(
-            solve_objective_greedy(
-                &inst,
-                &comp,
-                &task,
-                &bounded,
-                &GreedyConfig::default(),
-                &mut scratch,
-            ),
-            Err(TfsnError::NoCompatibleTeam)
-        );
-        // A size budget of 1 cannot cover two single-holder skills.
-        let tiny = Objective::Constrained {
-            include: vec![],
-            max_size: Some(1),
-            max_distance: None,
-        };
-        assert_eq!(
-            solve_objective_greedy(
-                &inst,
-                &comp,
-                &task,
-                &tiny,
-                &GreedyConfig::default(),
-                &mut scratch,
-            ),
-            Err(TfsnError::NoCompatibleTeam)
-        );
-        // Out-of-range designated members mean no qualifying team.
-        let bogus = Objective::Constrained {
-            include: vec![99],
-            max_size: None,
-            max_distance: None,
-        };
-        assert_eq!(
-            solve_objective_greedy(
-                &inst,
-                &comp,
-                &task,
-                &bogus,
-                &GreedyConfig::default(),
-                &mut scratch,
-            ),
-            Err(TfsnError::NoCompatibleTeam)
-        );
+        // No qualifying team under a distance bound of 1 (the only skill-0
+        // holder, user 0, is 3 hops from user 3), a size budget of 1 (two
+        // single-holder skills), or an out-of-range designated member.
+        for objective in [
+            constrained(&[3], None, Some(1)),
+            constrained(&[], Some(1), None),
+            constrained(&[99], None, None),
+        ] {
+            let answer = greedy(&inst, &comp, &task, &objective);
+            assert_eq!(answer, Err(TfsnError::NoCompatibleTeam), "{objective:?}");
+        }
     }
 
     #[test]
@@ -660,18 +320,8 @@ mod tests {
         let task = Task::new([s(0), s(1)]);
         for kind in [CompatibilityKind::Spa, CompatibilityKind::Nne] {
             let comp = CompatibilityMatrix::build(&g, kind);
-            let mut scratch = SolveScratch::new();
-            let greedy = solve_objective_greedy(
-                &inst,
-                &comp,
-                &task,
-                &Objective::Synergy,
-                &GreedyConfig::default(),
-                &mut scratch,
-            )
-            .unwrap();
-            let exact =
-                solve_objective_exhaustive(&inst, &comp, &task, &Objective::Synergy).unwrap();
+            let greedy = greedy(&inst, &comp, &task, &Objective::Synergy).unwrap();
+            let exact = solve_exhaustive(&inst, &comp, &task, &Objective::Synergy).unwrap();
             assert!(
                 team_synergy(&comp, &exact) >= team_synergy(&comp, &greedy),
                 "{kind}: exhaustive synergy must not lose to greedy"
@@ -681,7 +331,7 @@ mod tests {
                 max_size: Some(3),
                 max_distance: Some(2),
             };
-            let exact = solve_objective_exhaustive(&inst, &comp, &task, &constrained).unwrap();
+            let exact = solve_exhaustive(&inst, &comp, &task, &constrained).unwrap();
             assert!(constrained.admits_team(&comp, &exact));
             assert!(exact.covers(&skills, &task));
         }
@@ -693,28 +343,13 @@ mod tests {
         let inst = TfsnInstance::new(&g, &skills);
         let comp = CompatibilityMatrix::build(&g, CompatibilityKind::Spa);
         let task = Task::new([s(0), s(1)]);
+        let synergy = Objective::Synergy;
         let mut scratch = SolveScratch::new();
         for solver in [Solver::default_greedy(), Solver::Exhaustive] {
-            // Default objective: identical to the legacy entry point.
-            let legacy = solver.solve_with_scratch(&inst, &comp, &task, &mut scratch);
-            let routed = solver.solve_objective_with_scratch(
-                &inst,
-                &comp,
-                &task,
-                &Objective::MinTeam,
-                &mut scratch,
-            );
-            assert_eq!(legacy, routed, "{solver}: default objective must not drift");
             // Non-default objectives answer through both solver shapes.
-            let team = solver
-                .solve_objective_with_scratch(
-                    &inst,
-                    &comp,
-                    &task,
-                    &Objective::Synergy,
-                    &mut scratch,
-                )
-                .unwrap();
+            let team =
+                solver.solve_objective_with_scratch(&inst, &comp, &task, &synergy, &mut scratch);
+            let team = team.unwrap();
             assert!(team.covers(&skills, &task));
             assert!(team.is_compatible(&comp));
         }

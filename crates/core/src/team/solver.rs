@@ -11,8 +11,8 @@ use serde::{Deserialize, Serialize};
 use tfsn_skills::task::Task;
 
 use super::exhaustive::solve_exhaustive;
-use super::greedy::{solve_greedy, solve_greedy_with_scratch, GreedyConfig};
-use super::objective::{solve_objective_exhaustive, solve_objective_greedy, Objective};
+use super::greedy::{solve_greedy_with_scratch, GreedyConfig};
+use super::objective::Objective;
 use super::policies::TeamAlgorithm;
 use super::{SolveScratch, Team, TfsnInstance};
 use crate::compat::Compatibility;
@@ -29,8 +29,8 @@ pub enum Solver {
         /// Greedy tuning knobs (seed cap, degree cap, RNG seed).
         config: GreedyConfig,
     },
-    /// Exact minimum-diameter search by subset enumeration; only viable when
-    /// few users hold the task's skills (returns
+    /// Exact least-cost search by subset enumeration; only viable when few
+    /// users hold the task's skills (returns
     /// [`TfsnError::SearchBudgetExceeded`] otherwise).
     Exhaustive,
 }
@@ -58,52 +58,31 @@ impl Solver {
         }
     }
 
-    /// Solves `task` on `instance` under the relation `comp`.
+    /// Solves `task` on `instance` under the relation `comp`, for the
+    /// paper's objective ([`Objective::MinTeam`]).
     pub fn solve<C: Compatibility + ?Sized>(
         &self,
         instance: &TfsnInstance<'_>,
         comp: &C,
         task: &Task,
     ) -> Result<Team, TfsnError> {
-        match self {
-            Solver::Greedy { algorithm, config } => {
-                solve_greedy(instance, comp, task, *algorithm, config)
-            }
-            Solver::Exhaustive => solve_exhaustive(instance, comp, task),
-        }
+        self.solve_objective_with_scratch(
+            instance,
+            comp,
+            task,
+            &Objective::MinTeam,
+            &mut SolveScratch::new(),
+        )
     }
 
-    /// Like [`Solver::solve`], but reuses the caller's [`SolveScratch`]
-    /// (today: the greedy candidate-mask buffer) instead of allocating per
-    /// solve. Strategies without scratchable state ignore it. Answers are
-    /// identical to [`Solver::solve`] — the scratch carries capacity, not
-    /// query state.
-    pub fn solve_with_scratch<C: Compatibility + ?Sized>(
-        &self,
-        instance: &TfsnInstance<'_>,
-        comp: &C,
-        task: &Task,
-        scratch: &mut SolveScratch,
-    ) -> Result<Team, TfsnError> {
-        match self {
-            Solver::Greedy { algorithm, config } => {
-                solve_greedy_with_scratch(instance, comp, task, *algorithm, config, scratch)
-                    .map(|(team, _)| team)
-            }
-            Solver::Exhaustive => solve_exhaustive(instance, comp, task),
-        }
-    }
-
-    /// Solves `task` under an explicit team [`Objective`].
+    /// Solves `task` under the team [`Objective`], reusing the caller's
+    /// [`SolveScratch`] (today: the greedy candidate-mask buffer) instead
+    /// of allocating per solve. The scratch carries capacity, not query
+    /// state, so reusing it never changes answers.
     ///
-    /// The default objective ([`Objective::MinTeam`]) routes through the
-    /// exact same code paths as [`Solver::solve_with_scratch`] — callers
-    /// that never name an objective are bit-for-bit unaffected by the
-    /// objective layer. Non-default objectives dispatch to the
-    /// objective-aware greedy growth or exhaustive enumeration in
-    /// [`super::objective`], honouring this solver's shape (greedy
-    /// tuning such as `max_seeds` carries over; the exhaustive variant
-    /// keeps the same relevant-user budget).
+    /// Both solver shapes take the objective: the greedy keeps its tuning
+    /// (`max_seeds` and the rest), the exhaustive search its
+    /// relevant-user budget.
     pub fn solve_objective_with_scratch<C: Compatibility + ?Sized>(
         &self,
         instance: &TfsnInstance<'_>,
@@ -112,14 +91,12 @@ impl Solver {
         objective: &Objective,
         scratch: &mut SolveScratch,
     ) -> Result<Team, TfsnError> {
-        if objective.is_default() {
-            return self.solve_with_scratch(instance, comp, task, scratch);
-        }
         match self {
-            Solver::Greedy { config, .. } => {
-                solve_objective_greedy(instance, comp, task, objective, config, scratch)
-            }
-            Solver::Exhaustive => solve_objective_exhaustive(instance, comp, task, objective),
+            Solver::Greedy { algorithm, config } => solve_greedy_with_scratch(
+                instance, comp, task, *algorithm, objective, config, scratch,
+            )
+            .map(|(team, _)| team),
+            Solver::Exhaustive => solve_exhaustive(instance, comp, task, objective),
         }
     }
 }
@@ -192,7 +169,13 @@ mod tests {
             let comp = CompatibilityMatrix::build(&g, kind);
             let fresh = solver.solve(&inst, &comp, &task).unwrap();
             let reused = solver
-                .solve_with_scratch(&inst, &comp, &task, &mut scratch)
+                .solve_objective_with_scratch(
+                    &inst,
+                    &comp,
+                    &task,
+                    &Objective::MinTeam,
+                    &mut scratch,
+                )
                 .unwrap();
             assert_eq!(
                 fresh, reused,
@@ -203,7 +186,7 @@ mod tests {
         assert!(words > 0, "packed-row solve must have seeded the buffer");
         let comp = CompatibilityMatrix::build(&g, CompatibilityKind::Spa);
         solver
-            .solve_with_scratch(&inst, &comp, &task, &mut scratch)
+            .solve_objective_with_scratch(&inst, &comp, &task, &Objective::MinTeam, &mut scratch)
             .unwrap();
         assert_eq!(
             scratch.mask_word_capacity(),

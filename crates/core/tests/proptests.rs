@@ -11,7 +11,7 @@ use tfsn_core::team::baseline::rarest_first;
 use tfsn_core::team::exhaustive::solve_exhaustive;
 use tfsn_core::team::greedy::{solve_greedy, GreedyConfig};
 use tfsn_core::team::policies::TeamAlgorithm;
-use tfsn_core::team::{Team, TfsnInstance};
+use tfsn_core::team::{Objective, SolveScratch, Solver, Team, TfsnInstance};
 use tfsn_core::TfsnError;
 use tfsn_skills::assignment::SkillAssignment;
 use tfsn_skills::task::Task;
@@ -212,7 +212,7 @@ proptest! {
         let inst = TfsnInstance::new(&g, &skills);
         let task = Task::new([SkillId::new(0), SkillId::new(1), SkillId::new(2)]);
         let comp = CompatibilityMatrix::build(&g, CompatibilityKind::Spo);
-        let exact = solve_exhaustive(&inst, &comp, &task);
+        let exact = solve_exhaustive(&inst, &comp, &task, &Objective::MinTeam);
         let greedy = solve_greedy(&inst, &comp, &task, TeamAlgorithm::LCMD, &GreedyConfig::default());
         match (exact, greedy) {
             (Ok(e), Ok(h)) => {
@@ -1015,71 +1015,11 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// Objective-pluggable dispatch vs the pre-objective solver paths.
+// Alternative objectives across the serving tiers.
 // ---------------------------------------------------------------------------
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// Refactor pin: dispatching the *default* objective through
-    /// `solve_objective_with_scratch` returns exactly what the pre-objective
-    /// entry points return — same team or same error — for every kind, both
-    /// solver shapes, and both serving tiers (materialised matrix and
-    /// budget-capped row store). The objective layer must be invisible to
-    /// legacy callers.
-    #[test]
-    fn default_objective_dispatch_is_identical(g in arb_graph(), seed in 0u64..500) {
-        use std::sync::Arc;
-        use tfsn_core::compat::{estimated_row_bytes, LazyCompatibility};
-        use tfsn_core::team::{Objective, SolveScratch, Solver};
-        let users = g.node_count();
-        let mut skills = SkillAssignment::new(5, users);
-        for u in 0..users {
-            skills.grant(u, SkillId::new(u % 5));
-            if u % 4 == 0 {
-                skills.grant(u, SkillId::new((u + 1) % 5));
-            }
-        }
-        let inst = TfsnInstance::new(&g, &skills);
-        let task = Task::new([SkillId::new(0), SkillId::new(1), SkillId::new(3)]);
-        let solvers = [
-            Solver::default_greedy(),
-            Solver::greedy(TeamAlgorithm::RFMD),
-            Solver::Greedy {
-                algorithm: TeamAlgorithm::RANDOM,
-                config: GreedyConfig { random_seed: seed, ..Default::default() },
-            },
-            Solver::Exhaustive,
-        ];
-        let mut scratch = SolveScratch::new();
-        for kind in [CompatibilityKind::Spa, CompatibilityKind::Sbph, CompatibilityKind::Nne] {
-            let matrix = CompatibilityMatrix::build(&g, kind);
-            let lazy = LazyCompatibility::with_budget(
-                Arc::new(g.clone()),
-                kind,
-                EngineConfig::default(),
-                Some(2 * estimated_row_bytes(users) + 16),
-            );
-            for solver in &solvers {
-                let legacy = solver.solve_with_scratch(&inst, &matrix, &task, &mut scratch);
-                let routed = solver.solve_objective_with_scratch(
-                    &inst, &matrix, &task, &Objective::MinTeam, &mut scratch,
-                );
-                prop_assert_eq!(
-                    &legacy, &routed,
-                    "{}/{}: default objective diverged on the matrix tier", kind, solver
-                );
-                let lazy_routed = solver.solve_objective_with_scratch(
-                    &inst, &lazy, &task, &Objective::MinTeam, &mut scratch,
-                );
-                let lazy_legacy = solver.solve_with_scratch(&inst, &lazy, &task, &mut scratch);
-                prop_assert_eq!(
-                    &lazy_legacy, &lazy_routed,
-                    "{}/{}: default objective diverged on the row-LRU tier", kind, solver
-                );
-            }
-        }
-    }
 
     /// Non-default objectives return constraint-satisfying covering
     /// compatible teams (or a clean NoCompatibleTeam) on every kind and both
@@ -1309,6 +1249,233 @@ fn reference_greedy(
         .ok_or(TfsnError::NoCompatibleTeam)
 }
 
+/// Every unordered pair of `members`.
+fn pairs(members: &[NodeId]) -> impl Iterator<Item = (NodeId, NodeId)> + '_ {
+    let tail = |i: usize| members[i + 1..].iter();
+    (0..members.len()).flat_map(move |i| tail(i).map(move |&v| (members[i], v)))
+}
+
+/// The largest pair distance, `None` when some pair has none.
+fn reference_diameter(comp: &dyn Compatibility, members: &[NodeId]) -> Option<u32> {
+    pairs(members).try_fold(0, |d, (u, v)| Some(d.max(comp.distance(u, v)?)))
+}
+
+/// What the solvers minimise: the diameter (`u64::MAX` when undefined), or
+/// under Synergy `u64::MAX` less the synergy, `SYNERGY_SCALE / d` per pair
+/// at distance `d` (twice the scale at 0, nothing when undefined).
+fn reference_cost(comp: &dyn Compatibility, objective: &Objective, members: &[NodeId]) -> u64 {
+    use tfsn_core::team::objective::SYNERGY_SCALE;
+    let synergy = |d: Option<u32>| match d {
+        None => 0,
+        Some(0) => 2 * SYNERGY_SCALE,
+        Some(d) => SYNERGY_SCALE / u64::from(d),
+    };
+    match objective {
+        Objective::Synergy => {
+            u64::MAX
+                - pairs(members)
+                    .map(|(u, v)| synergy(comp.distance(u, v)))
+                    .sum::<u64>()
+        }
+        _ => reference_diameter(comp, members).map_or(u64::MAX, u64::from),
+    }
+}
+
+/// The designated members (deduplicated, ascending), size budget and
+/// distance bound of the constrained objective; none for the others.
+fn limits(objective: &Objective) -> (Vec<NodeId>, Option<usize>, Option<u32>) {
+    let Objective::Constrained {
+        include,
+        max_size,
+        max_distance,
+    } = objective
+    else {
+        return (Vec::new(), None, None);
+    };
+    let mut base: Vec<NodeId> = include.iter().map(|&u| NodeId::new(u)).collect();
+    base.sort_unstable();
+    base.dedup();
+    (base, *max_size, *max_distance)
+}
+
+/// Whether `members` are pairwise compatible, hold every designated
+/// member, fit the size budget, and have a diameter within the distance
+/// bound.
+fn reference_admits(comp: &dyn Compatibility, objective: &Objective, members: &[NodeId]) -> bool {
+    let (base, max_size, max_distance) = limits(objective);
+    pairs(members).all(|(u, v)| comp.compatible(u, v))
+        && base.iter().all(|u| members.contains(u))
+        && max_size.is_none_or(|k| members.len() <= k)
+        && max_distance.is_none_or(|b| reference_diameter(comp, members).is_some_and(|d| d <= b))
+}
+
+/// What both solvers settle before searching, in order: designated members
+/// no qualifying team can hold (out of range, or not admitted on their own)
+/// answer `NoCompatibleTeam`; an empty task with none answers the empty
+/// team (`Ok(None)`); a skill nobody holds is uncoverable. Otherwise the
+/// designated members.
+fn reference_preamble(
+    instance: &TfsnInstance<'_>,
+    comp: &dyn Compatibility,
+    task: &Task,
+    objective: &Objective,
+) -> Result<Option<Vec<NodeId>>, TfsnError> {
+    let base = limits(objective).0;
+    if base.iter().any(|u| u.index() >= instance.user_count())
+        || !reference_admits(comp, objective, &base)
+    {
+        return Err(TfsnError::NoCompatibleTeam);
+    }
+    let skills = instance.skills();
+    match task
+        .skills()
+        .iter()
+        .find(|&&s| skills.skill_frequency(s) == 0)
+    {
+        _ if task.is_empty() && base.is_empty() => Ok(None),
+        Some(&s) => Err(TfsnError::UncoverableSkill(s)),
+        None => Ok(Some(base)),
+    }
+}
+
+/// Algorithm 2 as the objective layer states it for Synergy and
+/// Constrained, whatever the query's algorithm: skills rarest first; the
+/// designated members as the one seed, else each holder of the first skill
+/// (up to `max_seeds`); joiners within the size budget and the distance
+/// bound, the closest one under Constrained and the one adding the most
+/// synergy under Synergy (ties to the lower id); finished teams must meet
+/// the constraints, and the least cost wins, the smaller team on equal
+/// cost. Pair probes only, no candidate mask and no bound.
+fn reference_objective_greedy(
+    instance: &TfsnInstance<'_>,
+    comp: &dyn Compatibility,
+    task: &Task,
+    objective: &Objective,
+    config: &GreedyConfig,
+) -> Result<Team, TfsnError> {
+    let Some(base) = reference_preamble(instance, comp, task, objective)? else {
+        return Ok(Team::new([]));
+    };
+    let skills = instance.skills();
+    let (_, max_size, max_distance) = limits(objective);
+    let rarest = |remaining: &[SkillId]| -> SkillId {
+        *remaining
+            .iter()
+            .min_by_key(|&&s| (skills.skill_frequency(s), s.index()))
+            .unwrap()
+    };
+    let distance_to_team = |c: NodeId, members: &[NodeId]| -> u64 {
+        let d = |m: &NodeId| comp.distance(c, *m).map_or(u64::MAX / 2, u64::from);
+        members.iter().map(d).max().unwrap_or(0)
+    };
+    let seeds: Vec<Vec<NodeId>> = match base.is_empty() {
+        false => vec![base],
+        true => skills
+            .users_with_skill(rarest(task.skills()))
+            .iter()
+            .take(config.max_seeds.unwrap_or(usize::MAX))
+            .map(|&u| vec![NodeId::new(u as usize)])
+            .collect(),
+    };
+    let mut best: Option<(Team, u64)> = None;
+    for mut members in seeds {
+        let covering = loop {
+            let remaining = task.uncovered(&Team::new(members.clone()).covered_skills(skills));
+            if remaining.is_empty() {
+                break Some(members);
+            }
+            let candidates = skills.users_with_skill(rarest(&remaining)).iter();
+            let candidates = candidates.map(|&u| NodeId::new(u as usize)).filter(|&u| {
+                !members.contains(&u)
+                    && comp.compatible_with_all(u, &members)
+                    && max_size.is_none_or(|k| members.len() < k)
+                    && max_distance.is_none_or(|b| distance_to_team(u, &members) <= u64::from(b))
+            });
+            let chosen = match objective {
+                Objective::Synergy => candidates.max_by_key(|&c| {
+                    let with: Vec<NodeId> = members.iter().copied().chain([c]).collect();
+                    (
+                        u64::MAX - reference_cost(comp, objective, &with),
+                        std::cmp::Reverse(c.index()),
+                    )
+                }),
+                _ => candidates.min_by_key(|&c| (distance_to_team(c, &members), c.index())),
+            };
+            match chosen {
+                Some(c) => members.push(c),
+                None => break None,
+            }
+        };
+        let Some(members) = covering.filter(|m| reference_admits(comp, objective, m)) else {
+            continue;
+        };
+        let cost = reference_cost(comp, objective, &members);
+        if best
+            .as_ref()
+            .is_none_or(|(b, c)| (cost, members.len()) < (*c, b.len()))
+        {
+            best = Some((Team::new(members), cost));
+        }
+    }
+    best.map(|(team, _)| team)
+        .ok_or(TfsnError::NoCompatibleTeam)
+}
+
+/// The least (cost, size) over the subsets of the relevant users (holders
+/// of a task skill, plus the designated members) that cover the task and
+/// are admitted: what the exhaustive solver must reach under every
+/// objective, with its errors.
+fn reference_exhaustive(
+    instance: &TfsnInstance<'_>,
+    comp: &dyn Compatibility,
+    task: &Task,
+    objective: &Objective,
+) -> Result<(u64, usize), TfsnError> {
+    use tfsn_core::team::exhaustive::MAX_RELEVANT_USERS;
+    let Some(base) = reference_preamble(instance, comp, task, objective)? else {
+        return Ok((reference_cost(comp, objective, &[]), 0));
+    };
+    let skills = instance.skills();
+    let mut relevant = base;
+    for &s in task.skills() {
+        relevant.extend(
+            skills
+                .users_with_skill(s)
+                .iter()
+                .map(|&u| NodeId::new(u as usize)),
+        );
+    }
+    relevant.sort_unstable();
+    relevant.dedup();
+    if relevant.len() > MAX_RELEVANT_USERS {
+        return Err(TfsnError::SearchBudgetExceeded);
+    }
+    let subset = |mask: u32| -> Vec<NodeId> {
+        (0..relevant.len())
+            .filter(|&i| mask >> i & 1 == 1)
+            .map(|i| relevant[i])
+            .collect()
+    };
+    (1u32..1 << relevant.len())
+        .map(subset)
+        .filter(|m| reference_qualifies(skills, comp, task, objective, m))
+        .map(|m| (reference_cost(comp, objective, &m), m.len()))
+        .min()
+        .ok_or(TfsnError::NoCompatibleTeam)
+}
+
+/// Whether `members` cover the task and are admitted.
+fn reference_qualifies(
+    skills: &SkillAssignment,
+    comp: &dyn Compatibility,
+    task: &Task,
+    objective: &Objective,
+    members: &[NodeId],
+) -> bool {
+    task.is_covered_by(&Team::new(members.to_vec()).covered_skills(skills))
+        && reference_admits(comp, objective, members)
+}
+
 /// Eight skills over the graph's users, and a task over them.
 ///
 /// Uniform shape: bit `s` of `grants[u]` grants user `u` skill `s`, and the
@@ -1353,6 +1520,23 @@ fn oracle_instance(
         skills,
         Task::new((0..8).filter(|s| task_bits >> s & 1 == 1).map(SkillId::new)),
     )
+}
+
+/// Ten skills: user `u` holds skill `u % 10`, plus one more where the top
+/// two bits of its grant are set; the task is the lowest (at most three)
+/// set bits of `task_bits`. Few users hold a task skill, so every subset
+/// of them can be enumerated.
+fn sparse_instance(users: usize, grants: &[u8], task_bits: u32) -> (SkillAssignment, Task) {
+    let mut skills = SkillAssignment::new(10, users);
+    for u in 0..users {
+        skills.grant(u, SkillId::new(u % 10));
+        let g = grants[u % grants.len()];
+        if g & 0xC0 == 0xC0 {
+            skills.grant(u, SkillId::new(usize::from(g) % 10));
+        }
+    }
+    let task_skills = (0..8).filter(|s| task_bits >> s & 1 == 1).take(3);
+    (skills, Task::new(task_skills.map(SkillId::new)))
 }
 
 proptest! {
@@ -1415,6 +1599,99 @@ proptest! {
                             "{}/{}/{} {:?}: greedy diverged from the definition", kind, tier, alg, config
                         );
                     }
+                }
+            }
+        }
+    }
+
+    /// Synergy and Constrained through `Solver::solve_objective_with_scratch`
+    /// return exactly what their definitions return, same team or same
+    /// error: the greedy under every algorithm and both the default and a
+    /// capped config, Constrained with and without designated members, size
+    /// budget and distance bound; and the exhaustive solver, under these and
+    /// `MinTeam`, a team of the least (cost, size) any qualifying subset
+    /// reaches. Every kind, on the materialised and the budgeted lazy tier.
+    #[test]
+    fn objectives_match_definition_oracle(
+        g in arb_graph(),
+        grants in prop::collection::vec(0u32..256, 1..26),
+        skewed in prop::bool::ANY,
+        task_bits in 1u32..256,
+        caps in (1usize..6, 1usize..6, 0u64..1000),
+        synergy in prop::bool::ANY,
+        include in prop::collection::vec(0usize..64, 0..3),
+        size in (prop::bool::ANY, 1usize..6),
+        distance in (prop::bool::ANY, 1u32..5),
+    ) {
+        use std::sync::Arc;
+        use tfsn_core::compat::{estimated_row_bytes, LazyCompatibility, ScalarOnly};
+        let users = g.node_count();
+        let grants: Vec<u8> = grants.iter().map(|&b| b as u8).collect();
+        let (skills, task) = oracle_instance(users, &grants, skewed, task_bits);
+        let inst = TfsnInstance::new(&g, &skills);
+        let (sparse_skills, sparse_task) = sparse_instance(users, &grants, task_bits);
+        let sparse = TfsnInstance::new(&g, &sparse_skills);
+        let configs = [
+            GreedyConfig::default(),
+            GreedyConfig {
+                max_seeds: Some(caps.0),
+                skill_degree_cap: Some(caps.1),
+                random_seed: caps.2,
+            },
+        ];
+        let objective = if synergy {
+            Objective::Synergy
+        } else {
+            Objective::Constrained {
+                // One index past the last user is out of range.
+                include: include.iter().map(|&u| u % (users + 1)).collect(),
+                max_size: size.0.then_some(size.1),
+                max_distance: distance.0.then_some(distance.1),
+            }
+        };
+        let mut scratch = SolveScratch::new();
+        for kind in CompatibilityKind::ALL {
+            let matrix = CompatibilityMatrix::build(&g, kind);
+            let lazy = LazyCompatibility::with_budget(
+                Arc::new(g.clone()),
+                kind,
+                EngineConfig::default(),
+                Some(2 * estimated_row_bytes(users) + 16),
+            );
+            let scalar = ScalarOnly(&matrix);
+            let tiers: [(&str, &dyn Compatibility); 2] = [("matrix", &matrix), ("lazy", &lazy)];
+            for config in &configs {
+                let expected = reference_objective_greedy(&inst, &scalar, &task, &objective, config);
+                for algorithm in TeamAlgorithm::ALL {
+                    let solver = Solver::Greedy { algorithm, config: config.clone() };
+                    for (tier, comp) in tiers {
+                        let got = solver.solve_objective_with_scratch(
+                            &inst, comp, &task, &objective, &mut scratch,
+                        );
+                        prop_assert_eq!(
+                            &got, &expected,
+                            "{}/{}/{} {:?} {:?}: greedy diverged from the definition",
+                            kind, tier, algorithm, objective, config
+                        );
+                    }
+                }
+            }
+            for objective in [&Objective::MinTeam, &objective] {
+                let expected = reference_exhaustive(&sparse, &scalar, &sparse_task, objective)
+                    .map(|(cost, size)| (true, cost, size));
+                for (tier, comp) in tiers {
+                    let got = Solver::Exhaustive
+                        .solve_objective_with_scratch(&sparse, comp, &sparse_task, objective, &mut scratch)
+                        .map(|team| {
+                            let m = team.members();
+                            let qualifies =
+                                reference_qualifies(&sparse_skills, &scalar, &sparse_task, objective, m);
+                            (qualifies, reference_cost(&scalar, objective, m), m.len())
+                        });
+                    prop_assert_eq!(
+                        &got, &expected,
+                        "{}/{} {:?}: exhaustive missed the least (cost, size)", kind, tier, objective
+                    );
                 }
             }
         }

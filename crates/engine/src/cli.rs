@@ -712,11 +712,11 @@ fn serve_batch(
             }
         };
         let engine = service.engine(select).map_err(|e| runtime(e.to_string()))?;
-        let matrix_kinds = warmed_kinds
-            .iter()
-            .filter(|&&k| engine.store().tier_for(k) == crate::TierChoice::Matrix)
-            .count();
-        let row_kinds = warmed_kinds.len() - matrix_kinds;
+        // Every kind of a store shares one plan.
+        let (matrix_kinds, row_kinds) = match engine.store().tier() {
+            crate::TierChoice::Matrix => (warmed_kinds.len(), 0),
+            crate::TierChoice::Rows => (0, warmed_kinds.len()),
+        };
         let mut line = format!(
             "[tfsn] warmed {} matrix(es) in {:.2}s",
             matrix_kinds,
@@ -760,7 +760,7 @@ fn serve_batch(
         format_args!(
             "{}n/{}m",
             engine.deployment().user_count(),
-            engine.deployment().graph().edge_count()
+            engine.graph().edge_count()
         ),
         summary.queries,
         elapsed.as_secs_f64(),
@@ -1862,6 +1862,35 @@ mod tests {
         assert!(r.unwrap_err().contains("unknown flag"));
         let (_, _, r) = run_to_strings(&["stats", "--dataset", "slashdot", "--wal-fsync", "batch"]);
         assert!(r.unwrap_err().contains("--wal-dir"));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn serve_batch_summary_counts_edges_replayed_from_the_wal() {
+        let dir = std::env::temp_dir().join(format!("tfsn-cli-replay-test-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let wal = dir.join("wal");
+        let run = |cmd: &str, input: &str| {
+            let path = dir.join(format!("{cmd}.jsonl"));
+            std::fs::write(&path, input).unwrap();
+            let (wal, path) = (wal.to_str().unwrap(), path.to_str().unwrap());
+            let args = [
+                cmd,
+                "--dataset",
+                "slashdot",
+                "--wal-dir",
+                wal,
+                "--input",
+                path,
+            ];
+            let (_, err, result) = run_to_strings(&args);
+            result.unwrap();
+            err
+        };
+        run("mutate", "{\"op\": \"edge_remove\", \"u\": 0, \"v\": 1}\n");
+        // Slashdot loads with 304 edges; the replayed log removed one.
+        let summary = run("serve-batch", "{\"task\": [0, 3]}\n");
+        assert!(summary.contains("Slashdot on 214n/303m:"), "{summary}");
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -500,9 +500,7 @@ impl Engine {
         let comp = scope.compat();
         let task = Task::new(query.task.iter().map(|&s| SkillId::new(s)));
         let instance = self.deployment.instance();
-        // An absent objective is the default min-diameter objective, whose
-        // dispatch routes through the exact pre-objective solver paths —
-        // objective-less queries stay byte-identical.
+        // An absent objective is the default min-diameter objective.
         let objective = query.objective.clone().unwrap_or_default();
         // One solver scratch per worker thread, shared across every query
         // the thread answers (and across engines — the buffers resize when

@@ -50,8 +50,8 @@ pub struct ServiceOptions {
     pub chunk: usize,
     /// Default [`Objective`] applied to queries that do not name one
     /// (`--objective` on the serving subcommands). `None` keeps the
-    /// protocol default: absent means the paper's min-size objective and
-    /// byte-identical legacy answers.
+    /// protocol default: absent means the paper's minimum-diameter
+    /// objective and byte-identical legacy answers.
     pub objective: Option<Objective>,
 }
 

@@ -302,9 +302,10 @@ impl RelationStore {
         self.state.read().graph.clone()
     }
 
-    /// The plan this store's policy assigns to `kind`: whether its first
-    /// fetch fills every row.
-    pub fn tier_for(&self, _kind: CompatibilityKind) -> TierChoice {
+    /// The plan this store's policy assigns to every kind: whether a
+    /// kind's first fetch fills every row. One node count gives one plan,
+    /// since a row's size does not depend on the kind.
+    pub fn tier(&self) -> TierChoice {
         self.policy.tier_for(self.nodes)
     }
 
@@ -360,7 +361,7 @@ impl RelationStore {
             self.cfg.clone(),
             self.policy.memory_budget,
         );
-        let built_matrix = self.tier_for(kind) == TierChoice::Matrix;
+        let built_matrix = self.tier() == TierChoice::Matrix;
         if built_matrix {
             self.matrix_builds.fetch_add(1, Ordering::Relaxed);
             rows = rows.filled(self.build_threads);
@@ -765,17 +766,14 @@ mod tests {
             1,
             StorePolicy::auto(matrix_bytes),
         );
-        assert_eq!(
-            generous.tier_for(CompatibilityKind::Spa),
-            TierChoice::Matrix
-        );
+        assert_eq!(generous.tier(), TierChoice::Matrix);
         let tight = RelationStore::new(
             g.clone(),
             EngineConfig::default(),
             1,
             StorePolicy::auto(matrix_bytes - 1),
         );
-        assert_eq!(tight.tier_for(CompatibilityKind::Spa), TierChoice::Rows);
+        assert_eq!(tight.tier(), TierChoice::Rows);
         assert!(generous.fetch(CompatibilityKind::Spa).built_matrix());
         assert_eq!(generous.resident_row_count(), g.node_count());
         assert_eq!(generous.row_build_count(), 0, "a fill is no row build");

@@ -199,10 +199,7 @@ fn serves_50k_nodes_under_memory_budget_with_evictions() {
             ..Default::default()
         },
     );
-    assert_eq!(
-        engine.store().tier_for(CompatibilityKind::Spo),
-        TierChoice::Rows
-    );
+    assert_eq!(engine.store().tier(), TierChoice::Rows);
     let answers = engine.batch(&queries, &BatchOptions::with_threads(2));
     assert_eq!(answers.len(), queries.len());
     assert!(

@@ -1,5 +1,5 @@
 //! The objective-pluggable solver layer: one deployment, the same task
-//! solved under every team objective — the paper's min-size default, the
+//! solved under every team objective — the paper's min-diameter default, the
 //! synergy-maximising variant, and the constrained variant with designated
 //! members — in process and over the wire.
 //!
@@ -12,9 +12,9 @@ fn main() {
     let engine = Engine::new(Deployment::from_dataset(tfsn_datasets::slashdot()));
     let task = [0usize, 3, 4];
 
-    // The default: absent objective = the paper's min-size compatible
-    // team. The answer stays on the legacy wire shape (no objective or
-    // score fields).
+    // The default: absent objective = the paper's minimum-diameter
+    // compatible team. The answer stays on the legacy wire shape (no
+    // objective or score fields).
     let base = TeamQuery::new(task).with_kind(CompatibilityKind::Spa);
     let default_answer = engine.query(&base);
     println!(
