@@ -42,6 +42,17 @@ pub const SYNERGY_SCALE: u64 = 1000;
 
 /// A team objective: the scoring rule (and feasibility constraints) under
 /// which covering compatible teams are ranked.
+///
+/// Only [`Objective::MinTeam`] runs the greedy algorithm's own skill and
+/// user policies. Under [`Objective::Synergy`] and
+/// [`Objective::Constrained`] every greedy algorithm runs the objective's
+/// rule: skills rarest first, then the joiner that adds the most synergy
+/// (Synergy) or the candidate closest to the team (Constrained). So the
+/// five greedy algorithms return the same team, and only
+/// [`Solver::Exhaustive`] changes the search. An answer's `algorithm`
+/// field still names the algorithm the query asked for.
+///
+/// [`Solver::Exhaustive`]: crate::team::Solver::Exhaustive
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Objective {
     /// The paper's objective: minimise the diameter of a compatible

@@ -29,16 +29,24 @@
 //!
 //! ## Connections
 //!
-//! Per-backend pools of keep-alive [`HttpClient`]s: a forwarded request
-//! checks a client out, and checks it back in only on success — an I/O
-//! error drops the connection instead of poisoning the pool. Pooled
+//! Clients reach the router through the `serve-http` transport: the router
+//! is a handler served by an [`HttpServer`]. So it has the server's
+//! [`RouterOptions::threads`] acceptors, keep-alive and request framing,
+//! the default cap of 256 concurrent connections (over it, a typed
+//! `overloaded` 503 with a `Retry-After` header), and a shutdown that
+//! drains in-flight connections. It has no admission queue: its backends
+//! admit the work it forwards.
+//!
+//! Backends are reached through per-backend pools of keep-alive
+//! [`HttpClient`]s: a forwarded request checks a client out, and checks it
+//! back in only on success — an I/O error drops the connection instead of
+//! poisoning the pool. Pooled
 //! connections idle longer than [`POOL_IDLE`] are discarded on checkout,
 //! staying safely inside the backends' own keep-alive timeout; should a
 //! reused socket fail anyway, idempotent requests are redialed once on a
 //! fresh connection before the failure counts against the backend.
 
-use std::io::BufReader;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -50,7 +58,10 @@ use crate::client::{HttpClient, HttpReply, RetryPolicy};
 use crate::cluster::replica::percent_encode;
 use crate::cluster::topology::{Role, Topology};
 use crate::proto::ServiceError;
-use crate::server::{read_request, status_for, write_response, HttpRequest, HttpResponse};
+use crate::server::{
+    status_for, write_response, Handler, HttpRequest, HttpResponse, HttpServer, ServerOptions,
+    ShutdownHandle,
+};
 
 /// Pooled backend connections idle longer than this are discarded on
 /// checkout (the serving default keep-alive is 30 s; staying well under it
@@ -70,7 +81,8 @@ pub struct RouterOptions {
     pub probe_interval: Duration,
     /// Consecutive failures (probe or data-path) that eject a backend.
     pub fail_threshold: u32,
-    /// The `Retry-After` delay advertised on `no_backend` responses.
+    /// The `Retry-After` delay advertised on `no_backend` and
+    /// `overloaded` responses.
     pub retry_after: Duration,
     /// Content-affinity reads (`--affinity`): pick the replica by a hash
     /// of the request's target and body instead of round-robin, so the
@@ -163,7 +175,7 @@ impl BackendState {
     }
 }
 
-/// The shared router state behind every acceptor and the prober.
+/// The router's handler: the state behind every connection and the prober.
 #[derive(Debug)]
 struct RouterCore {
     backends: Vec<Arc<BackendState>>,
@@ -233,7 +245,8 @@ impl RouterCore {
                 // primary-only even over the generic endpoint. Anything
                 // unparseable goes to the read path, whose backend answers
                 // with the canonical typed parse error.
-                let op = std::str::from_utf8(&request.body)
+                let op = request
+                    .text()
                     .ok()
                     .and_then(|json| serde_json::parse_value(json).ok())
                     .and_then(|v| v.get("op").and_then(|op| op.as_str().map(String::from)));
@@ -274,11 +287,10 @@ impl RouterCore {
         &self,
         idx: usize,
         request: &HttpRequest,
+        body: &str,
         retry_stale: bool,
     ) -> std::io::Result<HttpReply> {
         let backend = &self.backends[idx];
-        let body = std::str::from_utf8(&request.body)
-            .map_err(|_| std::io::Error::other("request body is not UTF-8"))?;
         let (mut client, reused) = backend.checkout().inspect_err(|_| {
             backend.note_failure(self.options.fail_threshold);
         })?;
@@ -315,6 +327,12 @@ impl RouterCore {
     }
 
     fn route(&self, request: &HttpRequest) -> HttpResponse {
+        // Forwarding needs the body as text. One that is not UTF-8 gets the
+        // backends' own 400 here, so it never counts against a backend.
+        let body = match request.text() {
+            Ok(body) => body,
+            Err(e) => return HttpResponse::error(400, e),
+        };
         match self.plan(request) {
             Plan::Local(response) => response,
             Plan::Primary => {
@@ -326,7 +344,7 @@ impl RouterCore {
                 // may redial a stale pooled socket; POSTed writes must not
                 // — a write whose response was lost may have been applied
                 // and logged, and resending could double it.
-                match self.try_backend(self.primary, request, request.method == "GET") {
+                match self.try_backend(self.primary, request, body, request.method == "GET") {
                     Ok(reply) => pass_through(reply),
                     Err(_) => self.no_backend(request, "primary"),
                 }
@@ -362,7 +380,7 @@ impl RouterCore {
                     if attempt > 0 {
                         self.read_retries.fetch_add(1, Ordering::Relaxed);
                     }
-                    match self.try_backend(idx, request, true) {
+                    match self.try_backend(idx, request, body, true) {
                         Ok(reply) => return pass_through(reply),
                         Err(_) => continue,
                     }
@@ -399,6 +417,18 @@ impl RouterCore {
                 read_retries: self.read_retries.load(Ordering::Relaxed),
             },
         )
+    }
+}
+
+impl Handler for RouterCore {
+    fn respond(
+        &self,
+        request: &HttpRequest,
+        writer: &mut TcpStream,
+        _shutdown: &ShutdownHandle,
+    ) -> std::io::Result<bool> {
+        write_response(writer, &self.route(request), request.close)?;
+        Ok(!request.close)
     }
 }
 
@@ -481,22 +511,13 @@ fn pass_through(reply: HttpReply) -> HttpResponse {
     }
 }
 
-/// The shared stop signal: flag + listener address to poke acceptors
-/// awake.
-#[derive(Debug)]
-struct RouterStop {
-    flag: AtomicBool,
-    addr: SocketAddr,
-    workers: usize,
-}
-
-/// A running router process. Dropping the handle does not stop it; call
+/// A running router process: the router served on an [`HttpServer`], plus
+/// the backend prober. Dropping the handle does not stop it; call
 /// [`Router::shutdown`] or [`Router::join`].
 #[derive(Debug)]
 pub struct Router {
-    addr: SocketAddr,
-    stop: Arc<RouterStop>,
-    workers: Vec<JoinHandle<()>>,
+    server: HttpServer,
+    prober: JoinHandle<()>,
 }
 
 impl Router {
@@ -506,67 +527,45 @@ impl Router {
         addr: &str,
         options: RouterOptions,
     ) -> std::io::Result<Router> {
-        let listener = TcpListener::bind(addr)?;
-        let addr = listener.local_addr()?;
-        let threads = options.threads.max(1);
+        let server_options = ServerOptions {
+            threads: options.threads,
+            keep_alive: options.keep_alive,
+            max_body_bytes: options.max_body_bytes,
+            retry_after: options.retry_after,
+            ..Default::default()
+        };
         let core = Arc::new(RouterCore::new(topology, options));
-        let stop = Arc::new(RouterStop {
-            flag: AtomicBool::new(false),
-            addr,
-            workers: threads,
-        });
-        let mut workers = Vec::with_capacity(threads + 1);
+        let server = HttpServer::serve(core.clone(), addr, server_options)?;
         // The prober: walks every backend each interval, feeding the same
-        // health state the data path updates.
-        {
-            let core = core.clone();
-            let stop = stop.clone();
-            workers.push(std::thread::spawn(move || prober_loop(&core, &stop)));
-        }
-        for _ in 0..threads {
-            let listener = listener.try_clone()?;
-            let core = core.clone();
-            let stop = stop.clone();
-            workers.push(std::thread::spawn(move || {
-                acceptor_loop(&listener, &core, &stop)
-            }));
-        }
-        Ok(Router {
-            addr,
-            stop,
-            workers,
-        })
+        // health state the data path updates, until the server stops.
+        let stop = server.shutdown_handle();
+        let prober = std::thread::spawn(move || prober_loop(&core, &stop));
+        Ok(Router { server, prober })
     }
 
     /// The bound address (resolves ephemeral ports).
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.server.addr()
     }
 
-    /// Stops accepting and joins the acceptors and the prober. In-flight
-    /// handler threads finish their current response on their own.
+    /// Stops accepting, drains in-flight connections like
+    /// [`HttpServer::shutdown`], and joins the prober.
     pub fn shutdown(self) {
-        if !self.stop.flag.swap(true, Ordering::SeqCst) {
-            for _ in 0..self.stop.workers {
-                let _ = TcpStream::connect(self.stop.addr);
-            }
-        }
-        for worker in self.workers {
-            let _ = worker.join();
-        }
+        self.server.shutdown();
+        let _ = self.prober.join();
     }
 
-    /// Blocks until the router is shut down from another thread (the CLI
-    /// foreground path: the process runs until killed).
+    /// Serves until the process is killed (the CLI foreground path). The
+    /// router refuses `POST /v1/shutdown` and hands out no shutdown handle,
+    /// so nothing else stops it.
     pub fn join(self) {
-        for worker in self.workers {
-            let _ = worker.join();
-        }
+        self.server.join();
+        let _ = self.prober.join();
     }
 }
 
-fn prober_loop(core: &RouterCore, stop: &RouterStop) {
-    while !stop.flag.load(Ordering::SeqCst) {
+fn prober_loop(core: &RouterCore, stop: &ShutdownHandle) {
+    while !stop.is_shutdown() {
         for backend in &core.backends {
             let alive = HttpClient::connect_with(backend.addr, RetryPolicy::none())
                 .and_then(|mut probe| probe.get("/healthz"))
@@ -580,71 +579,10 @@ fn prober_loop(core: &RouterCore, stop: &RouterStop) {
         }
         // Interruptible sleep so shutdown is prompt.
         let mut remaining = core.options.probe_interval;
-        while !remaining.is_zero() && !stop.flag.load(Ordering::SeqCst) {
+        while !remaining.is_zero() && !stop.is_shutdown() {
             let nap = remaining.min(Duration::from_millis(25));
             std::thread::sleep(nap);
             remaining -= nap;
-        }
-    }
-}
-
-fn acceptor_loop(listener: &TcpListener, core: &Arc<RouterCore>, stop: &Arc<RouterStop>) {
-    loop {
-        if stop.flag.load(Ordering::SeqCst) {
-            return;
-        }
-        let stream = match listener.accept() {
-            Ok((stream, _)) => {
-                // Same reason as the server's acceptor: a relayed reply
-                // leaves in one write, but the `100 Continue` interim reply
-                // is a second small segment, and Nagle would stall it
-                // behind the client's delayed ACK.
-                let _ = stream.set_nodelay(true);
-                stream
-            }
-            Err(_) => {
-                std::thread::sleep(Duration::from_millis(10));
-                continue;
-            }
-        };
-        if stop.flag.load(Ordering::SeqCst) {
-            return;
-        }
-        let core = core.clone();
-        let stop = stop.clone();
-        std::thread::spawn(move || {
-            let _ = handle_connection(stream, &core, &stop);
-        });
-    }
-}
-
-fn handle_connection(
-    stream: TcpStream,
-    core: &RouterCore,
-    stop: &RouterStop,
-) -> std::io::Result<()> {
-    stream.set_read_timeout(Some(core.options.keep_alive))?;
-    stream.set_write_timeout(Some(core.options.keep_alive))?;
-    let mut writer = stream.try_clone()?;
-    let mut reader = BufReader::new(stream);
-    loop {
-        if stop.flag.load(Ordering::SeqCst) {
-            return Ok(());
-        }
-        let request = match read_request(&mut reader, &mut writer, core.options.max_body_bytes) {
-            Ok(Ok(Some(request))) => request,
-            Ok(Ok(None)) => return Ok(()),
-            Ok(Err((status, error))) => {
-                write_response(&mut writer, &HttpResponse::error(status, error), true)?;
-                return Ok(());
-            }
-            Err(_) => return Ok(()),
-        };
-        let close = request.close;
-        let response = core.route(&request);
-        write_response(&mut writer, &response, close)?;
-        if close || stop.flag.load(Ordering::SeqCst) {
-            return Ok(());
         }
     }
 }

@@ -1,9 +1,13 @@
 //! The HTTP/1.1 front-end: a hand-rolled server over
 //! [`std::net::TcpListener`] (no registry access, so no hyper/axum) that
-//! exposes one [`Service`] as a long-lived process — deployments load once
-//! per process, not once per CLI call.
+//! serves one handler as a long-lived process. The handler is either a
+//! [`Service`] (`tfsn serve-http`: deployments load once per process, not
+//! once per CLI call) or the cluster router (`tfsn route`, see
+//! [`crate::cluster::router`]); both run on the same transport.
 //!
 //! ## Endpoints
+//!
+//! The endpoints of a [`Service`] (the router's are in its module docs):
 //!
 //! | Method + path          | Body                       | Response |
 //! |------------------------|----------------------------|----------|
@@ -32,31 +36,38 @@
 //! ## Overload protection
 //!
 //! Two independent caps shed load instead of queueing it unboundedly: the
-//! connection cap above, and a bounded *admission queue* for data-plane
-//! work ([`ServerOptions::max_inflight`] concurrent solves,
+//! transport's connection cap ([`ServerOptions::max_connections`]), and a
+//! bounded *admission queue* for a [`Service`]'s data-plane work
+//! ([`ServerOptions::max_inflight`] concurrent solves,
 //! [`ServerOptions::admission_queue`] waiters, each waiting at most
 //! [`ServerOptions::admission_wait`]). Shed requests get a typed
 //! `overloaded` 503 with a `Retry-After` header; `/healthz`, `/metrics`
 //! and the `GET` control plane bypass admission so the server stays
-//! observable while degraded. See `docs/DURABILITY.md`.
+//! observable while degraded. The router has the connection cap but no
+//! admission queue: it forwards, and its backends admit. See
+//! `docs/DURABILITY.md`.
 //!
 //! ## Architecture
 //!
-//! A small pool of acceptor threads shares the listener (each holds a
-//! `try_clone`); every accepted connection gets its own handler thread, so
-//! idle keep-alive connections (monitoring dashboards, pooled clients)
-//! never pin an acceptor and `/healthz` stays responsive. Concurrent
-//! connections are capped at [`ServerOptions::max_connections`] — over the
-//! cap the server answers `503` and closes. A connection is driven until
-//! the peer closes, sends `Connection: close`, or idles past the read
-//! timeout. Request heads are read with per-line and header-count caps (a
-//! newline-less firehose cannot grow memory), bodies are framed by
-//! `Content-Length` (no chunked upload support — JSONL batches have a
-//! known length) and capped at [`ServerOptions::max_body_bytes`], and
-//! `Expect: 100-continue` gets its interim response so curl does not stall
-//! before large uploads. Batch bodies run through
-//! [`Service::stream_batch`], so the engine-side chunking (bounded memory,
-//! in-order answers) is identical to the CLI transport.
+//! The transport reads requests; a handler answers them. A small pool of
+//! acceptor threads shares the listener (each holds a `try_clone`); every
+//! accepted connection gets its own thread, so idle keep-alive connections
+//! (monitoring dashboards, pooled clients) never pin an acceptor and
+//! `/healthz` stays responsive. Concurrent connections are capped at
+//! [`ServerOptions::max_connections`] — over the cap the server answers
+//! `503` and closes. A connection is driven until the peer closes, sends
+//! `Connection: close`, or idles past the read timeout. Request heads are
+//! read with per-line and header-count caps (a newline-less firehose
+//! cannot grow memory), bodies are framed by `Content-Length` (no chunked
+//! upload support — JSONL batches have a known length) and capped at
+//! [`ServerOptions::max_body_bytes`], and `Expect: 100-continue` gets its
+//! interim response so curl does not stall before large uploads. Each
+//! request then goes to the handler, which writes its response and says
+//! whether the connection stays open. A [`Service`]'s handler admits
+//! data-plane work, streams `/v1/batch` chunked through
+//! [`Service::stream_batch`] (so the engine-side chunking — bounded memory,
+//! in-order answers — is identical to the CLI transport), and answers the
+//! opt-in `/v1/shutdown`.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -175,6 +186,20 @@ impl ShutdownHandle {
 /// finishing a response exits the wait early via the gauge.
 pub const SHUTDOWN_DRAIN_MAX: Duration = Duration::from_secs(5);
 
+/// What an [`HttpServer`] serves. The transport owns everything up to a
+/// parsed request: accepting, the connection cap, timeouts, framing,
+/// keep-alive and the drain. A handler owns the response.
+pub(crate) trait Handler: Send + Sync {
+    /// Writes the response to `request` and returns whether the connection
+    /// stays open. `shutdown` stops the server that read the request.
+    fn respond(
+        &self,
+        request: &HttpRequest,
+        writer: &mut TcpStream,
+        shutdown: &ShutdownHandle,
+    ) -> std::io::Result<bool>;
+}
+
 /// A running HTTP front-end. Dropping the handle does **not** stop the
 /// server; call [`HttpServer::shutdown`], trigger a
 /// [`HttpServer::shutdown_handle`] from another thread, or
@@ -196,6 +221,20 @@ impl HttpServer {
         addr: &str,
         options: ServerOptions,
     ) -> std::io::Result<HttpServer> {
+        let handler = ServiceHandler {
+            service,
+            admission: Admission::new(&options),
+            options: options.clone(),
+        };
+        Self::serve(Arc::new(handler), addr, options)
+    }
+
+    /// Binds `addr` and starts the worker pool serving `handler`.
+    pub(crate) fn serve(
+        handler: Arc<dyn Handler>,
+        addr: &str,
+        options: ServerOptions,
+    ) -> std::io::Result<HttpServer> {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
         let threads = options.threads.max(1);
@@ -207,7 +246,6 @@ impl HttpServer {
             }),
         };
         let connections = Arc::new(AtomicUsize::new(0));
-        let admission = Admission::new(&options);
         let mut workers: Vec<JoinHandle<()>> = Vec::with_capacity(threads);
         for _ in 0..threads {
             let cloned = match listener.try_clone() {
@@ -223,20 +261,12 @@ impl HttpServer {
                     return Err(e);
                 }
             };
-            let service = service.clone();
+            let handler = handler.clone();
             let handle = handle.clone();
             let connections = connections.clone();
-            let admission = admission.clone();
             let options = options.clone();
             workers.push(std::thread::spawn(move || {
-                worker_loop(
-                    &cloned,
-                    &service,
-                    &handle,
-                    &connections,
-                    &admission,
-                    &options,
-                )
+                worker_loop(&cloned, &handler, &handle, &connections, &options)
             }));
         }
         Ok(HttpServer {
@@ -428,10 +458,9 @@ impl AcceptBackoff {
 
 fn worker_loop(
     listener: &TcpListener,
-    service: &Arc<Service>,
+    handler: &Arc<dyn Handler>,
     shutdown: &ShutdownHandle,
     connections: &Arc<AtomicUsize>,
-    admission: &Arc<Admission>,
     options: &ServerOptions,
 ) {
     let mut backoff = AcceptBackoff::new();
@@ -484,15 +513,14 @@ fn worker_loop(
         // connection then costs one parked thread, not an acceptor. The
         // guard keeps the gauge exact on every exit path.
         let guard = ConnectionGuard(connections.clone());
-        let service = service.clone();
+        let handler = handler.clone();
         let shutdown = shutdown.clone();
-        let admission = admission.clone();
         let options = options.clone();
         std::thread::spawn(move || {
             let _guard = guard;
             // Per-connection errors (resets, timeouts, malformed framing)
             // only terminate that connection.
-            let _ = handle_connection(stream, &service, &shutdown, &admission, &options);
+            let _ = handle_connection(stream, &*handler, &shutdown, &options);
         });
     }
 }
@@ -506,6 +534,15 @@ pub(crate) struct HttpRequest {
     pub(crate) close: bool,
     /// `true` for HTTP/1.1 peers, which understand chunked responses.
     pub(crate) http11: bool,
+}
+
+impl HttpRequest {
+    /// The body as text; a body that is not UTF-8 is a typed 400.
+    pub(crate) fn text(&self) -> Result<&str, ServiceError> {
+        std::str::from_utf8(&self.body).map_err(|_| ServiceError::BadRequest {
+            detail: "request body is not UTF-8".to_string(),
+        })
+    }
 }
 
 /// Outcome of one capped head-line read.
@@ -608,7 +645,7 @@ fn percent_decode(s: &str) -> String {
 /// closed between requests). Framing errors are returned as a response to
 /// send before closing. `writer` is needed for the `100 Continue` interim
 /// response clients like curl wait for before sending large bodies.
-pub(crate) fn read_request(
+fn read_request(
     reader: &mut BufReader<TcpStream>,
     writer: &mut TcpStream,
     max_body: usize,
@@ -823,11 +860,12 @@ pub(crate) fn status_for(error: &ServiceError) -> u16 {
     }
 }
 
+/// Drives one connection: reads requests and hands each to `handler`
+/// until the peer closes, the handler closes, or the server stops.
 fn handle_connection(
     stream: TcpStream,
-    service: &Service,
+    handler: &dyn Handler,
     shutdown: &ShutdownHandle,
-    admission: &Arc<Admission>,
     options: &ServerOptions,
 ) -> std::io::Result<()> {
     stream.set_read_timeout(Some(options.keep_alive))?;
@@ -837,10 +875,7 @@ fn handle_connection(
     stream.set_write_timeout(Some(options.keep_alive))?;
     let mut writer = stream.try_clone()?;
     let mut reader = BufReader::new(stream);
-    loop {
-        if shutdown.is_shutdown() {
-            return Ok(());
-        }
+    while !shutdown.is_shutdown() {
         let request = match read_request(&mut reader, &mut writer, options.max_body_bytes) {
             Ok(Ok(Some(request))) => request,
             Ok(Ok(None)) => return Ok(()), // clean close
@@ -851,6 +886,28 @@ fn handle_connection(
             }
             Err(_) => return Ok(()), // timeout or reset
         };
+        if !handler.respond(&request, &mut writer, shutdown)? {
+            return Ok(());
+        }
+    }
+    Ok(())
+}
+
+/// The handler of a [`Service`]: admission, the chunked `/v1/batch`
+/// stream, the opt-in `/v1/shutdown`, and [`route`] for the rest.
+struct ServiceHandler {
+    service: Arc<Service>,
+    admission: Arc<Admission>,
+    options: ServerOptions,
+}
+
+impl Handler for ServiceHandler {
+    fn respond(
+        &self,
+        request: &HttpRequest,
+        writer: &mut TcpStream,
+        shutdown: &ShutdownHandle,
+    ) -> std::io::Result<bool> {
         let close = request.close;
         // Admission: data-plane work (solves, mutations) competes for a
         // bounded number of slots; everything else (health, metrics,
@@ -862,22 +919,19 @@ fn handle_connection(
                 "/v1/query" | "/v1/batch" | "/v1/rpc" | "/v1/mutate"
             );
         let _permit = if data_plane {
-            match admission.admit() {
+            match self.admission.admit() {
                 Some(permit) => Some(permit),
                 None => {
                     globals::note_request_shed();
                     let shed = HttpResponse::error(
                         503,
                         ServiceError::Overloaded {
-                            max_connections: options.max_inflight as u64,
+                            max_connections: self.options.max_inflight as u64,
                         },
                     )
-                    .with_retry_after(options.retry_after);
-                    write_response(&mut writer, &shed, close)?;
-                    if close || shutdown.is_shutdown() {
-                        return Ok(());
-                    }
-                    continue;
+                    .with_retry_after(self.options.retry_after);
+                    write_response(writer, &shed, close)?;
+                    return Ok(!close);
                 }
             }
         } else {
@@ -888,26 +942,21 @@ fn handle_connection(
         // whole JSONL body in memory first. (HTTP/1.0 peers cannot parse
         // chunked framing and get the buffered path in `route`.)
         if request.http11 && request.method == "POST" && request.path == "/v1/batch" {
-            if !respond_batch_streaming(&mut writer, service, &request)? {
-                return Ok(());
-            }
-            continue;
+            return respond_batch_streaming(writer, &self.service, request);
         }
         // The opt-in graceful-stop endpoint is handled here, not in
         // `route`: the acknowledgement must be fully written *before* the
         // trigger fires, because the drain in `HttpServer::join` races
         // this handler once the acceptors wake.
-        if request.method == "POST" && request.path == "/v1/shutdown" && options.allow_shutdown {
+        if request.method == "POST" && request.path == "/v1/shutdown" && self.options.allow_shutdown
+        {
             let ack = HttpResponse::text(200, b"shutting down\n");
-            write_response(&mut writer, &ack, true)?;
+            write_response(writer, &ack, true)?;
             shutdown.shutdown();
-            return Ok(());
+            return Ok(false);
         }
-        let response = route(service, &request);
-        write_response(&mut writer, &response, close)?;
-        if close || shutdown.is_shutdown() {
-            return Ok(());
-        }
+        write_response(writer, &route(&self.service, request), close)?;
+        Ok(!close)
     }
 }
 
@@ -1194,24 +1243,19 @@ fn route(service: &Service, request: &HttpRequest) -> HttpResponse {
             };
             respond(service.handle(&envelope(RequestBody::WalPull { from_seq, max })))
         }
-        ("POST", "/v1/rpc") => match std::str::from_utf8(&request.body) {
+        ("POST", "/v1/rpc") => match request.text() {
             Ok(json) => respond(service.handle_json(json)),
-            Err(_) => HttpResponse::error(
-                400,
-                ServiceError::BadRequest {
-                    detail: "request body is not UTF-8".to_string(),
-                },
-            ),
+            Err(e) => HttpResponse::error(400, e),
         },
         ("POST", "/v1/query") => {
-            let query: TeamQuery = match std::str::from_utf8(&request.body)
-                .map_err(|_| "request body is not UTF-8".to_string())
-                .and_then(|json| serde_json::from_str(json).map_err(|e| e.to_string()))
-            {
+            let parsed = request.text().and_then(|json| {
+                serde_json::from_str(json).map_err(|e| ServiceError::BadRequest {
+                    detail: e.to_string(),
+                })
+            });
+            let query: TeamQuery = match parsed {
                 Ok(query) => query,
-                Err(detail) => {
-                    return HttpResponse::error(400, ServiceError::BadRequest { detail })
-                }
+                Err(e) => return HttpResponse::error(400, e),
             };
             match service.handle(&envelope(RequestBody::Query {
                 query,
@@ -1250,19 +1294,15 @@ fn route(service: &Service, request: &HttpRequest) -> HttpResponse {
         ("POST", "/v1/mutate") => {
             // One bare mutation object per request; the deployment comes
             // from `?deployment=` like the other data-plane endpoints.
-            let parsed = std::str::from_utf8(&request.body)
-                .map_err(|_| ServiceError::BadRequest {
-                    detail: "request body is not UTF-8".to_string(),
-                })
-                .and_then(crate::proto::parse_mutation_json);
+            let parsed = request.text().and_then(crate::proto::parse_mutation_json);
             match parsed {
                 Ok(body) => respond(service.handle(&envelope(body))),
                 Err(e) => HttpResponse::error(status_for(&e), e),
             }
         }
-        // The enabled case is answered in `handle_connection` (the ack must
-        // hit the wire before the trigger); only the disabled rejection
-        // routes here.
+        // The enabled case is answered in `ServiceHandler::respond` (the
+        // ack must hit the wire before the trigger); only the disabled
+        // rejection routes here.
         ("POST", "/v1/shutdown") => HttpResponse::error(
             403,
             ServiceError::BadRequest {

@@ -301,6 +301,7 @@ fn cluster_replicates_survives_replica_kill_and_degrades_typed() {
         .expect("read with primary down");
     assert_eq!(reply.status, 200, "{}", reply.body);
 
+    drop(client);
     router.shutdown();
     r1.shutdown();
     std::fs::remove_dir_all(&dir).ok();
@@ -433,6 +434,7 @@ fn router_refuses_shutdown_and_answers_health_locally() {
     let reply = client.request("GET", "/v1/topology", "").unwrap();
     assert_eq!(reply.status, 200);
     assert!(reply.body.contains(r#""name":"p""#), "{}", reply.body);
+    drop(client);
     router.shutdown();
 }
 
@@ -477,6 +479,69 @@ fn router_answers_deeply_nested_rpc_with_400_and_keeps_serving() {
         )
         .unwrap();
     assert_eq!(reply.status, 200, "{}", reply.body);
+    drop(client);
+    router.shutdown();
+    backend.shutdown();
+}
+
+/// A body that is not UTF-8 is the client's fault, not the backend's. The
+/// router answers it with the backends' own 400, byte for byte, and
+/// neither retries it nor counts it against the backend.
+#[test]
+fn router_answers_non_utf8_bodies_with_the_backends_400() {
+    use std::io::{Read, Write};
+    let backend = server(service(None));
+    let spec = format!("p={},role=primary", backend.addr());
+    let topology = Topology::parse(&[spec.as_str()]).unwrap();
+    let router = Router::bind(
+        &topology,
+        "127.0.0.1:0",
+        RouterOptions {
+            probe_interval: Duration::from_secs(60), // stay out of the way
+            ..Default::default()
+        },
+    )
+    .unwrap();
+    // One request per connection, read until the peer closes it.
+    let exchange = |addr: std::net::SocketAddr, target: &str| -> Vec<u8> {
+        let body: &[u8] = b"{\"task\": [0, \xff]}";
+        let head = format!(
+            "POST {target} HTTP/1.1\r\nHost: test\r\nContent-Length: {}\r\n\
+             Connection: close\r\n\r\n",
+            body.len()
+        );
+        let mut stream = std::net::TcpStream::connect(addr).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        stream.write_all(&[head.as_bytes(), body].concat()).unwrap();
+        let mut reply = Vec::new();
+        stream
+            .read_to_end(&mut reply)
+            .expect("the peer answers and closes the connection");
+        reply
+    };
+    for target in ["/v1/query", "/v1/mutate"] {
+        let routed = exchange(router.addr(), target);
+        let text = String::from_utf8_lossy(&routed);
+        assert!(text.starts_with("HTTP/1.1 400 "), "{target}: {text}");
+        assert!(text.contains(r#""code":"bad_request""#), "{target}: {text}");
+        assert_eq!(
+            routed,
+            exchange(backend.addr(), target),
+            "{target}: the router's 400 differs from the backend's"
+        );
+    }
+    let mut client = connect(router.addr());
+    let reply = client.request("GET", "/v1/topology", "").unwrap();
+    assert!(
+        reply
+            .body
+            .contains(r#""healthy":true,"consecutive_failures":0"#),
+        "{}",
+        reply.body
+    );
+    assert!(reply.body.contains(r#""read_retries":0"#), "{}", reply.body);
     drop(client);
     router.shutdown();
     backend.shutdown();

@@ -431,6 +431,75 @@ fn ambiguous_content_length_is_a_bad_request_and_closes() {
     server.shutdown();
 }
 
+/// The connection cap. Two held keep-alive connections fill a cap of two,
+/// so the third is answered a typed `overloaded` 503 and closed. Once a
+/// held connection closes, its slot serves a new connection.
+#[test]
+fn connections_over_the_cap_get_a_typed_503_until_one_closes() {
+    use std::io::Read;
+    use std::time::{Duration, Instant};
+    use tfsn_engine::client::RetryPolicy;
+    let server = HttpServer::bind(
+        two_deployment_service(),
+        "127.0.0.1:0",
+        ServerOptions {
+            threads: 1, // one acceptor accepts in connect order
+            max_connections: 2,
+            keep_alive: Duration::from_secs(5),
+            ..Default::default()
+        },
+    )
+    .unwrap();
+    let addr = server.addr();
+    // No client retries: a retried 503 would hide the cap.
+    let healthz = || {
+        let mut client = HttpClient::connect_with(addr, RetryPolicy::none())?;
+        let reply = client.request("GET", "/healthz", "")?;
+        Ok::<_, std::io::Error>((client, reply.status))
+    };
+    // Each held connection is served once, so both are accepted and live.
+    let mut held: Vec<HttpClient> = (0..2)
+        .map(|_| {
+            let (client, status) = healthz().expect("a connection under the cap");
+            assert_eq!(status, 200);
+            client
+        })
+        .collect();
+
+    // The third is answered before it sends anything, then closed.
+    let mut third = std::net::TcpStream::connect(addr).unwrap();
+    third
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let mut reply = String::new();
+    third
+        .read_to_string(&mut reply)
+        .expect("the server answers and closes the connection");
+    assert!(reply.starts_with("HTTP/1.1 503 "), "{reply}");
+    assert!(reply.contains("\r\nConnection: close\r\n"), "{reply}");
+    assert!(reply.contains("\r\nRetry-After: 1\r\n"), "{reply}");
+    let (_, body) = reply.split_once("\r\n\r\n").expect("a head and a body");
+    match Response::parse_json(body).unwrap().error() {
+        Some(ServiceError::Overloaded { max_connections }) => assert_eq!(*max_connections, 2),
+        other => panic!("unexpected error {other:?}: {body}"),
+    }
+
+    // Closing a held connection frees its slot; the handler thread notices
+    // the close on its own, so poll for the slot.
+    drop(held.pop());
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while !healthz().is_ok_and(|(_, status)| status == 200) {
+        assert!(
+            Instant::now() < deadline,
+            "a freed slot must serve a new connection"
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    // Close every client first, so the shutdown drain does not wait.
+    drop(held);
+    server.shutdown();
+}
+
 #[test]
 fn mutate_endpoint_applies_live_edge_changes() {
     let service = two_deployment_service();
