@@ -20,6 +20,15 @@
 //!   growth-dominated regime). The derived `speedups` list is scalar ÷
 //!   masked: what the packed-row path gains over the live alternative,
 //!   below 1 where it loses.
+//! * `skill_degrees/<mix>/<kind>/{cold,warm}` — the least-compatible-first
+//!   degree pass ([`TaskSkillDegrees`]) on `epinions:0.1` with the served
+//!   default config (every holder counted), per task of the `popular` and
+//!   `random` (k = 4) mixes. `cold` runs it over a [`CompatibilityMatrix`],
+//!   which never memoises, so every skill pair is counted from rows;
+//!   `warm` over a filled, assignment-bound row store through one
+//!   [`RowTracker`] per task, as a query does, after the untimed warm-up
+//!   round has filled the snapshot's pair-count memo (as far as its bound
+//!   of one entry per user lets it).
 //! * `algo1/signed_bfs/<n>n` — one Algorithm 1 search ([`signed_bfs`])
 //!   from node 0 on a generated social network of `n` nodes and `5n`
 //!   edges, 20% negative: the kernel behind on-demand rows, repair
@@ -62,6 +71,9 @@
 //!
 //! [`CandidateMask`]: tfsn_core::team::CandidateMask
 //! [`ScalarOnly`]: tfsn_core::compat::ScalarOnly
+//! [`TaskSkillDegrees`]: tfsn_core::skill_compat::TaskSkillDegrees
+//! [`CompatibilityMatrix`]: tfsn_core::compat::CompatibilityMatrix
+//! [`RowTracker`]: tfsn_core::compat::RowTracker
 //! [`signed_bfs`]: tfsn_core::compat::sp::signed_bfs
 
 use std::io::Write;
@@ -298,6 +310,64 @@ fn greedy_groups(quick: bool, groups: &mut Vec<Group>, speedups: &mut Vec<(Strin
                     ));
                 }
                 speedups.push((label, speedup));
+            }
+        }
+    }
+}
+
+fn skill_degree_groups(quick: bool, groups: &mut Vec<Group>) {
+    use std::sync::Arc;
+    use tfsn_core::compat::{LazyCompatibility, RowTracker};
+    use tfsn_core::skill_compat::TaskSkillDegrees;
+
+    let dataset = tfsn_datasets::epinions(0.1);
+    let skills = Arc::new(dataset.skills.clone());
+    let graph = Arc::new(dataset.graph.clone());
+    let cap = GreedyConfig::default().skill_degree_cap;
+    let engine_cfg = EngineConfig::default();
+    let workloads = [
+        ("popular", popular_tasks(&skills, 12, 10)),
+        (
+            "random",
+            random_coverable_tasks(&skills, 4, RANDOM_TASKS, 21),
+        ),
+    ];
+    let kinds: &[CompatibilityKind] = if quick {
+        &[CompatibilityKind::Spa]
+    } else {
+        &[CompatibilityKind::Spa, CompatibilityKind::Nne]
+    };
+    for &kind in kinds {
+        let matrix = CompatibilityMatrix::build_parallel(&dataset.graph, kind, &engine_cfg, 4);
+        let store = LazyCompatibility::new(graph.clone(), kind, engine_cfg.clone())
+            .with_skills(skills.clone())
+            .filled(4);
+        for (mix, tasks) in &workloads {
+            let degrees = |comp: &dyn Compatibility, task| {
+                std::hint::black_box(TaskSkillDegrees::compute_capped(comp, &skills, task, cap));
+            };
+            let [cold, warm] = measure_interleaved(
+                samples(quick),
+                tasks.len() as u64,
+                [
+                    &mut || tasks.iter().for_each(|task| degrees(&matrix, task)),
+                    &mut || {
+                        for task in tasks {
+                            degrees(&RowTracker::new(&store), task);
+                        }
+                    },
+                ],
+            );
+            let label = format!("skill_degrees/{mix}/{}", kind.label());
+            eprintln!(
+                "{label}: cold {} ns/task (IQR {}), warm {} ns/task (IQR {})",
+                cold.median_ns_per_op,
+                cold.iqr_ns_per_op,
+                warm.median_ns_per_op,
+                warm.iqr_ns_per_op,
+            );
+            for (variant, m) in [("cold", cold), ("warm", warm)] {
+                groups.push(m.group(format!("{label}/{variant}"), tasks.len() as u64));
             }
         }
     }
@@ -1152,6 +1222,7 @@ fn main() {
     let mut groups = Vec::new();
     let mut speedups = Vec::new();
     greedy_groups(quick, &mut groups, &mut speedups);
+    skill_degree_groups(quick, &mut groups);
     algo1_groups(quick, &mut groups);
     let row_mode = row_mode_report(quick, &mut groups);
     let mutation = mutation_report(quick, &mut groups);

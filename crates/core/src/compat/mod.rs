@@ -56,6 +56,9 @@ use parking_lot::{Mutex, RwLock};
 use serde::{Deserialize, Serialize};
 use signed_graph::csr::CsrGraph;
 use signed_graph::{MutationEffect, NodeId, SignedGraph};
+use tfsn_skills::assignment::SkillAssignment;
+
+use crate::skill_compat::PairCountMemo;
 
 /// The seven compatibility relations defined by the paper, ordered from the
 /// strictest (DPE) to the most relaxed (NNE) as in Proposition 3.5.
@@ -219,6 +222,16 @@ pub trait Compatibility: Sync {
     /// pair probes as the universal fallback.
     fn packed_row(&self, u: NodeId) -> Option<RowHandle<'_>> {
         let _ = u;
+        None
+    }
+
+    /// The pair-count memo of the one exact row snapshot this view reads,
+    /// when it has one: the hook behind the memoised skill-degree pass
+    /// ([`crate::skill_compat::TaskSkillDegrees::compute_capped`]). Only a
+    /// view pinned to an immutable set of exact rows may return one, since
+    /// the counts hold exactly as long as those rows do. The default
+    /// (`None`) counts every pair from rows.
+    fn pair_count_memo(&self) -> Option<&PairCountMemo> {
         None
     }
 }
@@ -651,12 +664,21 @@ struct RowTable {
     /// One row answers a pair on its own: the kind is per-source symmetric
     /// or the rows carry the symmetric closure.
     exact: bool,
+    /// Skill-pair counts over these rows, created empty with the table:
+    /// `Some` when the table is exact and the store is bound to a skill
+    /// assignment.
+    pairs: Option<Arc<PairCountMemo>>,
 }
 
 impl RowTable {
-    /// The table of a full store.
-    fn of(st: &RowCacheState, kind: CompatibilityKind) -> Self {
-        let rows = st
+    /// The table of a full store, with an empty pair-count memo for
+    /// `skills` when its rows are exact.
+    fn of(
+        st: &RowCacheState,
+        kind: CompatibilityKind,
+        skills: Option<&Arc<SkillAssignment>>,
+    ) -> Self {
+        let rows: Arc<[Arc<CompatRow>]> = st
             .slots
             .iter()
             .map(|slot| match slot {
@@ -664,10 +686,11 @@ impl RowTable {
                 _ => unreachable!("a full store has a resident row in every slot"),
             })
             .collect();
-        RowTable {
-            rows,
-            exact: st.closed || per_source_symmetric(kind),
-        }
+        let exact = st.closed || per_source_symmetric(kind);
+        let pairs = skills
+            .filter(|_| exact)
+            .map(|skills| Arc::new(PairCountMemo::new(skills.clone(), rows.len())));
+        RowTable { rows, exact, pairs }
     }
 }
 
@@ -738,6 +761,10 @@ pub struct Sweep {
 /// * **Full-store snapshots** — while every row is resident the store
 ///   publishes them as one immutable table, and a [`RowTracker`] created
 ///   then reads all its rows from it: one snapshot per query, no locks.
+/// * **Pair counts per snapshot** — a store bound to a skill assignment
+///   ([`Self::with_skills`]) gives each exact table an empty
+///   [`PairCountMemo`], which the degree passes of the queries that pinned
+///   the table fill and share.
 pub struct LazyCompatibility {
     view: RwLock<GraphView>,
     /// Node count, fixed for the store's lifetime (edge mutations never
@@ -749,6 +776,8 @@ pub struct LazyCompatibility {
     state: Mutex<RowCacheState>,
     /// `Some` exactly while the store is full (updated under `state`).
     table: RwLock<Option<RowTable>>,
+    /// The assignment the tables' pair-count memos are keyed for.
+    skills: Option<Arc<SkillAssignment>>,
     builds: AtomicUsize,
     evictions: AtomicUsize,
 }
@@ -797,6 +826,7 @@ impl LazyCompatibility {
                 epoch: 0,
             }),
             table: RwLock::new(None),
+            skills: None,
             builds: AtomicUsize::new(0),
             evictions: AtomicUsize::new(0),
         }
@@ -824,7 +854,19 @@ impl LazyCompatibility {
         }
         st.resident = self.nodes;
         st.closed = !per_source_symmetric(self.kind);
-        *self.table.get_mut() = Some(RowTable::of(st, self.kind));
+        *self.table.get_mut() = Some(RowTable::of(st, self.kind, self.skills.as_ref()));
+        self
+    }
+
+    /// Binds the store to the skill assignment its queries solve with:
+    /// every exact row table it publishes from now on (the current one
+    /// included) carries an empty [`PairCountMemo`] for `skills`.
+    pub fn with_skills(mut self, skills: Arc<SkillAssignment>) -> Self {
+        self.skills = Some(skills);
+        if self.table.get_mut().is_some() {
+            let table = RowTable::of(self.state.get_mut(), self.kind, self.skills.as_ref());
+            *self.table.get_mut() = Some(table);
+        }
         self
     }
 
@@ -924,7 +966,7 @@ impl LazyCompatibility {
             self.enforce_budget(&mut st);
             if st.resident == self.nodes {
                 // The last empty slot filled.
-                *self.table.write() = Some(RowTable::of(&st, self.kind));
+                *self.table.write() = Some(RowTable::of(&st, self.kind, self.skills.as_ref()));
             }
         }
         RowFetch {
@@ -1033,7 +1075,7 @@ impl LazyCompatibility {
         self.enforce_budget(&mut st);
         let full = st.resident == self.nodes;
         if full {
-            *self.table.write() = Some(RowTable::of(&st, self.kind));
+            *self.table.write() = Some(RowTable::of(&st, self.kind, self.skills.as_ref()));
         } else {
             st.closed = false;
             if was_full {
@@ -1158,7 +1200,9 @@ type MemoSlot = Option<(NodeId, Arc<CompatRow>)>;
 /// queries race on a cold row, exactly one tracker records the build.
 ///
 /// A tracker created while the store is full pins its row table and reads
-/// every row from that one snapshot, as a matrix lookup would. Otherwise it
+/// every row from that one snapshot, as a matrix lookup would; an exact
+/// table's pair-count memo comes with it
+/// ([`Compatibility::pair_count_memo`]). Otherwise it
 /// fetches through the store's lock and keeps a tiny private memo of the
 /// rows it fetched last: solvers probe the same source against many targets
 /// back to back, and the memo answers those repeats without touching the
@@ -1170,6 +1214,8 @@ pub struct RowTracker<'a> {
     table: Option<Arc<[Arc<CompatRow>]>>,
     /// One row answers a pair on its own.
     exact: bool,
+    /// The pinned table's pair-count memo.
+    pairs: Option<Arc<PairCountMemo>>,
     built: AtomicUsize,
     build_micros: AtomicU64,
     wait_micros: AtomicU64,
@@ -1180,14 +1226,15 @@ impl<'a> RowTracker<'a> {
     /// Creates a tracker over `rows` with zeroed counters, pinning the
     /// store's row table if it is full.
     pub fn new(rows: &'a LazyCompatibility) -> Self {
-        let (table, exact) = match rows.table.read().clone() {
-            Some(table) => (Some(table.rows), table.exact),
-            None => (None, per_source_symmetric(rows.kind)),
+        let (table, exact, pairs) = match rows.table.read().clone() {
+            Some(table) => (Some(table.rows), table.exact, table.pairs),
+            None => (None, per_source_symmetric(rows.kind), None),
         };
         RowTracker {
             rows,
             table,
             exact,
+            pairs,
             built: AtomicUsize::new(0),
             build_micros: AtomicU64::new(0),
             wait_micros: AtomicU64::new(0),
@@ -1278,6 +1325,10 @@ impl Compatibility for RowTracker<'_> {
             None => (u.index() < self.node_count())
                 .then(|| RowHandle::shared(self.fetch(u), self.exact)),
         }
+    }
+
+    fn pair_count_memo(&self) -> Option<&PairCountMemo> {
+        self.pairs.as_deref()
     }
 }
 

@@ -541,7 +541,7 @@ fn set_bit(words: &mut [u64], v: usize, on: bool) {
 /// A plain mutable bitset over node ids, sharing [`CompatRow`]'s word
 /// indexing — the one implementation behind every "is this node in the
 /// set?" probe outside the rows themselves (the greedy relevance pool).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct NodeSet {
     words: Vec<u64>,
 }
@@ -552,6 +552,12 @@ impl NodeSet {
         NodeSet {
             words: vec![0u64; bitset_words(nodes)],
         }
+    }
+
+    /// Empties the set and sizes it to `nodes` ids, reusing its words.
+    pub(crate) fn reset(&mut self, nodes: usize) {
+        self.words.clear();
+        self.words.resize(bitset_words(nodes), 0);
     }
 
     /// Inserts `v` (ignores out-of-range ids).

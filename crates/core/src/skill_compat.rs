@@ -14,6 +14,10 @@
 //! least-compatible-skill-first selection policy of Algorithm 2 orders the
 //! task's skills by `cd(s)` restricted to the task.
 
+use std::collections::HashMap;
+use std::sync::Arc;
+
+use parking_lot::Mutex;
 use tfsn_skills::assignment::SkillAssignment;
 use tfsn_skills::task::Task;
 use tfsn_skills::SkillId;
@@ -142,10 +146,17 @@ impl TaskSkillDegrees {
 
     /// Like [`TaskSkillDegrees::compute`] but considering at most
     /// `holder_cap` holders per skill (the lowest-id holders, so the result
-    /// is deterministic). Popular skills on the Epinions-scale networks can
-    /// have hundreds of holders, making the exact quadratic pair count the
-    /// dominant cost of Algorithm 2; capping it preserves the *ranking* the
-    /// policy needs while bounding the work. `None` means exact.
+    /// is deterministic). `None` means exact.
+    ///
+    /// The degrees are sums of one count `cd(s, s')` per skill pair of the
+    /// task. A view pinned to an exact row snapshot of a store bound to
+    /// `skills` lends the snapshot's [`PairCountMemo`]: pairs it already
+    /// holds under the same cap cost one lookup, and only the others are
+    /// counted from rows. Counting a pair reads one row per holder of one
+    /// of its skills, so a cold pass over popular skills (hundreds of
+    /// holders each on the Epinions-scale networks) costs about as much as
+    /// the greedy growth that follows it; capping the holders bounds it
+    /// and keeps the *ranking* the policy needs.
     pub fn compute_capped<C: Compatibility + ?Sized>(
         comp: &C,
         skills: &SkillAssignment,
@@ -154,54 +165,38 @@ impl TaskSkillDegrees {
     ) -> Self {
         let cap = holder_cap.unwrap_or(usize::MAX).max(1);
         let task_skills = task.skills();
-        let holders: Vec<&[u32]> = task_skills
-            .iter()
-            .map(|&s| {
-                let h = skills.users_with_skill(s);
-                &h[..h.len().min(cap)]
-            })
-            .collect();
         let k = task_skills.len();
-        let words = bitset_words(comp.node_count());
         let mut degrees = vec![0u64; k];
         if k >= 2 {
-            let sparse: Vec<Vec<(u32, u64)>> =
-                holders.iter().map(|hs| sparse_words(hs, words)).collect();
-            // Rows are fetched for the holders of skills 0..k-2 only: both
-            // kernels read the last skill's degree off the other skills'
-            // rows, so fetching (and, in row-serving mode, building) its
-            // holders' rows would be wasted. The first of those fetches
-            // doubles as the exactness probe that picks the kernel, so an
-            // inexact relation never fetches a row twice.
-            let mut first = holders[..k - 1]
+            let holders: Vec<&[u32]> = task_skills
                 .iter()
-                .find_map(|hs| hs.first())
-                .and_then(|&u| comp.packed_row(NodeId::new(u as usize)));
-            let exact = first.as_ref().is_some_and(RowHandle::exact);
-            let mut fetch = |u: u32| {
-                first
-                    .take()
-                    .or_else(|| comp.packed_row(NodeId::new(u as usize)))
-                    .filter(RowHandle::exact)
+                .map(|&s| {
+                    let h = skills.users_with_skill(s);
+                    &h[..h.len().min(cap)]
+                })
+                .collect();
+            // Pair slot `p` holds skills `pairs[p] = (i, j)`, `i < j`; task
+            // skills are sorted, so each key names the lower id first.
+            let pairs: Vec<(usize, usize)> = (0..k)
+                .flat_map(|i| (i + 1..k).map(move |j| (i, j)))
+                .collect();
+            let key = |p: usize| -> PairKey {
+                let (i, j) = pairs[p];
+                (task_skills[i], task_skills[j], cap)
             };
-            // Word operations per kernel. The pairwise pass intersects each
-            // row with the non-empty words of every later skill's holder
-            // set. The bit-plane pass intersects it with whole bitsets: the
-            // non-empty planes and the last skill's holders
-            // (`SkillCounts::row_cost`), so at least two, a floor that
-            // spares small tasks building the planes.
-            let rows: usize = holders[..k - 1].iter().map(|hs| hs.len()).sum();
-            let pairwise_cost: usize = (0..k - 1)
-                .map(|i| holders[i].len() * sparse[i + 1..].iter().map(Vec::len).sum::<usize>())
-                .sum();
-            let counts = (exact && 2 * rows * words < pairwise_cost)
-                .then(|| SkillCounts::new(&sparse, words))
-                .filter(|counts| rows * counts.row_cost() < pairwise_cost);
-            match counts {
-                Some(counts) => {
-                    bit_plane_degrees(comp, &holders, &sparse, &counts, &mut fetch, &mut degrees)
-                }
-                None => pairwise_degrees(comp, &holders, &sparse, &mut fetch, &mut degrees),
+            let memo = comp.pair_count_memo().filter(|memo| memo.serves(skills));
+            let mut counts = vec![0u64; pairs.len()];
+            let misses = match memo {
+                Some(memo) => memo.read((0..pairs.len()).map(key), &mut counts),
+                None => (0..pairs.len()).collect(),
+            };
+            count_pairs(comp, &holders, &pairs, &misses, &mut counts);
+            if let Some(memo) = memo.filter(|_| !misses.is_empty()) {
+                memo.store(misses.iter().map(|&p| (key(p), counts[p])));
+            }
+            for (&(i, j), &count) in pairs.iter().zip(&counts) {
+                degrees[i] += count;
+                degrees[j] += count;
             }
         }
         TaskSkillDegrees {
@@ -228,197 +223,193 @@ impl TaskSkillDegrees {
     }
 }
 
-/// A holder list as its non-empty bitset words `(word index, bits)`, in
-/// word order. Holders past `words` (outside the relation) are dropped.
-fn sparse_words(holders: &[u32], words: usize) -> Vec<(u32, u64)> {
-    let mut nz: Vec<(u32, u64)> = Vec::with_capacity(holders.len());
-    for &h in holders {
-        let h = h as usize;
-        if h / 64 >= words {
-            continue;
-        }
-        let (wi, bit) = ((h / 64) as u32, 1u64 << (h % 64));
-        match nz.last_mut() {
-            Some((last, bits)) if *last == wi => *bits |= bit,
-            _ => nz.push((wi, bit)),
-        }
-    }
-    // `users_with_skill` is sorted, but merge defensively in case it ever
-    // is not.
-    nz.sort_unstable_by_key(|&(wi, _)| wi);
-    nz.dedup_by(|(wi, bits), (kept_wi, kept_bits)| {
-        *wi == *kept_wi && {
-            *kept_bits |= *bits;
-            true
-        }
-    });
-    nz
+/// A memoised pair count's key: the pair's two skills, lower id first, and
+/// the holder cap it was counted under (`usize::MAX` for every holder).
+type PairKey = (SkillId, SkillId, usize);
+
+/// Skill-pair counts `cd(s, s')` over one immutable snapshot of an exact
+/// relation, for one skill assignment: what the degree passes of every
+/// least-compatible-first solve against that snapshot share.
+///
+/// A full row store ([`crate::compat::LazyCompatibility`]) bound to a
+/// deployment's assignment creates an empty memo with each exact row table
+/// it publishes, and a query reaches it through the
+/// [`Compatibility::pair_count_memo`] of the view that pinned the table: a
+/// fill, the last row filling and every mutation sweep publish a new table,
+/// so the counts never outlive the rows they were counted from. The keys
+/// are skill ids, so the memo serves only the assignment it was made for
+/// (the same allocation, not an equal one). It keeps at most `limit`
+/// entries, the relation's node count, and then stores nothing more.
+pub struct PairCountMemo {
+    skills: Arc<SkillAssignment>,
+    limit: usize,
+    counts: Mutex<HashMap<PairKey, u64>>,
 }
 
-/// A [`sparse_words`] set back as a full bitset of `words` words.
-fn dense_words(set: &[(u32, u64)], words: usize) -> Vec<u64> {
-    let mut dense = vec![0u64; words];
-    for &(w, bits) in set {
-        dense[w as usize] = bits;
+impl PairCountMemo {
+    /// An empty memo for `skills` that keeps at most `limit` counts.
+    pub(crate) fn new(skills: Arc<SkillAssignment>, limit: usize) -> Self {
+        PairCountMemo {
+            skills,
+            limit,
+            counts: Mutex::new(HashMap::new()),
+        }
     }
-    dense
+
+    /// `true` when the counts were taken for this very assignment.
+    fn serves(&self, skills: &SkillAssignment) -> bool {
+        std::ptr::eq(Arc::as_ptr(&self.skills), skills)
+    }
+
+    /// Copies the held counts of `keys` into `counts` under one lock and
+    /// returns the slots it does not hold.
+    fn read(&self, keys: impl Iterator<Item = PairKey>, counts: &mut [u64]) -> Vec<usize> {
+        let held = self.counts.lock();
+        let mut misses = Vec::new();
+        for (p, key) in keys.enumerate() {
+            match held.get(&key) {
+                Some(&count) => counts[p] = count,
+                None => misses.push(p),
+            }
+        }
+        misses
+    }
+
+    /// Keeps `entries` under one lock, as many as the limit leaves room for.
+    fn store(&self, entries: impl Iterator<Item = (PairKey, u64)>) {
+        let mut held = self.counts.lock();
+        for (key, count) in entries {
+            if held.len() >= self.limit {
+                break;
+            }
+            held.insert(key, count);
+        }
+    }
 }
 
-/// `|row ∧ set|` for a set in [`sparse_words`] form.
-fn sparse_count(row: &[u64], set: &[(u32, u64)]) -> u64 {
-    set.iter()
-        .map(|&(wi, bits)| {
-            u64::from((row.get(wi as usize).copied().unwrap_or(0) & bits).count_ones())
-        })
-        .sum()
+/// One task skill's capped holders as a bitset: its non-empty words
+/// `(word index, bits)` in word order, and the whole bitset as well when
+/// more than half its words are non-empty.
+struct HolderSet {
+    sparse: Vec<(u32, u64)>,
+    dense: Option<Vec<u64>>,
+}
+
+impl HolderSet {
+    /// The set of `holders` over a bitset of `words` words (every holder
+    /// falls inside it).
+    fn new(holders: &[u32], words: usize) -> Self {
+        let mut sparse: Vec<(u32, u64)> = Vec::with_capacity(holders.len());
+        for &h in holders {
+            let (w, bit) = (h / 64, 1u64 << (h % 64));
+            match sparse.last_mut() {
+                Some((last, bits)) if *last == w => *bits |= bit,
+                _ => sparse.push((w, bit)),
+            }
+        }
+        // `users_with_skill` is sorted, but merge defensively in case it
+        // ever is not.
+        sparse.sort_unstable_by_key(|&(w, _)| w);
+        sparse.dedup_by(|(w, bits), (kept_w, kept_bits)| {
+            *w == *kept_w && {
+                *kept_bits |= *bits;
+                true
+            }
+        });
+        let dense = (2 * sparse.len() > words).then(|| {
+            let mut dense = vec![0u64; words];
+            for &(w, bits) in &sparse {
+                dense[w as usize] = bits;
+            }
+            dense
+        });
+        HolderSet { sparse, dense }
+    }
+
+    /// Words one row's count against the set reads.
+    fn cost(&self) -> usize {
+        self.dense.as_ref().map_or(self.sparse.len(), Vec::len)
+    }
+
+    /// `|row ∧ set|`.
+    fn count(&self, row: &CompatRow) -> u64 {
+        match &self.dense {
+            Some(dense) => row.intersection_count(dense) as u64,
+            None => {
+                let words = row.words();
+                let word = |w: u32| words.get(w as usize).copied().unwrap_or(0);
+                let bits = self.sparse.iter().map(|&(w, bits)| word(w) & bits);
+                bits.map(|b| u64::from(b.count_ones())).sum()
+            }
+        }
+    }
 }
 
 /// The number of holders of `set` compatible with `u`, by pair probes.
-fn probe_count<C: Compatibility + ?Sized>(comp: &C, u: u32, set: &[u32]) -> u64 {
-    let u = NodeId::new(u as usize);
+fn probe_count<C: Compatibility + ?Sized>(comp: &C, u: usize, set: &[u32]) -> u64 {
+    let u = NodeId::new(u);
     set.iter()
         .filter(|&&v| comp.compatible(u, NodeId::new(v as usize)))
         .count() as u64
 }
 
-/// The pairwise kernel: for every holder `u` of skill `i < k-1` and every
-/// later skill `j`, `cd(i, j) += |row(u) ∧ H_j|` — a popcount over `H_j`'s
-/// non-empty words. The count is credited to both skills, since the
-/// relation is symmetric. A row's self bit counts the reflexive pair of a
-/// user holding both skills, exactly as `compatible(u, u)` does. Inexact
-/// or missing rows are probed pair by pair.
-fn pairwise_degrees<'c, C: Compatibility + ?Sized>(
+/// Adds `cd(i, j)` to `counts[p]` for every pair slot `p` of `todo`, where
+/// `pairs[p] = (i, j)`: the compatible ordered pairs between the holders of
+/// skills `i` and `j`.
+///
+/// The relation is symmetric, so a pair is counted from one side only:
+/// `cd(i, j) = Σ_{u ∈ H_i} |row(u) ∧ H_j|`, from whichever side's rows
+/// read fewer words against the other side's holder set (`|H_i| · cost(H_j)`
+/// against `|H_j| · cost(H_i)`, a set costing its non-empty words, or all
+/// of them when it is dense). A row's self bit counts the reflexive pair
+/// of a user holding both skills, exactly as `compatible(u, u)` does. Each
+/// counting skill's holders fetch their rows once for all of that skill's
+/// pairs; a holder of several counting skills fetches its row once per
+/// skill, which costs less than merging the skills' holders into one id
+/// order (a pinned table or a matrix hands a row out by index). A missing
+/// or inexact row is probed pair by pair instead.
+fn count_pairs<C: Compatibility + ?Sized>(
     comp: &C,
     holders: &[&[u32]],
-    sparse: &[Vec<(u32, u64)>],
-    fetch: &mut impl FnMut(u32) -> Option<RowHandle<'c>>,
-    degrees: &mut [u64],
+    pairs: &[(usize, usize)],
+    todo: &[usize],
+    counts: &mut [u64],
 ) {
-    let k = holders.len();
-    for i in 0..k - 1 {
+    if todo.is_empty() {
+        return;
+    }
+    let span = holders
+        .iter()
+        .filter_map(|hs| hs.iter().max())
+        .map(|&u| u as usize + 1)
+        .fold(comp.node_count(), usize::max);
+    let words = bitset_words(span);
+    let sets: Vec<HolderSet> = holders.iter().map(|hs| HolderSet::new(hs, words)).collect();
+    // `from[i]`: the pair slots counted from skill `i`'s rows, each with
+    // the skill on the other side.
+    let mut from: Vec<Vec<(usize, usize)>> = vec![Vec::new(); holders.len()];
+    for &p in todo {
+        let (i, j) = pairs[p];
+        if holders[i].len() * sets[j].cost() <= holders[j].len() * sets[i].cost() {
+            from[i].push((p, j));
+        } else {
+            from[j].push((p, i));
+        }
+    }
+    for (i, from) in from.iter().enumerate() {
+        if from.is_empty() {
+            continue;
+        }
         for &u in holders[i] {
-            let row = fetch(u);
-            for j in (i + 1)..k {
-                let count = match &row {
-                    Some(h) => sparse_count(h.row().words(), &sparse[j]),
+            let u = u as usize;
+            let row = comp.packed_row(NodeId::new(u)).filter(RowHandle::exact);
+            for &(p, j) in from {
+                counts[p] += match &row {
+                    Some(h) => sets[j].count(h.row()),
                     None => probe_count(comp, u, holders[j]),
                 };
-                degrees[i] += count;
-                degrees[j] += count;
             }
         }
-    }
-}
-
-/// The bit-plane kernel. With `c(v)` the number of task skills `v` holds,
-/// symmetry gives
-///
-/// ```text
-/// deg(i) = Σ_{u ∈ H_i} Σ_{j ≠ i} |row(u) ∧ H_j|
-///        = Σ_{u ∈ H_i} (Σ_b 2^b · |row(u) ∧ P_b| − |row(u) ∧ H_i|)
-///        = Σ_{u ∈ H_i} Σ_b 2^b · |row(u) ∧ P_b^i|
-/// ```
-///
-/// where `P_b` is bit plane `b` of `c` and `P_b^i` bit plane `b` of
-/// `c − [v ∈ H_i]`, the count of the *other* task skills. Each holder's row
-/// is intersected once per non-empty plane, whatever `k`. The last
-/// skill's holders fetch no rows; `deg(k-1) = Σ_{i < k-1} Σ_{u ∈ H_i}
-/// |row(u) ∧ H_{k-1}|` accumulates from the same rows instead. Needs exact
-/// rows; an inexact or missing one is probed pair by pair.
-fn bit_plane_degrees<'c, C: Compatibility + ?Sized>(
-    comp: &C,
-    holders: &[&[u32]],
-    sparse: &[Vec<(u32, u64)>],
-    counts: &SkillCounts,
-    fetch: &mut impl FnMut(u32) -> Option<RowHandle<'c>>,
-    degrees: &mut [u64],
-) {
-    let k = holders.len();
-    let last = dense_words(&sparse[k - 1], counts.words);
-    let mut others = Vec::new();
-    for i in 0..k - 1 {
-        counts.without(&sparse[i], &mut others);
-        let planes: Vec<(usize, &[u64])> = others
-            .chunks_exact(counts.words)
-            .enumerate()
-            .filter(|(_, plane)| plane.iter().any(|&w| w != 0))
-            .collect();
-        for &u in holders[i] {
-            match fetch(u) {
-                Some(h) => {
-                    let row = h.row();
-                    degrees[i] += planes
-                        .iter()
-                        .map(|&(b, plane)| (row.intersection_count(plane) as u64) << b)
-                        .sum::<u64>();
-                    degrees[k - 1] += row.intersection_count(&last) as u64;
-                }
-                None => {
-                    for (j, set) in holders.iter().enumerate() {
-                        if j != i {
-                            let count = probe_count(comp, u, set);
-                            degrees[i] += count;
-                            if j == k - 1 {
-                                degrees[j] += count;
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// `c`, the number of task skills each node holds, bit-sliced: plane `b`
-/// is `plane[b * words..(b + 1) * words]`.
-struct SkillCounts {
-    plane: Vec<u64>,
-    words: usize,
-}
-
-impl SkillCounts {
-    /// Sums the holder sets: one ripple-carry add per non-empty word.
-    fn new(sparse: &[Vec<(u32, u64)>], words: usize) -> Self {
-        let planes = (usize::BITS - sparse.len().leading_zeros()) as usize;
-        let mut plane = vec![0u64; planes * words];
-        for set in sparse {
-            for &(w, bits) in set {
-                let mut carry = bits;
-                for slot in plane[w as usize..].iter_mut().step_by(words) {
-                    let next = *slot & carry;
-                    *slot ^= carry;
-                    carry = next;
-                }
-            }
-        }
-        SkillCounts { plane, words }
-    }
-
-    /// Writes the planes of `c − [v ∈ own]` (`own` a subset of the summed
-    /// sets) into `out`: one ripple-borrow subtract per non-empty word.
-    fn without(&self, own: &[(u32, u64)], out: &mut Vec<u64>) {
-        out.clone_from(&self.plane);
-        for &(w, bits) in own {
-            let mut borrow = bits;
-            for slot in out[w as usize..].iter_mut().step_by(self.words) {
-                let next = !*slot & borrow;
-                *slot ^= borrow;
-                borrow = next;
-            }
-        }
-    }
-
-    /// Words one row's pass of [`bit_plane_degrees`] touches: a whole
-    /// bitset per non-empty plane, plus one for the last skill's holders.
-    /// Priced from these task-wide planes; a skill's own planes differ
-    /// from them only on its holders' words.
-    fn row_cost(&self) -> usize {
-        let planes = self
-            .plane
-            .chunks_exact(self.words)
-            .filter(|plane| plane.iter().any(|&w| w != 0))
-            .count();
-        (planes + 1) * self.words
     }
 }
 
@@ -498,42 +489,54 @@ mod tests {
         }
     }
 
-    /// Runs one degree kernel directly, fetching rows from `comp`.
-    fn kernel_degrees<C: Compatibility + ?Sized>(
+    /// The degrees `compute_capped` returns, in task order.
+    fn degrees_of<C: Compatibility + ?Sized>(
         comp: &C,
         skills: &SkillAssignment,
         task: &Task,
-        bit_plane: bool,
+        cap: Option<usize>,
     ) -> Vec<u64> {
-        let holders: Vec<&[u32]> = task
-            .skills()
-            .iter()
-            .map(|&s| skills.users_with_skill(s))
-            .collect();
-        let k = holders.len();
-        let words = bitset_words(comp.node_count());
-        let sparse: Vec<_> = holders.iter().map(|hs| sparse_words(hs, words)).collect();
-        let mut fetch = |u: u32| {
-            comp.packed_row(NodeId::new(u as usize))
-                .filter(RowHandle::exact)
+        let degrees = TaskSkillDegrees::compute_capped(comp, skills, task, cap);
+        task.skills().iter().map(|&t| degrees.degree(t)).collect()
+    }
+
+    /// `cd_T` from its definition: every ordered pair of capped holders of
+    /// two distinct task skills, probed.
+    fn definition_degrees(
+        comp: &CompatibilityMatrix,
+        skills: &SkillAssignment,
+        task: &Task,
+        cap: Option<usize>,
+    ) -> Vec<u64> {
+        let cap = cap.unwrap_or(usize::MAX).max(1);
+        let holders = |s: SkillId| {
+            let h = skills.users_with_skill(s);
+            &h[..h.len().min(cap)]
         };
-        let mut degrees = vec![0u64; k];
-        if bit_plane {
-            let counts = SkillCounts::new(&sparse, words);
-            bit_plane_degrees(comp, &holders, &sparse, &counts, &mut fetch, &mut degrees);
-        } else {
-            pairwise_degrees(comp, &holders, &sparse, &mut fetch, &mut degrees);
-        }
-        degrees
+        let compatible =
+            |(u, v): (u32, u32)| comp.compatible(NodeId::new(u as usize), NodeId::new(v as usize));
+        let t = task.skills();
+        t.iter()
+            .map(|&a| {
+                let others = t.iter().filter(|&&b| b != a);
+                let pairs = others.flat_map(|&b| {
+                    let with = move |&u: &u32| holders(b).iter().map(move |&v| (u, v));
+                    holders(a).iter().flat_map(with)
+                });
+                pairs.filter(|&pair| compatible(pair)).count() as u64
+            })
+            .collect()
     }
 
     #[test]
-    fn both_degree_kernels_count_the_same_pairs() {
-        use crate::compat::ScalarOnly;
+    fn pair_kernel_counts_what_probes_count() {
+        use crate::compat::{LazyCompatibility, RowTracker, ScalarOnly};
         use signed_graph::generators::{social_network, SocialNetworkConfig};
+        use std::sync::Arc;
         // 150 nodes span three bitset words; skill s is held by every
-        // (s + 2)-th user plus a few extras, so holders overlap and some
-        // users hold several task skills.
+        // (s + 2)-th user plus a few extras, so holders overlap, some users
+        // hold several task skills, and the holder sets range from dense
+        // (skill 0) to sparse.
         let g = social_network(&SocialNetworkConfig {
             nodes: 150,
             edges: 450,
@@ -549,35 +552,150 @@ mod tests {
                 }
             }
         }
+        let skills = Arc::new(skills);
         for kind in [
             CompatibilityKind::Spa,
             CompatibilityKind::Nne,
             CompatibilityKind::Sbph,
         ] {
             let comp = CompatibilityMatrix::build(&g, kind);
+            let filled = LazyCompatibility::new(Arc::new(g.clone()), kind, Default::default())
+                .with_skills(skills.clone())
+                .filled(2);
+            // Rows built on demand: SBPH's are inexact, so probed.
+            let lazy = LazyCompatibility::new(Arc::new(g.clone()), kind, Default::default());
             for task in [
                 Task::new([s(0), s(1)]),
                 Task::new([s(0), s(3), s(5), s(8)]),
                 Task::new((0..9).map(s)),
+                // The first skill is the most-held: every pair is counted
+                // from the later skill's rows.
+                Task::new([s(1), s(6), s(8)]),
             ] {
-                let expected = TaskSkillDegrees::compute(&ScalarOnly(&comp), &skills, &task);
-                let expected: Vec<u64> =
-                    task.skills().iter().map(|&t| expected.degree(t)).collect();
-                for bit_plane in [false, true] {
-                    assert_eq!(
-                        kernel_degrees(&comp, &skills, &task, bit_plane),
-                        expected,
-                        "{kind} {:?} bit_plane={bit_plane}",
-                        task.skills()
-                    );
-                    // Without packed rows both kernels fall back to probes.
-                    assert_eq!(
-                        kernel_degrees(&ScalarOnly(&comp), &skills, &task, bit_plane),
-                        expected
-                    );
+                for cap in [None, Some(7)] {
+                    let expected = definition_degrees(&comp, &skills, &task, cap);
+                    let label = format!("{kind} {:?} cap {cap:?}", task.skills());
+                    let probed = degrees_of(&ScalarOnly(&comp), &skills, &task, cap);
+                    assert_eq!(probed, expected, "{label}");
+                    assert_eq!(degrees_of(&comp, &skills, &task, cap), expected, "{label}");
+                    assert_eq!(degrees_of(&lazy, &skills, &task, cap), expected, "{label}");
+                    // Cold, then warm from the snapshot's memo.
+                    for _ in 0..2 {
+                        let tracker = RowTracker::new(&filled);
+                        assert!(tracker.pair_count_memo().is_some(), "{label}");
+                        assert_eq!(
+                            degrees_of(&tracker, &skills, &task, cap),
+                            expected,
+                            "{label}"
+                        );
+                    }
                 }
             }
         }
+    }
+
+    /// An 8-user ring, every third edge negative, under SPA, filled and
+    /// bound to `skills`, plus the matrix to probe for the reference.
+    fn bound_ring(
+        skills: &std::sync::Arc<SkillAssignment>,
+    ) -> (crate::compat::LazyCompatibility, CompatibilityMatrix) {
+        let edges = (0..8).map(|i| {
+            let sign = if i % 3 == 0 {
+                Sign::Negative
+            } else {
+                Sign::Positive
+            };
+            (i, (i + 1) % 8, sign)
+        });
+        let g = from_edge_triples(edges.collect::<Vec<_>>());
+        let kind = CompatibilityKind::Spa;
+        let matrix = CompatibilityMatrix::build(&g, kind);
+        let filled =
+            crate::compat::LazyCompatibility::new(std::sync::Arc::new(g), kind, Default::default())
+                .with_skills(skills.clone())
+                .filled(1);
+        (filled, matrix)
+    }
+
+    /// Ten skills over eight users: user `u` holds skill `(u * step + i) %
+    /// 10` for `i` in `0..3`.
+    fn spread_skills(step: usize) -> std::sync::Arc<SkillAssignment> {
+        let mut skills = SkillAssignment::new(10, 8);
+        for u in 0..8 {
+            for i in 0..3 {
+                skills.grant(u, s((u * step + i) % 10));
+            }
+        }
+        std::sync::Arc::new(skills)
+    }
+
+    #[test]
+    fn memo_stops_growing_at_node_count_and_stays_exact() {
+        use crate::compat::RowTracker;
+        let skills = spread_skills(3);
+        let (filled, matrix) = bound_ring(&skills);
+        // 45 skill pairs against a limit of 8 entries.
+        let task = Task::new((0..10).map(s));
+        let expected = definition_degrees(&matrix, &skills, &task, None);
+        for pass in 0..3 {
+            let tracker = RowTracker::new(&filled);
+            assert_eq!(
+                degrees_of(&tracker, &skills, &task, None),
+                expected,
+                "pass {pass}"
+            );
+            let memo = tracker
+                .pair_count_memo()
+                .expect("a bound exact table has a memo");
+            assert_eq!(
+                memo.counts.lock().len(),
+                8,
+                "pass {pass}: the memo holds node_count entries"
+            );
+        }
+        // A capped pass finds no entry of its own and stores none.
+        let capped = definition_degrees(&matrix, &skills, &task, Some(1));
+        let tracker = RowTracker::new(&filled);
+        assert_eq!(degrees_of(&tracker, &skills, &task, Some(1)), capped);
+        assert_eq!(
+            tracker.pair_count_memo().map(|m| m.counts.lock().len()),
+            Some(8)
+        );
+    }
+
+    #[test]
+    fn memo_serves_only_the_assignment_it_is_bound_to() {
+        use crate::compat::RowTracker;
+        let bound = spread_skills(3);
+        // Same shape, other holders; and an equal copy in its own
+        // allocation.
+        let other = spread_skills(7);
+        let copy = SkillAssignment::clone(&bound);
+        let (filled, matrix) = bound_ring(&bound);
+        let task = Task::new([s(0), s(2), s(5), s(9)]);
+        let tracker = RowTracker::new(&filled);
+        for (label, skills) in [
+            ("bound", &*bound),
+            ("other", &*other),
+            ("copy", &copy),
+            ("bound again", &*bound),
+        ] {
+            let expected = definition_degrees(&matrix, skills, &task, None);
+            assert_eq!(
+                degrees_of(&tracker, skills, &task, None),
+                expected,
+                "{label}"
+            );
+        }
+        assert_ne!(
+            degrees_of(&matrix, &bound, &task, None),
+            degrees_of(&matrix, &other, &task, None),
+            "the fixture must tell the assignments apart"
+        );
+        assert_eq!(
+            tracker.pair_count_memo().map(|m| m.counts.lock().len()),
+            Some(6)
+        );
     }
 
     #[test]

@@ -17,11 +17,11 @@ use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use signed_graph::NodeId;
 use tfsn_skills::task::Task;
-use tfsn_skills::SkillId;
+use tfsn_skills::{SkillId, SkillSet};
 
 use super::objective::{pair_synergy, Objective};
 use super::policies::{SkillPolicy, TeamAlgorithm, UserPolicy};
-use super::{skills_covered_by, CandidateMask, NodeSet, SolveScratch, Team, TfsnInstance};
+use super::{cover, CandidateMask, NodeSet, SolveScratch, Team, TfsnInstance};
 use crate::compat::{Compatibility, RowHandle, UNREACHABLE_DISTANCE};
 use crate::error::TfsnError;
 use crate::skill_compat::TaskSkillDegrees;
@@ -36,7 +36,10 @@ pub struct GreedyConfig {
     /// Maximum number of holders per skill considered when computing the
     /// task-restricted compatibility degrees for the least-compatible-first
     /// policy (`None` = exact, see
-    /// [`crate::skill_compat::TaskSkillDegrees::compute_capped`]).
+    /// [`crate::skill_compat::TaskSkillDegrees::compute_capped`]). The cap
+    /// bounds a pass that counts its skill pairs from rows; on a served
+    /// full store each pair is counted once per row snapshot and cap, and
+    /// later passes read it from the snapshot's memo.
     pub skill_degree_cap: Option<usize>,
     /// Seed for the RANDOM user-selection policy (the solver is fully
     /// deterministic for a fixed config).
@@ -170,8 +173,14 @@ pub fn solve_greedy_with_scratch<C: Compatibility + ?Sized>(
 
     // One mask buffer shared by every seed (re-seeded in place) — and, via
     // the caller's scratch, across solves: the word-parallel fast path
-    // allocates once per worker thread, not once per query. The member row
-    // handles are likewise kept in one vector for the whole solve.
+    // allocates once per worker thread, not once per query; so do the
+    // members and the growth buffers. The member row handles borrow the
+    // relation, so they are kept in one vector for the whole solve.
+    let SolveScratch {
+        mask,
+        members,
+        growth: buffers,
+    } = scratch;
     let mut rows = Vec::new();
     let mut best: Option<(Team, u64)> = None;
     // Designated members are the one seed: every qualifying team holds all
@@ -200,7 +209,8 @@ pub fn solve_greedy_with_scratch<C: Compatibility + ?Sized>(
             &select_skill,
             &mut rng,
             &mut stats,
-            GrowingTeam::new(comp, seed, &mut scratch.mask, &mut rows),
+            GrowingTeam::new(comp, seed, mask, &mut rows, members),
+            buffers,
             bound,
         );
         match growth {
@@ -298,6 +308,22 @@ enum Growth {
     Abandoned,
 }
 
+/// The buffers one seed's growth refills at every step, kept in the
+/// caller's [`SolveScratch`] across seeds and solves.
+#[derive(Debug, Default)]
+pub(crate) struct GrowthBuffers {
+    /// The skills the team covers.
+    covered: SkillSet,
+    /// The task skills still uncovered.
+    remaining: Vec<SkillId>,
+    /// The step's candidates the team admits.
+    candidates: Vec<NodeId>,
+    /// MostCompatible's relevance pool: the holders of an uncovered skill.
+    pool: Vec<NodeId>,
+    /// The pool as a bitset, for the popcount path.
+    pool_bits: NodeSet,
+}
+
 /// Grows one candidate team from its seed. With `bound < u64::MAX` the
 /// growth stops as soon as the team's partial diameter reaches `bound`.
 #[allow(clippy::too_many_arguments)]
@@ -310,6 +336,7 @@ fn grow_team<C: Compatibility + ?Sized>(
     rng: &mut StdRng,
     stats: &mut GreedyStats,
     mut team: GrowingTeam<'_, '_, C>,
+    buffers: &mut GrowthBuffers,
     bound: u64,
 ) -> Growth {
     // A lone seed's diameter is 0, which already reaches a zero bound.
@@ -317,12 +344,19 @@ fn grow_team<C: Compatibility + ?Sized>(
         return Growth::Abandoned;
     }
     let skills = instance.skills();
-    let mut covered = skills_covered_by(skills, team.members());
+    let GrowthBuffers {
+        covered,
+        remaining,
+        candidates,
+        pool,
+        pool_bits,
+    } = buffers;
+    cover(covered, skills, team.members());
     let mut diameter = 0u64;
-    let mut candidates: Vec<NodeId> = Vec::new();
 
     loop {
-        let remaining = task.uncovered(&covered);
+        remaining.clear();
+        remaining.extend(task.skills().iter().filter(|&&s| !covered.contains(s)));
         if remaining.is_empty() {
             let diameter = (bound != u64::MAX).then_some(diameter);
             return Growth::Covered(team.into_team(), diameter);
@@ -330,7 +364,7 @@ fn grow_team<C: Compatibility + ?Sized>(
         if rules.max_size.is_some_and(|k| team.members().len() >= k) {
             return Growth::Stuck;
         }
-        let next_skill = select_skill(&remaining);
+        let next_skill = select_skill(remaining);
         // Candidates: holders of the skill, outside the team, compatible with
         // every member.
         candidates.clear();
@@ -365,7 +399,7 @@ fn grow_team<C: Compatibility + ?Sized>(
             }
             Choice::User(UserPolicy::MostCompatible) => {
                 // Relevance pool: holders of any still-uncovered skill.
-                let pool = relevant_users(skills, &remaining);
+                relevant_users(skills, remaining, pool);
                 // With exact packed rows and a large enough pool, the
                 // per-candidate pool scan collapses to a popcount of
                 // `row(c) ∧ pool` (minus the self pair, which the scalar
@@ -375,16 +409,16 @@ fn grow_team<C: Compatibility + ?Sized>(
                 // words — smaller pools probe scalar-wise.
                 let pool_bits = (pool.len() >= 2 * crate::compat::bitset_words(comp.node_count()))
                     .then(|| {
-                        let mut bits = NodeSet::new(comp.node_count());
-                        for &p in &pool {
-                            bits.insert(p);
+                        pool_bits.reset(comp.node_count());
+                        for &p in pool.iter() {
+                            pool_bits.insert(p);
                         }
-                        bits
+                        &*pool_bits
                     });
                 let chosen = *candidates
                     .iter()
                     .max_by_key(|&&c| {
-                        let fast = pool_bits.as_ref().and_then(|bits| {
+                        let fast = pool_bits.and_then(|bits| {
                             let h = comp.packed_row(c).filter(|h| h.exact())?;
                             Some(
                                 h.row().intersection_count(bits.words())
@@ -440,23 +474,28 @@ fn grow_team<C: Compatibility + ?Sized>(
 /// fetch the *candidate's* row, which a store that is not full may build.
 struct GrowingTeam<'s, 'c, C: ?Sized> {
     comp: &'c C,
-    members: Vec<NodeId>,
+    /// The members in joining order, in the solve's reused buffer.
+    members: &'s mut Vec<NodeId>,
     /// The mask and the member rows, in member order; `None` once some
     /// member has no packed row (scalar probes from then on).
     packed: Option<(&'s mut CandidateMask, &'s mut Vec<RowHandle<'c>>)>,
 }
 
 impl<'s, 'c, C: Compatibility + ?Sized> GrowingTeam<'s, 'c, C> {
-    /// A team of the (non-empty) `seed` members. `mask_buf` and `rows` are
-    /// the solve's reusable buffers; their previous contents are discarded.
+    /// A team of the (non-empty) `seed` members. `mask_buf`, `rows` and
+    /// `members` are the solve's reusable buffers; their previous contents
+    /// are discarded.
     fn new(
         comp: &'c C,
         seed: &[NodeId],
         mask_buf: &'s mut Option<CandidateMask>,
         rows: &'s mut Vec<RowHandle<'c>>,
+        members: &'s mut Vec<NodeId>,
     ) -> Self {
         let (&first, rest) = seed.split_first().expect("a seed has members");
         rows.clear();
+        members.clear();
+        members.push(first);
         let packed = comp.packed_row(first).map(|handle| {
             let mask = mask_buf.get_or_insert_with(CandidateMask::default);
             mask.reseed(&handle);
@@ -465,7 +504,7 @@ impl<'s, 'c, C: Compatibility + ?Sized> GrowingTeam<'s, 'c, C> {
         });
         let mut team = GrowingTeam {
             comp,
-            members: vec![first],
+            members,
             packed,
         };
         for &m in rest {
@@ -476,7 +515,7 @@ impl<'s, 'c, C: Compatibility + ?Sized> GrowingTeam<'s, 'c, C> {
 
     /// The current members, in joining order.
     fn members(&self) -> &[NodeId] {
-        &self.members
+        self.members
     }
 
     /// `true` if `u` is already a member.
@@ -491,7 +530,7 @@ impl<'s, 'c, C: Compatibility + ?Sized> GrowingTeam<'s, 'c, C> {
         match &self.packed {
             Some((mask, _)) if mask.allows(u) => true,
             Some((mask, _)) if mask.is_exact() => false,
-            _ => self.comp.compatible_with_all(u, &self.members),
+            _ => self.comp.compatible_with_all(u, self.members),
         }
     }
 
@@ -502,7 +541,7 @@ impl<'s, 'c, C: Compatibility + ?Sized> GrowingTeam<'s, 'c, C> {
             Some((mask, rows)) if mask.is_exact() => Some(rows.as_slice()),
             _ => None,
         };
-        distance_to_team(self.comp, u, &self.members, exact_rows)
+        distance_to_team(self.comp, u, self.members, exact_rows)
     }
 
     /// Adds `u` as a member, intersecting its row into the mask.
@@ -524,7 +563,7 @@ impl<'s, 'c, C: Compatibility + ?Sized> GrowingTeam<'s, 'c, C> {
 
     /// The finished team.
     fn into_team(self) -> Team {
-        Team::new(self.members)
+        Team::new(self.members.iter().copied())
     }
 }
 
@@ -559,18 +598,20 @@ fn distance_to_team<C: Compatibility + ?Sized>(
     }
 }
 
-/// All users holding at least one of `skills_wanted`, deduplicated.
+/// Refills `pool` with every user holding at least one of
+/// `skills_wanted`, deduplicated.
 fn relevant_users(
     skills: &tfsn_skills::assignment::SkillAssignment,
     skills_wanted: &[SkillId],
-) -> Vec<NodeId> {
-    let mut users: Vec<u32> = skills_wanted
+    pool: &mut Vec<NodeId>,
+) {
+    pool.clear();
+    let holders = skills_wanted
         .iter()
-        .flat_map(|&s| skills.users_with_skill(s).iter().copied())
-        .collect();
-    users.sort_unstable();
-    users.dedup();
-    users.into_iter().map(|u| NodeId::new(u as usize)).collect()
+        .flat_map(|&s| skills.users_with_skill(s));
+    pool.extend(holders.map(|&u| NodeId::new(u as usize)));
+    pool.sort_unstable();
+    pool.dedup();
 }
 
 #[cfg(test)]

@@ -110,20 +110,26 @@ impl CandidateMask {
 }
 
 /// Reusable solver scratch space: buffers a solve needs that are worth
-/// keeping warm *across* solves — today the [`CandidateMask`] word buffer,
-/// which is `O(|V|/64)` and otherwise reallocated once per query.
+/// keeping warm *across* seeds and solves — the [`CandidateMask`] word
+/// buffer, which is `O(|V|/64)` and otherwise reallocated once per query,
+/// and the greedy growth's member, skill, candidate and relevance-pool
+/// buffers, otherwise reallocated once per seed or per growth step.
 ///
 /// Serving layers that answer many queries per thread (the engine's batch
 /// workers) hold one `SolveScratch` per worker thread and pass it to
-/// [`Solver::solve_objective_with_scratch`]; the mask buffer is then
-/// reseeded in place instead of reallocated. The scratch carries no query
-/// state between solves — only capacity — so reusing it never changes
-/// answers, and a buffer sized for one graph resizes itself when the next
-/// solve targets a differently-sized deployment.
+/// [`Solver::solve_objective_with_scratch`]; the buffers are then refilled
+/// in place instead of reallocated. The scratch carries no query state
+/// between solves — only capacity — so reusing it never changes answers,
+/// and a buffer sized for one graph resizes itself when the next solve
+/// targets a differently-sized deployment.
 #[derive(Debug, Default)]
 pub struct SolveScratch {
     /// The candidate-mask buffer (`None` until the first packed-row solve).
     pub(crate) mask: Option<CandidateMask>,
+    /// The members of the team a seed grows.
+    pub(crate) members: Vec<NodeId>,
+    /// The buffers each growth step refills.
+    pub(crate) growth: greedy::GrowthBuffers,
 }
 
 impl SolveScratch {
@@ -232,7 +238,9 @@ impl Team {
 
     /// The union of the members' skills.
     pub fn covered_skills(&self, skills: &SkillAssignment) -> SkillSet {
-        skills_covered_by(skills, &self.members)
+        let mut covered = SkillSet::default();
+        cover(&mut covered, skills, &self.members);
+        covered
     }
 
     /// `true` if the team covers every skill of `task`.
@@ -305,16 +313,21 @@ impl FromIterator<NodeId> for Team {
     }
 }
 
-/// The union of the skills of `members` (users outside the assignment hold
-/// none): [`Team::covered_skills`] for a member list in any order.
-pub(crate) fn skills_covered_by(skills: &SkillAssignment, members: &[NodeId]) -> SkillSet {
-    let mut covered = SkillSet::new(skills.skill_count());
+/// Refills `covered` with the union of the skills of `members` (users
+/// outside the assignment hold none), sized to the assignment's universe:
+/// [`Team::covered_skills`] for a member list in any order, into a reused
+/// set.
+pub(crate) fn cover(covered: &mut SkillSet, skills: &SkillAssignment, members: &[NodeId]) {
+    if covered.capacity() == skills.skill_count() {
+        covered.clear();
+    } else {
+        *covered = SkillSet::new(skills.skill_count());
+    }
     for &m in members {
         if m.index() < skills.user_count() {
             covered.union_with(skills.skills_of(m.index()));
         }
     }
-    covered
 }
 
 #[cfg(test)]

@@ -1483,8 +1483,8 @@ fn reference_qualifies(
 ///
 /// Skewed shape: every user holds skill 0 and each other skill has a single
 /// holder; the task is all eight skills, less the one `task_bits` names
-/// (if any). On graphs of 16 or more users this steers the degree cost
-/// model to the bit-plane kernel.
+/// (if any). Skill 0's holder set is dense, so the degree kernel counts its
+/// pairs from the single holders' rows against that dense set.
 fn oracle_instance(
     users: usize,
     grants: &[u8],
@@ -1543,7 +1543,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(oracle_cases()))]
 
     /// `solve_greedy` (candidate mask, member-row distances, seed bound,
-    /// either degree kernel) returns exactly what the definition returns —
+    /// the per-pair degree kernel) returns exactly what the definition returns —
     /// same team or same error — for every algorithm, every kind, the
     /// materialised and the budgeted lazy tier, tasks of 1–8 skills, and
     /// both the default config and a capped one. `TaskSkillDegrees` must
@@ -1600,6 +1600,87 @@ proptest! {
                         );
                     }
                 }
+            }
+        }
+    }
+
+    /// The degree pass through a filled store bound to the assignment, on
+    /// the oracle inputs of `greedy_matches_definition_oracle`: a first
+    /// tracker counts into the snapshot's pair-count memo and a second
+    /// reads it, under the default and a capped config on the same
+    /// snapshot, and both equal the brute-force `cd_T`. After a sweep of a
+    /// sign flip and an insert, a tracker pinned before it still returns
+    /// the pre-sweep degrees, and a fresh one the degrees over the mutated
+    /// graph.
+    #[test]
+    fn memoised_degrees_match_definition_across_a_sweep(
+        g in arb_graph(),
+        grants in prop::collection::vec(0u32..256, 1..26),
+        skewed in prop::bool::ANY,
+        task_bits in 1u32..256,
+        cap in 1usize..6,
+    ) {
+        use signed_graph::csr::CsrGraph;
+        use signed_graph::EdgeMutation;
+        use std::sync::Arc;
+        use tfsn_core::compat::{LazyCompatibility, RowTracker, ScalarOnly};
+        use tfsn_core::skill_compat::TaskSkillDegrees;
+        let users = g.node_count();
+        let grants: Vec<u8> = grants.iter().map(|&b| b as u8).collect();
+        let (skills, task) = oracle_instance(users, &grants, skewed, task_bits);
+        let skills = Arc::new(skills);
+        let caps = [None, Some(cap)];
+        let degrees = |comp: &dyn Compatibility, cap| {
+            let degrees = TaskSkillDegrees::compute_capped(comp, &skills, &task, cap);
+            task.skills().iter().map(|&s| degrees.degree(s)).collect::<Vec<u64>>()
+        };
+        // The first edge's sign flipped, and the first absent pair inserted.
+        let mut mutated = g.clone();
+        let mut effects = Vec::new();
+        if let Some(e) = g.edges().first() {
+            let flip = EdgeMutation::SetSign { u: e.u, v: e.v, sign: e.sign.flip() };
+            effects.push(mutated.apply_mutation(&flip).expect("the edge exists"));
+        }
+        let absent = g.nodes().flat_map(|u| g.nodes().map(move |v| (u, v)))
+            .find(|&(u, v)| u < v && g.sign(u, v).is_none());
+        if let Some((u, v)) = absent {
+            let insert = EdgeMutation::Insert { u, v, sign: Sign::Positive };
+            effects.push(mutated.apply_mutation(&insert).expect("the pair is absent"));
+        }
+        let mutated = Arc::new(mutated);
+        let csr = Arc::new(CsrGraph::from_graph(&mutated));
+        // A bounded exact-SBP search: this test builds each relation four
+        // times, and a truncated search is still one fixed relation.
+        let cfg = EngineConfig { sbp_max_states: 20_000, ..EngineConfig::default() };
+        for kind in CompatibilityKind::ALL {
+            let before = CompatibilityMatrix::build_with_config(&g, kind, &cfg);
+            let after = CompatibilityMatrix::build_with_config(&mutated, kind, &cfg);
+            let store = LazyCompatibility::new(Arc::new(g.clone()), kind, cfg.clone())
+                .with_skills(skills.clone())
+                .filled(2);
+            let expected: Vec<Vec<u64>> = caps
+                .iter()
+                .map(|&cap| reference_degrees(&ScalarOnly(&before), &skills, &task, cap))
+                .collect();
+            for memo in ["cold", "warm"] {
+                let tracker = RowTracker::new(&store);
+                prop_assert!(tracker.pair_count_memo().is_some(), "{}: a filled table has a memo", kind);
+                for (&cap, expected) in caps.iter().zip(&expected) {
+                    prop_assert_eq!(&degrees(&tracker, cap), expected, "{} {} memo, cap {:?}", kind, memo, cap);
+                }
+            }
+            let pinned = RowTracker::new(&store);
+            store.apply_mutations(mutated.clone(), csr.clone(), &effects);
+            let fresh = RowTracker::new(&store);
+            // The fresh tracker counts first, so a memo shared across the
+            // sweep would hand the pinned one post-sweep counts.
+            for (&cap, expected) in caps.iter().zip(&expected) {
+                prop_assert_eq!(
+                    degrees(&fresh, cap),
+                    reference_degrees(&ScalarOnly(&after), &skills, &task, cap),
+                    "{} after the sweep, cap {:?}", kind, cap
+                );
+                prop_assert_eq!(&degrees(&pinned, cap), expected, "{} pinned, cap {:?}", kind, cap);
             }
         }
     }

@@ -14,14 +14,15 @@ use tfsn_skills::SkillUniverse;
 /// The static data a query engine serves: one signed network, one skill
 /// universe, one per-user skill assignment. Immutable after construction —
 /// compatibility state derived from it can be cached indefinitely. The
-/// graph is held behind `Arc` so the relation store (and its row caches)
-/// can own a handle without borrowing the deployment.
+/// graph and the assignment are held behind `Arc` so the relation store
+/// (its row caches, and the skill-pair counts keyed by the assignment) can
+/// own a handle without borrowing the deployment.
 #[derive(Debug, Clone)]
 pub struct Deployment {
     name: String,
     graph: Arc<SignedGraph>,
     universe: SkillUniverse,
-    skills: SkillAssignment,
+    skills: Arc<SkillAssignment>,
 }
 
 impl Deployment {
@@ -39,7 +40,7 @@ impl Deployment {
             name: name.into(),
             graph: Arc::new(graph),
             universe,
-            skills,
+            skills: Arc::new(skills),
         })
     }
 
@@ -49,7 +50,7 @@ impl Deployment {
             name: dataset.name,
             graph: Arc::new(dataset.graph),
             universe: dataset.universe,
-            skills: dataset.skills,
+            skills: Arc::new(dataset.skills),
         }
     }
 
@@ -76,6 +77,12 @@ impl Deployment {
     /// The per-user skill assignment.
     pub fn skills(&self) -> &SkillAssignment {
         &self.skills
+    }
+
+    /// A shared handle to the skill assignment, for the relation store's
+    /// skill-pair counts.
+    pub(crate) fn skills_arc(&self) -> Arc<SkillAssignment> {
+        self.skills.clone()
     }
 
     /// Number of users.

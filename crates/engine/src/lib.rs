@@ -239,7 +239,8 @@ impl Engine {
             options.compat,
             options.build_threads,
             options.policy,
-        );
+        )
+        .with_skills(deployment.skills_arc());
         let slow_log = options
             .slow_log
             .unwrap_or(telemetry::SlowQueryLog::DEFAULT_CAPACITY);

@@ -52,6 +52,7 @@ use signed_graph::{EdgeMutation, GraphError, MutationEffect, SignedGraph};
 use tfsn_core::compat::{
     estimated_matrix_bytes, CompatibilityKind, EngineConfig, LazyCompatibility, RowTracker,
 };
+use tfsn_skills::assignment::SkillAssignment;
 
 /// Index of a kind in the shard array (kinds are a small closed set).
 fn shard_index(kind: CompatibilityKind) -> usize {
@@ -249,6 +250,9 @@ pub struct RelationStore {
     graph_version: AtomicUsize,
     rows_invalidated: AtomicUsize,
     rows_repaired: AtomicUsize,
+    /// The deployment's skill assignment, which every row store is bound
+    /// to for its skill-pair counts.
+    skills: Option<Arc<SkillAssignment>>,
 }
 
 impl RelationStore {
@@ -282,7 +286,17 @@ impl RelationStore {
             graph_version: AtomicUsize::new(0),
             rows_invalidated: AtomicUsize::new(0),
             rows_repaired: AtomicUsize::new(0),
+            skills: None,
         }
+    }
+
+    /// Binds the store to the deployment's skill assignment: the full row
+    /// stores of every kind then memoise skill-pair counts for it
+    /// ([`LazyCompatibility::with_skills`]). Queries solving with any other
+    /// assignment count without the memo.
+    pub(crate) fn with_skills(mut self, skills: Arc<SkillAssignment>) -> Self {
+        self.skills = Some(skills);
+        self
     }
 
     /// The relation tuning used for builds.
@@ -361,6 +375,9 @@ impl RelationStore {
             self.cfg.clone(),
             self.policy.memory_budget,
         );
+        if let Some(skills) = &self.skills {
+            rows = rows.with_skills(skills.clone());
+        }
         let built_matrix = self.tier() == TierChoice::Matrix;
         if built_matrix {
             self.matrix_builds.fetch_add(1, Ordering::Relaxed);

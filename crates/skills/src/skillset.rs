@@ -9,7 +9,7 @@ use crate::universe::SkillId;
 /// All skill sets in one problem instance share the same capacity (the size
 /// of the [`crate::SkillUniverse`]); operations between sets of different
 /// capacities are supported by treating missing high bits as unset.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct SkillSet {
     bits: Vec<u64>,
     capacity: usize,
@@ -47,6 +47,11 @@ impl SkillSet {
         if i < self.capacity {
             self.bits[i / 64] |= 1u64 << (i % 64);
         }
+    }
+
+    /// Removes every skill, keeping the capacity (and the allocation).
+    pub fn clear(&mut self) {
+        self.bits.fill(0);
     }
 
     /// Removes a skill if present.
